@@ -614,8 +614,8 @@ def strong_error_rate(
             substeps=1,
             n_steps=n_ref,
         )
-        xi = np.stack([stream.fine_step(j) for j in range(n_ref)])
-        dw_ref = np.sqrt(grid_ref.step_h) * xi
+        dw_ref = stream.gaussian_increment(range(n_ref))
+        dw_ref *= np.sqrt(grid_ref.step_h)
         ref = theta_em_path(problem, grid_ref, noise=dw_ref)
         psi_ref = psi.eval(ref.terminal)
         sums = {}

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, field
 
@@ -600,12 +601,20 @@ def records_to_csv(records) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    tmp = path + ".tmp"
+    # A unique temporary file in the target directory, so concurrent runs
+    # writing one output never share it; the final file gets the mode a
+    # plain open() would give, not mkstemp's 0600.
+    directory, name = os.path.split(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=name + ".",
+                               suffix=".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except OSError:
+    except BaseException:
         try:
             os.unlink(tmp)
         except OSError:

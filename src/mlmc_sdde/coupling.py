@@ -219,10 +219,11 @@ def simulate_coupled(
     vc[: m_c + 1] = hist_c[:, None, :]
 
     use_noise = eps > 0.0
+    draws = [stream.gaussian_increment(range(n_c), k) for k in range(pair.M)]
     for n in range(n_c):
         csum = None
         for k in range(pair.M):
-            xi = stream.gaussian_increment(n, k)
+            xi = draws[k][n]
             csum = xi if k == 0 else csum + xi
             j = n * pair.M + k
             dw = sqh * xi if use_noise else None

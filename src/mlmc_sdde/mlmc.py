@@ -80,6 +80,8 @@ class LevelStats:
         fines = np.asarray(fines, dtype=float).reshape(-1)
         if deltas.shape != fines.shape:
             raise ValueError("deltas and fines must have the same length")
+        if not (np.all(np.isfinite(deltas)) and np.all(np.isfinite(fines))):
+            raise ValueError(f"level {level}: non-finite payoff samples")
         n = deltas.size
         if n == 0:
             return cls(level, 0, 0.0, 0.0, 0.0, 0.0)
@@ -161,6 +163,18 @@ class MlmcEstimate:
     warnings: tuple[str, ...] = ()
 
 
+def _chunk_stats(level: int, a: int, b: int, deltas: np.ndarray,
+                 fines: np.ndarray, cost: float) -> LevelStats:
+    """Stats of the chunk of paths ``[a, b)``, refusing blown-up samples."""
+    bad = int(np.count_nonzero(~(np.isfinite(deltas) & np.isfinite(fines))))
+    if bad:
+        raise ValueError(
+            f"level {level}, paths [{a}, {b}): {bad} non-finite samples "
+            "(the paths blew up)"
+        )
+    return LevelStats.from_samples(level, deltas, fines, cost)
+
+
 def _chunk_ranges(start: int, stop: int, chunk_size: int):
     bounds = list(range(start, stop, chunk_size)) + [stop]
     return [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
@@ -219,7 +233,7 @@ def estimate_level(
                 exc.iterations, exc.residual,
             ) from exc
         deltas, fines = coupled_payoff_delta(coupled, psi)
-        return LevelStats.from_samples(level, deltas, fines, cost)
+        return _chunk_stats(level, a, b, deltas, fines, cost)
 
     ranges = _chunk_ranges(sample_offset, sample_offset + n_samples, chunk_size)
     return _run_chunks(chunk_fn, ranges, jobs)
@@ -271,7 +285,7 @@ def single_level_estimate(
                 exc.iterations, exc.residual,
             ) from exc
         vals = psi.eval(path.terminal)
-        return LevelStats.from_samples(level, vals, vals, cost)
+        return _chunk_stats(level, a, b, vals, vals, cost)
 
     ranges = _chunk_ranges(sample_offset, sample_offset + n_samples, chunk_size)
     return _run_chunks(chunk_fn, ranges, jobs)

@@ -18,6 +18,21 @@ through the inverse normal CDF (``scipy.special.ndtri``); the
 inverse-CDF transform is chosen over rejection samplers because it
 consumes a fixed number of words per variate, which the addressing scheme
 requires.
+
+There is one stream and two ways to compute its words.  The reference,
+:func:`philox_words`, runs the ten rounds in numpy, vectorised over every
+requested ``(step, path)`` counter.  A request for a range of at least
+``_SEQUENCE_MIN_STEPS`` consecutive steps instead reads each
+``(path, substep, block)`` sequence from numpy's C implementation of the
+same generator, ``numpy.random.Philox``: its counter is set to one before
+the first block (numpy increments before generating) and one
+``random_raw`` call returns the whole sequence, because consecutive steps
+are consecutive counters.  Positioning the generator costs a few
+microseconds per sequence, so short ranges stay on the reference path,
+which the C path beats from about 32 steps on.  Both paths give the same
+words bit for bit, and the word-to-normal mapping is the same
+elementwise arithmetic on both, so the draws never depend on which path
+ran.
 """
 
 from __future__ import annotations
@@ -26,6 +41,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from numpy.random import Philox
 from scipy.special import ndtri
 
 __all__ = ["NoiseStream", "philox_words", "uniforms_from_words"]
@@ -38,6 +54,16 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SH32 = np.uint64(32)
 _INV52 = 2.0**-52
+_MOD256 = 1 << 256
+
+# Ranges of at least this many steps read their words from numpy's C
+# Philox, one call per (path, substep, block) sequence.  Measured per draw
+# at 4096 paths on a 2-vCPU AMD EPYC host: the C path costs 295, 159, 90
+# and 55 ns at 8, 16, 32 and 64 steps, the reference 102-132 ns at each.
+_SEQUENCE_MIN_STEPS = 32
+# Words per staging batch of sequences (512 KiB), small enough to stay in
+# cache while the batch is copied into the step-major output.
+_STAGE_WORDS = 1 << 16
 
 
 def _mul_hi(a: np.uint64, b: np.ndarray) -> np.ndarray:
@@ -110,6 +136,54 @@ def _as_path_array(path_index) -> tuple[np.ndarray, bool]:
     return arr.astype(np.uint64), scalar
 
 
+def _reference_normals(key, start: int, count: int, k: int,
+                       paths: np.ndarray, dim: int) -> np.ndarray:
+    """Draws for steps ``start .. start + count - 1``, shape (count, P, dim),
+    from the vectorised :func:`philox_words`."""
+    steps = np.arange(start, start + count, dtype=np.uint64)[:, None]
+    cols = [
+        uniforms_from_words(philox_words(
+            (steps, np.uint64(k), paths, np.uint64(block)), key))
+        for block in range(-(-dim // 4))
+    ]
+    return ndtri(np.concatenate(cols, axis=-1)[..., :dim])
+
+
+def _sequence_normals(key, start: int, count: int, k: int,
+                      paths: np.ndarray, dim: int) -> np.ndarray:
+    """Same draws as :func:`_reference_normals`, from numpy's C Philox.
+
+    Each ``(path, block)`` sequence of ``count`` consecutive counters is
+    one ``random_raw`` call into a small staging buffer, copied to the
+    output a batch of paths at a time.  The output words are then
+    converted to normals in place, one step at a time, so no temporary of
+    the full output size is made.
+    """
+    out = np.empty((count, paths.size, dim), dtype=np.uint64)
+    gen = Philox(counter=_MOD256 - 1,
+                 key=(key[0] & _MASK64) | (key[1] & _MASK64) << 64)
+    next_counter = 0  # numpy increments the counter before each block
+    batch = max(1, _STAGE_WORDS // (4 * count))
+    stage = np.empty((min(batch, paths.size), count, 4), dtype=np.uint64)
+    path_list = paths.tolist()
+    for block, lo in enumerate(range(0, dim, 4)):
+        width = min(4, dim - lo)
+        base = start + (k << 64) + (block << 192)
+        for a in range(0, len(path_list), batch):
+            group = path_list[a:a + batch]
+            for i, p in enumerate(group):
+                first = base + (p << 128)
+                gen.advance((first - next_counter) % _MOD256)
+                stage[i] = gen.random_raw(4 * count).reshape(count, 4)
+                next_counter = first + count
+            out[:, a:a + len(group), lo:lo + width] = (
+                stage[:len(group), :, :width].transpose(1, 0, 2))
+    normals = out.view(np.float64)
+    for step in range(count):
+        normals[step] = ndtri(uniforms_from_words(out[step]))
+    return normals
+
+
 @dataclass(frozen=True)
 class NoiseStream:
     """Addressable source of standard normal increments.
@@ -167,26 +241,35 @@ class NoiseStream:
             raise IndexError(
                 f"substep {k} outside [0, {self.substeps}) for this stream"
             )
-        if n < 0 or (self.n_steps is not None and n >= self.n_steps):
+        if not 0 <= n <= _MASK64 or (
+            self.n_steps is not None and n >= self.n_steps
+        ):
             bound = self.n_steps if self.n_steps is not None else "inf"
             raise IndexError(f"step {n} outside [0, {bound}) for this stream")
 
-    def gaussian_increment(self, n: int, k: int = 0) -> np.ndarray:
-        """N(0, I_dim) vector for substep ``k`` of coarse step ``n``."""
-        n = int(n)
+    def gaussian_increment(self, n: int | range, k: int = 0) -> np.ndarray:
+        """N(0, I_dim) vector for substep ``k`` of coarse step ``n``.
+
+        ``n`` may also be a ``range`` of consecutive steps; the result is
+        then the per-step draws stacked along a new leading axis, equal
+        bit for bit to ``np.stack([gaussian_increment(i, k) for i in n])``.
+        """
         k = int(k)
-        self._check(n, k)
         paths, scalar = _as_path_array(self.path_index)
         key = (int(self.master_seed), int(self.level))
-        nblocks = -(-self.dim // 4)
-        cols = []
-        for block in range(nblocks):
-            words = philox_words(
-                (np.uint64(n), np.uint64(k), paths, np.uint64(block)), key
-            )
-            cols.append(uniforms_from_words(words))
-        u = np.concatenate(cols, axis=-1)[..., : self.dim]
-        z = ndtri(u)
+        if isinstance(n, range):
+            if n.step != 1:
+                raise ValueError(f"step range {n} must have step 1")
+            if n:
+                self._check(n.start, k)
+                self._check(n[-1], k)
+            draw = (_sequence_normals if len(n) >= _SEQUENCE_MIN_STEPS
+                    else _reference_normals)
+            z = draw(key, n.start, len(n), k, paths, self.dim)
+            return z[:, 0] if scalar else z
+        n = int(n)
+        self._check(n, k)
+        z = _reference_normals(key, n, 1, k, paths, self.dim)[0]
         return z[0] if scalar else z
 
     def coarse_increment(self, n: int, m: int | None = None) -> np.ndarray:

@@ -366,16 +366,12 @@ def _newton_solve(y, d, drift, th, x, tol_abs, budget, used):
 def _step(x, x_del, x_del_next, h, theta, drift, diffusion, eps, dw):
     """Advance one grid step; shared by single paths and coupled pairs."""
     fx = drift(x, x_del)
-    if dw is None:
-        base = x + h * fx
-    else:
+    base = x + (1.0 - theta) * h * fx if theta > 0.0 else x + h * fx
+    if dw is not None:
         gx = diffusion(x, x_del)
-        base = x + (1.0 - theta) * h * fx if theta > 0.0 else x + h * fx
         base = base + eps * np.einsum("...ij,...j->...i", gx, dw)
     if theta == 0.0:
         return base
-    if dw is None:
-        base = x + (1.0 - theta) * h * fx
     x0 = base + theta * h * fx
     return implicit_step_solve(base, x_del_next, drift, theta, h, x0=x0)
 
@@ -441,9 +437,15 @@ def theta_em_path(
         )
         squeeze = paths2d.n_paths == 1 and np.ndim(noise.path_index) == 0
         n_paths = paths2d.n_paths
+        S = noise.substeps
+        draws = []
+        if eps != 0.0:
+            # Fine step j is substep j % S of coarse step j // S.
+            draws = [paths2d.gaussian_increment(range((N - k + S - 1) // S), k)
+                     for k in range(min(S, N))]
 
         def provider(n: int) -> np.ndarray:
-            return sqh * paths2d.fine_step(n)
+            return sqh * draws[n % S][n // S]
 
     else:
         arr = np.asarray(noise, dtype=float)

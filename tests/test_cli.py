@@ -9,6 +9,7 @@ import csv
 import io
 import os
 
+import numpy as np
 import pytest
 
 from mlmc_sdde.cli import (
@@ -177,6 +178,43 @@ def test_solver_nonconvergence_maps_to_exit_three(tmp_path, monkeypatch,
     assert code == 3
     assert "converge" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("budget", [["--samples", "500"],
+                                    ["--target-se", "1e-3"]])
+def test_blown_up_samples_exit_two_naming_level_and_paths(tmp_path, capsys,
+                                                          budget):
+    # Untamed explicit steps of the cubic drift overflow on every path.
+    out = tmp_path / "x.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = _run(["--experiment", "mlmc", "--problem", "cubic_onesided",
+                     "--jobs", "1", "--out", str(out)] + budget)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "level 3, paths [0, " in err and "non-finite samples" in err
+    assert not out.exists()
+
+
+def test_atomic_write_leaves_no_temporary_file(tmp_path):
+    out = tmp_path / "x.csv"
+    # Another run's file at the old fixed temporary name stays untouched.
+    other = tmp_path / "x.csv.tmp"
+    other.write_text("another run", encoding="utf-8")
+    assert _run(["--experiment", "path", "--samples", "16",
+                 "--out", str(out)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "x.csv", "x.csv.summary.txt", "x.csv.tmp"]
+    assert other.read_text(encoding="utf-8") == "another run"
+    other.unlink()
+    umask = os.umask(0)
+    os.umask(umask)
+    assert os.stat(out).st_mode & 0o777 == 0o666 & ~umask
+    # A directory in the way makes the final rename fail.
+    blocked = tmp_path / "blocked.csv"
+    blocked.mkdir()
+    assert _run(["--experiment", "path", "--samples", "16",
+                 "--out", str(blocked)]) == 4
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 # ---------------------------------------------------------------------------

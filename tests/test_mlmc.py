@@ -57,6 +57,10 @@ def test_validation():
             LevelStats(2, 2, 0.0, 0.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="same length"):
         LevelStats.from_samples(1, [1.0, 2.0], [1.0], 1.0)
+    for deltas, fines in (([1.0, np.nan], [1.0, 2.0]),
+                          ([1.0, 2.0], [1.0, -np.inf])):
+        with pytest.raises(ValueError, match="level 1: non-finite"):
+            LevelStats.from_samples(1, deltas, fines, 1.0)
 
 
 def _close(a, b, scale):

@@ -13,7 +13,16 @@ import pytest
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from mlmc_sdde.rng import NoiseStream, philox_words, uniforms_from_words
+from mlmc_sdde.analysis import strong_error_rate
+from mlmc_sdde.coupling import LevelPair, simulate_coupled
+from mlmc_sdde.model import builtin_payoff, builtin_problem
+from mlmc_sdde.rng import (
+    _SEQUENCE_MIN_STEPS,
+    NoiseStream,
+    philox_words,
+    uniforms_from_words,
+)
+from mlmc_sdde.scheme import GridSpec, theta_em_path
 
 # ---------------------------------------------------------------------------
 # Pure-integer oracle (frozen)
@@ -213,6 +222,11 @@ def test_out_of_range_requests_raise():
         stream.gaussian_increment(0, 2)
     with pytest.raises(IndexError):
         stream.fine_step(-1)
+    for steps, k in ((range(2, 5), 0), (range(-1, 2), 0), (range(4), 2)):
+        with pytest.raises(IndexError):
+            stream.gaussian_increment(steps, k)
+    with pytest.raises(ValueError):
+        stream.gaussian_increment(range(0, 4, 2), 0)
     with pytest.raises(ValueError):
         NoiseStream(master_seed=-1, level=0, path_index=0, dim=1)
     with pytest.raises(ValueError):
@@ -238,3 +252,60 @@ def test_moments_are_standard_normal():
     # and so are components within one draw
     corr2 = np.corrcoef(draws[0][:, 0], draws[0][:, 1])[0, 1]
     assert abs(corr2) < 0.03
+
+
+# ---------------------------------------------------------------------------
+# Step ranges: the reference and numpy's C Philox give the same draws
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("length", [1, _SEQUENCE_MIN_STEPS - 1,
+                                    _SEQUENCE_MIN_STEPS, 70])
+@pytest.mark.parametrize("dim", [1, 4, 5])
+@pytest.mark.parametrize("paths", [np.arange(6), np.array([0, 5, 6, 7, 100]),
+                                   9], ids=["consecutive", "gaps", "scalar"])
+@pytest.mark.parametrize("seed, start", [(77, 3), (_MASK, 0)])
+def test_step_range_equals_stacked_steps(length, dim, paths, seed, start):
+    # With seed 2**64 - 1, start 0, substep 0 and path 0 the C generator
+    # starts one below counter zero: the decrement borrows through all
+    # four words.
+    stream = NoiseStream(master_seed=seed, level=4, path_index=paths,
+                         dim=dim, substeps=3)
+    steps = range(start, start + length)
+    for k in (0, 2):
+        got = stream.gaussian_increment(steps, k)
+        want = np.stack([stream.gaussian_increment(n, k) for n in steps])
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_every_draw_passes_through_gaussian_increment_once(monkeypatch):
+    # Wrap the public method the way an outside tracer would; the summed
+    # sizes must equal the closed-form draw count of each consumer.
+    sizes = []
+    original = NoiseStream.gaussian_increment
+
+    def counted(self, n, k=0):
+        out = original(self, n, k)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(NoiseStream, "gaussian_increment", counted)
+    prob = builtin_problem("linear_scalar")
+    paths = np.arange(5)
+
+    grid = GridSpec.for_problem(prob, theta=0.0, level=6)
+    stream = NoiseStream(master_seed=1, level=6, path_index=paths, dim=1,
+                         n_steps=grid.total_steps_N)
+    theta_em_path(prob, grid, noise=stream)
+    assert sum(sizes) == paths.size * 64
+
+    sizes.clear()
+    pair = LevelPair.for_problem(prob, 6)
+    simulate_coupled(prob, pair, pair.noise_stream(1, paths, 1))
+    assert sum(sizes) == paths.size * 64
+
+    sizes.clear()
+    result = strong_error_rate(prob, builtin_payoff("identity"),
+                               level_sweep=(3, 4, 5), n_paths=paths.size)
+    assert result.ref_level == 8
+    assert sum(sizes) == paths.size * 2**8
