@@ -12,6 +12,10 @@ independent fine runs, 3 independent coarse runs, 4 deviation cells) and
 the index enumerates cells within a lane.  Together with the per-level
 stream keying this makes all cells pairwise disjoint, so results are
 independent of evaluation order and of worker count.
+
+A cell whose paths blow up (non-finite values) raises ``ValueError``
+naming the experiment, the level, the noise scale and the path range,
+the way a chunk of :mod:`mlmc` does.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .coupling import LevelPair, simulate_coupled
+from .mlmc import _chunk_ranges, _refuse_blown_up
 from .model import Payoff, SddeProblem
 from .rng import NoiseStream
 from .scheme import DelayBuffer, GridSpec, TamedDrift, theta_em_path
@@ -48,6 +53,11 @@ _LANE_STRIDE = 1_000_003
 
 def _cell_seed(seed: int, lane: int, index: int = 0) -> int:
     return int(seed) + _LANE_STRIDE * lane + index
+
+
+def _cell_name(experiment: str, level: int, eps: float, a: int,
+               b: int) -> str:
+    return f"{experiment} level {level} (eps {eps:g}), paths [{a}, {b})"
 
 
 def _run_cells(thunks: Sequence[Callable[[], object]],
@@ -261,7 +271,10 @@ def small_noise_deviation(
         )
         path = theta_em_path(noisy_problem, grid, noise=stream, taming=taming)
         diff = path.values[path.m:] - z[:, None, :]
-        return float(np.sum(diff * diff, axis=-1).max(axis=0).mean())
+        sup_sq = np.sum(diff * diff, axis=-1).max(axis=0)
+        _refuse_blown_up(_cell_name("deviation", level, eps, 0, n_paths),
+                         sup_sq)
+        return float(sup_sq.mean())
 
     deviations = _run_cells(
         [lambda i=i, eps=eps: cell(i, eps)
@@ -311,7 +324,10 @@ def _pair_sq_moments(problem, level, M, theta, delta, n_paths, master_seed):
                                problem.dim_noise)
     coupled = simulate_coupled(problem, pair, stream)
     diff = coupled.state_difference()
-    per_node = np.sum(diff * diff, axis=-1).mean(axis=-1)
+    sq = np.sum(diff * diff, axis=-1)
+    _refuse_blown_up(_cell_name("rates-moment", level, problem.noise_scale,
+                                0, n_paths), sq)
+    per_node = sq.mean(axis=-1)
     return float(per_node.max()), float(per_node[-1]), pair
 
 
@@ -426,6 +442,8 @@ def _coupled_payoff_var(problem, psi, level, M, theta, delta, n_paths,
     coupled = simulate_coupled(problem, pair, stream)
     pf = psi.eval(coupled.fine.terminal)
     pc = psi.eval(coupled.coarse.terminal)
+    _refuse_blown_up(_cell_name("rates-variance", level, problem.noise_scale,
+                                0, n_paths), pf, pc)
     return float(np.var(pf - pc, ddof=1)), pair
 
 
@@ -446,6 +464,8 @@ def _uncoupled_payoff_var(problem, psi, level, M, theta, delta, n_paths,
         )
         path = theta_em_path(problem, grid, noise=stream, taming=taming)
         out.append(psi.eval(path.terminal))
+        _refuse_blown_up(_cell_name("rates-variance uncoupled", lv,
+                                    problem.noise_scale, 0, n_paths), out[-1])
     return float(np.var(out[0] - out[1], ddof=1))
 
 
@@ -605,11 +625,13 @@ def strong_error_rate(
         for lv in levels
     }
 
-    def chunk(start: int, take: int) -> dict[int, float]:
+    eps = problem.noise_scale
+
+    def chunk(a: int, b: int) -> dict[int, float]:
         stream = NoiseStream(
             master_seed=_cell_seed(seed, 0),
             level=ref_level,
-            path_index=np.arange(start, start + take),
+            path_index=np.arange(a, b),
             dim=problem.dim_noise,
             substeps=1,
             n_steps=n_ref,
@@ -618,20 +640,24 @@ def strong_error_rate(
         dw_ref *= np.sqrt(grid_ref.step_h)
         ref = theta_em_path(problem, grid_ref, noise=dw_ref)
         psi_ref = psi.eval(ref.terminal)
+        _refuse_blown_up(_cell_name("rates-strong reference", ref_level, eps,
+                                    a, b), psi_ref)
         sums = {}
         for lv in levels:
             q = M ** (ref_level - lv)
             n_l = grids[lv].total_steps_N
-            dw = dw_ref.reshape(n_l, q, take, problem.dim_noise).sum(axis=1)
+            dw = dw_ref.reshape(n_l, q, b - a, problem.dim_noise).sum(axis=1)
             path = theta_em_path(problem, grids[lv], noise=dw)
-            diff = psi_ref - psi.eval(path.terminal)
+            psi_lv = psi.eval(path.terminal)
+            _refuse_blown_up(_cell_name("rates-strong", lv, eps, a, b),
+                             psi_lv)
+            diff = psi_ref - psi_lv
             sums[lv] = float(np.sum(diff * diff))
         return sums
 
-    spans = [(start, min(chunk_paths, n_paths - start))
-             for start in range(0, n_paths, chunk_paths)]
     chunk_sums = _run_cells(
-        [lambda s=s, t=t: chunk(s, t) for s, t in spans], jobs)
+        [lambda a=a, b=b: chunk(a, b)
+         for a, b in _chunk_ranges(0, n_paths, chunk_paths)], jobs)
     err_sums = {lv: 0.0 for lv in levels}
     for sums in chunk_sums:
         for lv in levels:
@@ -640,8 +666,8 @@ def strong_error_rate(
     h_values = [grids[lv].step_h for lv in levels]
     errors = [err_sums[lv] / n_paths for lv in levels]
     records = tuple(
-        _record("rates-strong", lv, grids[lv].step_h, problem.noise_scale,
-                theta, None, "strong_error_sq", err, n_paths, seed)
+        _record("rates-strong", lv, grids[lv].step_h, eps, theta, None,
+                "strong_error_sq", err, n_paths, seed)
         for lv, err in zip(levels, errors)
     )
     return StrongErrorResult(

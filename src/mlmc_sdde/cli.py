@@ -4,8 +4,9 @@ Every experiment writes one tidy CSV table (schema shared with the
 analysis module) plus a human-readable ``<out>.summary.txt`` with the
 resolved configuration, headline results, and wall time.  Runs are
 deterministic: the same configuration and seed produce byte-identical
-CSV regardless of ``--jobs``, because all parallelism is over fixed
-chunks or sweep cells with per-cell substreams.
+CSV regardless of ``--jobs``.  Only the rates and deviation sweeps use
+threads, over cells with per-cell substreams; path, coupled and mlmc run
+their fixed chunks in order on one thread.
 
 Configuration is layered: per-experiment defaults, then a ``--config``
 file of flat ``key=value`` lines, then command-line flags.  The config
@@ -39,7 +40,7 @@ from .analysis import (
     strong_error_rate,
 )
 from .coupling import LevelPair, coupled_payoff_delta, simulate_coupled
-from .mlmc import mlmc_estimate
+from .mlmc import _chunk_ranges, mlmc_estimate
 from .model import SddeProblem, builtin_payoff, builtin_problem
 from .rng import NoiseStream
 from .scheme import AdmissibilityError, GridSpec, NonConvergence, theta_em_path
@@ -91,8 +92,6 @@ DEFAULTS: dict[str, dict] = {
 }
 
 _SWEEP_EXPERIMENTS = ("rates-moment", "rates-variance", "deviation")
-
-_PATH_CHUNK = 4096
 
 
 class ConfigError(ValueError):
@@ -265,8 +264,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add("--out", metavar="PATH",
         help="CSV output path (default: mlmc-sdde-<experiment>.csv)")
     add("--jobs", type=int, metavar="N",
-        help="worker threads; never changes results (default: hardware "
-            "parallelism)")
+        help="worker threads for the rates-* and deviation sweeps; path, "
+            "coupled and mlmc run on one thread; never changes results "
+            "(default: hardware parallelism)")
     add("--config", metavar="PATH",
         help="key=value config file, overridden by flags (default: none)")
     return parser
@@ -397,17 +397,13 @@ def _build_payoff(cfg: RunConfig):
         raise ConfigError(exc.args[0]) from None
 
 
-def _chunk_spans(n: int, size: int):
-    return [(a, min(a + size, n)) for a in range(0, n, size)]
-
-
 def _run_path(cfg: RunConfig, problem: SddeProblem):
     level = cfg.base_level
     grid = GridSpec.for_problem(problem, theta=cfg.theta, level=level,
                                 M=cfg.M)
     taming = _taming_for_level(problem, level, cfg.M, cfg.delta)
     terminals, sups = [], []
-    for a, b in _chunk_spans(cfg.samples, _PATH_CHUNK):
+    for a, b in _chunk_ranges(0, cfg.samples):
         stream = NoiseStream(master_seed=cfg.seed, level=level,
                              path_index=np.arange(a, b),
                              dim=problem.dim_noise, substeps=1,
@@ -440,7 +436,7 @@ def _run_coupled(cfg: RunConfig, problem: SddeProblem):
                                  delta=cfg.delta)
     node_sq_sum = None
     deltas = []
-    for a, b in _chunk_spans(cfg.samples, _PATH_CHUNK):
+    for a, b in _chunk_ranges(0, cfg.samples):
         stream = pair.noise_stream(cfg.seed, np.arange(a, b),
                                    problem.dim_noise)
         coupled = simulate_coupled(problem, pair, stream)
@@ -476,7 +472,7 @@ def _run_mlmc(cfg: RunConfig, problem: SddeProblem):
         problem, psi, cfg.base_level, cfg.max_level, M=cfg.M,
         theta=cfg.theta, delta=cfg.delta,
         samples_per_level=samples_per_level, target_se=cfg.target_se,
-        seed=cfg.seed, jobs=cfg.jobs,
+        seed=cfg.seed,
     )
     records = []
     for stats in estimate.levels:

@@ -8,15 +8,16 @@ The estimator telescopes
 with the base term from plain theta-EM Monte Carlo at the coarsest level
 ``b`` and each correction term from :func:`coupling.simulate_coupled`
 pairs sharing one increment stream.  Per-level statistics are accumulated
-chunk by chunk with a numerically stable pairwise merge so that sharded
-and serial runs agree to high relative accuracy and a fixed chunk grid
-makes results independent of worker count.
+chunk by chunk, in chunk order on the calling thread, with a numerically
+stable pairwise merge, so that sharded and serial runs agree to high
+relative accuracy.  There is no thread pool: on 2 cores, two threads over
+the chunks of a 5-level run with 20 000 samples per level took 2.14 s
+against 1.80 s on one.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -44,7 +45,7 @@ __all__ = [
 
 # Paths are always processed in fixed chunks of this many indices and the
 # per-chunk statistics merged in chunk order, so the result is a pure
-# function of (seed, sample count) -- never of the worker count.
+# function of (seed, sample count).
 CHUNK_SIZE = 4096
 
 
@@ -163,36 +164,41 @@ class MlmcEstimate:
     warnings: tuple[str, ...] = ()
 
 
+def _chunk_ranges(start: int, stop: int,
+                 size: int = CHUNK_SIZE) -> list[tuple[int, int]]:
+    """Split the path indices ``[start, stop)`` into ``[a, b)`` chunks of
+    ``size``, the last one shorter."""
+    return [(a, min(a + size, stop)) for a in range(start, stop, size)]
+
+
+def _refuse_blown_up(where: str, *samples: np.ndarray) -> None:
+    """Raise ``ValueError`` naming ``where`` if any path's sample is not
+    finite; ``samples`` hold one value per path along their last axis."""
+    finite = np.ones(np.shape(samples[0])[-1], dtype=bool)
+    for values in samples:
+        values = np.asarray(values)
+        finite &= np.isfinite(values).reshape(-1, finite.size).all(axis=0)
+    bad = finite.size - int(np.count_nonzero(finite))
+    if bad:
+        raise ValueError(
+            f"{where}: {bad} non-finite samples (the paths blew up)")
+
+
 def _chunk_stats(level: int, a: int, b: int, deltas: np.ndarray,
                  fines: np.ndarray, cost: float) -> LevelStats:
     """Stats of the chunk of paths ``[a, b)``, refusing blown-up samples."""
-    bad = int(np.count_nonzero(~(np.isfinite(deltas) & np.isfinite(fines))))
-    if bad:
-        raise ValueError(
-            f"level {level}, paths [{a}, {b}): {bad} non-finite samples "
-            "(the paths blew up)"
-        )
+    _refuse_blown_up(f"level {level}, paths [{a}, {b})", deltas, fines)
     return LevelStats.from_samples(level, deltas, fines, cost)
 
 
-def _chunk_ranges(start: int, stop: int, chunk_size: int):
-    bounds = list(range(start, stop, chunk_size)) + [stop]
-    return [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
-
-
 def _run_chunks(chunk_fn: Callable[[int, int], LevelStats],
-                ranges, jobs: int | None) -> LevelStats | None:
-    """Evaluate chunks (optionally in a thread pool), fold in index order."""
-    if not ranges:
-        return None
-    if jobs is not None and jobs > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda ab: chunk_fn(*ab), ranges))
-    else:
-        results = [chunk_fn(a, b) for a, b in ranges]
-    out = results[0]
-    for stats in results[1:]:
-        out = out.merge(stats)
+                start: int, stop: int, chunk_size: int) -> LevelStats:
+    """Evaluate the chunks of ``[start, stop)`` in order, folding each
+    into the running statistics."""
+    out = None
+    for a, b in _chunk_ranges(start, stop, chunk_size):
+        stats = chunk_fn(a, b)
+        out = stats if out is None else out.merge(stats)
     return out
 
 
@@ -206,7 +212,6 @@ def estimate_level(
     n_samples: int = 2,
     seed: int = 0,
     *,
-    jobs: int | None = None,
     chunk_size: int = CHUNK_SIZE,
     sample_offset: int = 0,
 ) -> LevelStats:
@@ -235,8 +240,8 @@ def estimate_level(
         deltas, fines = coupled_payoff_delta(coupled, psi)
         return _chunk_stats(level, a, b, deltas, fines, cost)
 
-    ranges = _chunk_ranges(sample_offset, sample_offset + n_samples, chunk_size)
-    return _run_chunks(chunk_fn, ranges, jobs)
+    return _run_chunks(chunk_fn, sample_offset, sample_offset + n_samples,
+                       chunk_size)
 
 
 def single_level_estimate(
@@ -249,7 +254,6 @@ def single_level_estimate(
     n_samples: int = 2,
     seed: int = 0,
     *,
-    jobs: int | None = None,
     chunk_size: int = CHUNK_SIZE,
     sample_offset: int = 0,
 ) -> LevelStats:
@@ -287,18 +291,18 @@ def single_level_estimate(
         vals = psi.eval(path.terminal)
         return _chunk_stats(level, a, b, vals, vals, cost)
 
-    ranges = _chunk_ranges(sample_offset, sample_offset + n_samples, chunk_size)
-    return _run_chunks(chunk_fn, ranges, jobs)
+    return _run_chunks(chunk_fn, sample_offset, sample_offset + n_samples,
+                       chunk_size)
 
 
-def _level_runner(problem, psi, M, theta, delta, seed, jobs, chunk_size):
+def _level_runner(problem, psi, M, theta, delta, seed, chunk_size):
     """Closure running (level, n, offset) -> LevelStats for base or pairs."""
 
     def run(level: int, base: bool, n: int, offset: int) -> LevelStats:
         fn = single_level_estimate if base else estimate_level
         return fn(
             problem, psi, level, M=M, theta=theta, delta=delta,
-            n_samples=n, seed=seed, jobs=jobs, chunk_size=chunk_size,
+            n_samples=n, seed=seed, chunk_size=chunk_size,
             sample_offset=offset,
         )
 
@@ -319,16 +323,17 @@ def mlmc_estimate(
     *,
     n_pilot: int = 100,
     sample_cap: int = 2_000_000,
-    jobs: int | None = None,
     chunk_size: int = CHUNK_SIZE,
 ) -> MlmcEstimate:
     """Telescoping MLMC estimate of ``E[psi(X(T))]``.
 
     Exactly one of ``samples_per_level`` (explicit counts, base level
     first) and ``target_se`` must be given.  With ``target_se``, a pilot of
-    ``n_pilot`` samples per level measures variances and the remaining
-    budget is allocated proportionally to ``sqrt(var/cost)`` (the classic
-    cost-weighted rule), capped at ``sample_cap`` samples per level; a cap
+    ``n_pilot`` samples per level measures variances and samples are
+    allocated proportionally to ``sqrt(var/cost)`` (the classic
+    cost-weighted rule), capped at ``sample_cap`` samples per level.  The
+    allocation is repeated from the merged statistics, topping levels up,
+    until the target is met or no level below the cap wants more; a cap
     that leaves the target unmet is reported in ``warnings`` rather than
     raised.
     """
@@ -348,7 +353,7 @@ def mlmc_estimate(
         )
 
     levels = list(range(base_level, max_level + 1))
-    run = _level_runner(problem, psi, M, theta, delta, seed, jobs, chunk_size)
+    run = _level_runner(problem, psi, M, theta, delta, seed, chunk_size)
     warnings: list[str] = []
 
     if samples_per_level is not None:
@@ -368,27 +373,36 @@ def mlmc_estimate(
         if not target_se > 0.0:
             raise ValueError(f"target_se must be > 0, got {target_se}")
         pilot_n = max(int(n_pilot), 2)
+        cap = int(sample_cap)
         stats = [run(lv, lv == base_level, pilot_n, 0) for lv in levels]
         cost_per = [s.cost_units / s.samples for s in stats]
-        weight_sum = sum(
-            math.sqrt(s.var_delta * c) for s, c in zip(stats, cost_per)
-        )
         target_var = target_se * target_se
-        for i, lv in enumerate(levels):
-            v = stats[i].var_delta
-            want = 2 if v == 0.0 else math.ceil(
-                math.sqrt(v / cost_per[i]) * weight_sum / target_var
+        while True:
+            weight_sum = sum(
+                math.sqrt(s.var_delta * c) for s, c in zip(stats, cost_per)
             )
-            want = min(max(want, 2), int(sample_cap))
-            if want > pilot_n:
-                extra = run(lv, lv == base_level, want - pilot_n, pilot_n)
-                stats[i] = stats[i].merge(extra)
-        achieved_var = sum(s.var_delta / s.samples for s in stats)
+            grew = False
+            for i, lv in enumerate(levels):
+                v = stats[i].var_delta
+                want = 2 if v == 0.0 else math.ceil(
+                    math.sqrt(v / cost_per[i]) * weight_sum / target_var
+                )
+                want = min(max(want, 2), cap)
+                have = stats[i].samples
+                if want > have:
+                    extra = run(lv, lv == base_level, want - have, have)
+                    stats[i] = stats[i].merge(extra)
+                    grew = True
+            achieved_var = sum(s.var_delta / s.samples for s in stats)
+            if achieved_var <= target_var * (1.0 + 1e-9) or not grew:
+                break
         if achieved_var > target_var * (1.0 + 1e-9):
+            capped = [str(s.level) for s in stats if s.samples >= cap]
+            where = (f" at the per-level sample cap {sample_cap} (level "
+                     f"{', '.join(capped)})" if capped else "")
             warnings.append(
                 f"target standard error {target_se:g} not met: achieved "
-                f"{math.sqrt(achieved_var):g} at the per-level sample cap "
-                f"{sample_cap}"
+                f"{math.sqrt(achieved_var):g}{where}"
             )
 
     base = stats[0]

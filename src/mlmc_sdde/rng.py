@@ -20,23 +20,25 @@ consumes a fixed number of words per variate, which the addressing scheme
 requires.
 
 There is one stream and two ways to compute its words.  The reference,
-:func:`philox_words`, runs the ten rounds in numpy, vectorised over every
-requested ``(step, path)`` counter.  A request for a range of at least
+:func:`philox_words`, runs the ten rounds in numpy over every requested
+``(step, path)`` counter, a cache-sized tile of counters at a time with
+in-place ufuncs.  A request for a range of at least
 ``_SEQUENCE_MIN_STEPS`` consecutive steps instead reads each
 ``(path, substep, block)`` sequence from numpy's C implementation of the
 same generator, ``numpy.random.Philox``: its counter is set to one before
 the first block (numpy increments before generating) and one
 ``random_raw`` call returns the whole sequence, because consecutive steps
 are consecutive counters.  Positioning the generator costs a few
-microseconds per sequence, so short ranges stay on the reference path,
-which the C path beats from about 32 steps on.  Both paths give the same
-words bit for bit, and the word-to-normal mapping is the same
+microseconds per sequence, so short ranges stay on the tiled reference,
+which the C path only beats from about 64 steps on.  Both paths give the
+same words bit for bit, and the word-to-normal mapping is the same
 elementwise arithmetic on both, so the draws never depend on which path
 ran.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -48,6 +50,8 @@ __all__ = ["NoiseStream", "philox_words", "uniforms_from_words"]
 
 _M0 = np.uint64(0xD2E7470EE14C6C93)
 _M1 = np.uint64(0xCA5A826395121157)
+_M0_HI, _M0_LO = np.uint64(0xD2E7470E), np.uint64(0xE14C6C93)
+_M1_HI, _M1_LO = np.uint64(0xCA5A8263), np.uint64(0x95121157)
 _W0 = 0x9E3779B97F4A7C15
 _W1 = 0xBB67AE8584CAA73B
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -55,28 +59,98 @@ _MASK32 = np.uint64(0xFFFFFFFF)
 _SH32 = np.uint64(32)
 _INV52 = 2.0**-52
 _MOD256 = 1 << 256
+# Counters per tile of the reference rounds: nine uint64 scratch rows of
+# this length (1.1 MiB) stay inside a 2 MiB L2.  Reference draws at 16
+# steps x 4096 paths by tile size (2-vCPU Intel Xeon, 2 MiB L2 per core,
+# numpy 2.4.6): 4096 -> 283, 8192 -> 225, 16384 -> 189, 32768 -> 181,
+# 65536 -> 211 ns/draw.
+_TILE = 1 << 14
 
 # Ranges of at least this many steps read their words from numpy's C
 # Philox, one call per (path, substep, block) sequence.  Measured per draw
-# at 4096 paths on a 2-vCPU AMD EPYC host: the C path costs 295, 159, 90
-# and 55 ns at 8, 16, 32 and 64 steps, the reference 102-132 ns at each.
-_SEQUENCE_MIN_STEPS = 32
+# at 4096 paths, dim 1, on the host above (min of 15 runs; from 32 steps
+# on the median of three such): the C path costs 1116, 595, 340, 242,
+# 204, 130 and 145 ns at 8, 16, 32, 48, 64, 80 and 96 steps, the tiled
+# reference 160-210 ns at each length (193 at 64 steps, within the noise
+# of the C path there).
+_SEQUENCE_MIN_STEPS = 64
 # Words per staging batch of sequences (512 KiB), small enough to stay in
 # cache while the batch is copied into the step-major output.
 _STAGE_WORDS = 1 << 16
 
 
-def _mul_hi(a: np.uint64, b: np.ndarray) -> np.ndarray:
-    # High 64 bits of a 64x64 product via 32-bit limbs; all uint64 ops wrap.
-    a_hi = a >> _SH32
-    a_lo = a & _MASK32
-    b_hi = b >> _SH32
-    b_lo = b & _MASK32
-    lo_lo = a_lo * b_lo
-    mid1 = a_hi * b_lo
-    mid2 = a_lo * b_hi
-    carry = (lo_lo >> _SH32) + (mid1 & _MASK32) + (mid2 & _MASK32)
-    return a_hi * b_hi + (mid1 >> _SH32) + (mid2 >> _SH32) + (carry >> _SH32)
+def _mul_hi(a_hi: np.uint64, a_lo: np.uint64, b: np.ndarray,
+            hi: np.ndarray, lo: np.ndarray, t: np.ndarray,
+            u: np.ndarray) -> None:
+    """High 64 bits of ``a * b`` into ``hi``, ``a = a_hi << 32 | a_lo``.
+
+    Schoolbook product over 32-bit limbs in 14 in-place ufunc calls;
+    ``lo``, ``t`` and ``u`` are scratch.  No partial sum overflows:
+    (2**32 - 1)**2 + 2 * (2**32 - 1) < 2**64.
+    """
+    np.bitwise_and(b, _MASK32, out=lo)
+    np.right_shift(b, _SH32, out=hi)
+    np.multiply(lo, a_lo, out=t)
+    t >>= _SH32
+    lo *= a_hi
+    lo += t                          # a_hi * b_lo + (a_lo * b_lo >> 32)
+    np.bitwise_and(lo, _MASK32, out=t)
+    np.multiply(hi, a_lo, out=u)
+    t += u                           # low half of the middle terms
+    t >>= _SH32
+    lo >>= _SH32
+    hi *= a_hi
+    hi += lo
+    hi += t
+
+
+def _philox_into(out: np.ndarray, counter, key) -> None:
+    """Philox-4x64-10 words of the broadcast ``counter`` into ``out``.
+
+    ``out`` has shape ``(rows, cols, width)`` with ``width <= 4``, where
+    the counter words broadcast to ``(rows, cols)``; the first ``width``
+    words of each block are written.  The rounds run over tiles of at
+    most ``_TILE`` counters in preallocated scratch, so the working set
+    stays in cache and no temporary of the full size is made.
+    """
+    rows, cols, width = out.shape
+    if not out.size:
+        return
+    src = [np.broadcast_to(w, (rows, cols)) for w in counter]
+    scratch = np.empty((9, min(_TILE, rows * cols)), dtype=np.uint64)
+    k0, k1 = int(key[0]) & _MASK64, int(key[1]) & _MASK64
+    keys = []
+    for _ in range(10):
+        keys.append((np.uint64(k0), np.uint64(k1)))
+        k0, k1 = (k0 + _W0) & _MASK64, (k1 + _W1) & _MASK64
+    if cols >= _TILE:
+        tiles = [(r, r + 1, c, min(c + _TILE, cols))
+                 for r in range(rows) for c in range(0, cols, _TILE)]
+    else:
+        step = _TILE // cols
+        tiles = [(r, min(r + step, rows), 0, cols)
+                 for r in range(0, rows, step)]
+    for r0, r1, c0, c1 in tiles:
+        shape = (r1 - r0, c1 - c0)
+        bufs = list(scratch[:, :shape[0] * shape[1]])
+        for buf, w in zip(bufs, src):
+            np.copyto(buf.reshape(shape), w[r0:r1, c0:c1])
+        x0, x1, x2, x3, hi0, hi1, lo, t, u = bufs
+        # One round: (x0, x1, x2, x3) <- (hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1,
+        # lo0) with (hi0, lo0) = M0 * x0 and (hi1, lo1) = M1 * x2; the new
+        # words are computed in the old buffers, which are then renamed.
+        for rk0, rk1 in keys:
+            _mul_hi(_M0_HI, _M0_LO, x0, hi0, lo, t, u)
+            _mul_hi(_M1_HI, _M1_LO, x2, hi1, lo, t, u)
+            x1 ^= hi1
+            x1 ^= rk0
+            x3 ^= hi0
+            x3 ^= rk1
+            x0 *= _M0
+            x2 *= _M1
+            x0, x1, x2, x3 = x1, x2, x3, x0
+        for j, word in enumerate((x0, x1, x2, x3)[:width]):
+            np.copyto(out[r0:r1, c0:c1, j], word.reshape(shape))
 
 
 def philox_words(counter, key) -> np.ndarray:
@@ -98,24 +172,14 @@ def philox_words(counter, key) -> np.ndarray:
     if len(c) != 4:
         raise ValueError("counter must have four words")
     bshape = np.broadcast_shapes(*(w.shape for w in c))
-    # work on 1-d buffers: wrapping arithmetic on 0-d scalars warns
-    c0, c1, c2, c3 = (
-        np.broadcast_to(w, bshape).reshape(-1).copy() for w in c
-    )
-    k0 = int(key[0]) & _MASK64
-    k1 = int(key[1]) & _MASK64
-    for r in range(10):
-        if r:
-            k0 = (k0 + _W0) & _MASK64
-            k1 = (k1 + _W1) & _MASK64
-        k0u = np.uint64(k0)
-        k1u = np.uint64(k1)
-        lo0 = _M0 * c0
-        hi0 = _mul_hi(_M0, c0)
-        lo1 = _M1 * c2
-        hi1 = _mul_hi(_M1, c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0u, lo1, hi0 ^ c3 ^ k1u, lo0
-    return np.stack([c0, c1, c2, c3], axis=-1).reshape(bshape + (4,))
+    # Rows merge the leading axes; that reshape is a view except for
+    # counters of three or more axes broadcast in different patterns.
+    rows = math.prod(bshape[:-1])
+    cols = bshape[-1] if bshape else 1
+    out = np.empty((rows, cols, 4), dtype=np.uint64)
+    _philox_into(out, [np.broadcast_to(w, bshape).reshape(rows, cols)
+                       for w in c], key)
+    return out.reshape(bshape + (4,))
 
 
 def uniforms_from_words(words: np.ndarray) -> np.ndarray:
@@ -136,17 +200,27 @@ def _as_path_array(path_index) -> tuple[np.ndarray, bool]:
     return arr.astype(np.uint64), scalar
 
 
+def _normals_in_place(words: np.ndarray) -> np.ndarray:
+    """Map uint64 ``words`` of shape (count, ...) to normals in place.
+
+    One step at a time, so the only temporaries are one step in size.
+    """
+    normals = words.view(np.float64)
+    for step in range(words.shape[0]):
+        normals[step] = ndtri(uniforms_from_words(words[step]))
+    return normals
+
+
 def _reference_normals(key, start: int, count: int, k: int,
                        paths: np.ndarray, dim: int) -> np.ndarray:
     """Draws for steps ``start .. start + count - 1``, shape (count, P, dim),
-    from the vectorised :func:`philox_words`."""
+    from the tiled reference rounds of :func:`philox_words`."""
+    out = np.empty((count, paths.size, dim), dtype=np.uint64)
     steps = np.arange(start, start + count, dtype=np.uint64)[:, None]
-    cols = [
-        uniforms_from_words(philox_words(
-            (steps, np.uint64(k), paths, np.uint64(block)), key))
-        for block in range(-(-dim // 4))
-    ]
-    return ndtri(np.concatenate(cols, axis=-1)[..., :dim])
+    for block, lo in enumerate(range(0, dim, 4)):
+        _philox_into(out[:, :, lo:lo + 4],
+                     (steps, np.uint64(k), paths, np.uint64(block)), key)
+    return _normals_in_place(out)
 
 
 def _sequence_normals(key, start: int, count: int, k: int,
@@ -155,9 +229,7 @@ def _sequence_normals(key, start: int, count: int, k: int,
 
     Each ``(path, block)`` sequence of ``count`` consecutive counters is
     one ``random_raw`` call into a small staging buffer, copied to the
-    output a batch of paths at a time.  The output words are then
-    converted to normals in place, one step at a time, so no temporary of
-    the full output size is made.
+    output a batch of paths at a time, then converted in place.
     """
     out = np.empty((count, paths.size, dim), dtype=np.uint64)
     gen = Philox(counter=_MOD256 - 1,
@@ -178,10 +250,7 @@ def _sequence_normals(key, start: int, count: int, k: int,
                 next_counter = first + count
             out[:, a:a + len(group), lo:lo + width] = (
                 stage[:len(group), :, :width].transpose(1, 0, 2))
-    normals = out.view(np.float64)
-    for step in range(count):
-        normals[step] = ndtri(uniforms_from_words(out[step]))
-    return normals
+    return _normals_in_place(out)
 
 
 @dataclass(frozen=True)

@@ -195,6 +195,25 @@ def test_blown_up_samples_exit_two_naming_level_and_paths(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("experiment, eps", [("rates-strong", "0.0001"),
+                                             ("rates-moment", "0.0001"),
+                                             ("rates-variance", "1e-05"),
+                                             ("deviation", "0.002")])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in threads
+def test_blown_up_analysis_cells_exit_two_naming_experiment_level_and_paths(
+        tmp_path, capsys, experiment, eps):
+    # The same overflow inside the sweeps of the analysis experiments.
+    out = tmp_path / "x.csv"
+    code = _run(["--experiment", experiment, "--problem", "cubic_onesided",
+                 "--base-level", "3", "--samples", "16", "--jobs", "2",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert (f"{experiment} level 3 (eps {eps}), paths [0, 16): 16 "
+            "non-finite samples") in err
+    assert not out.exists()
+
+
 def test_atomic_write_leaves_no_temporary_file(tmp_path):
     out = tmp_path / "x.csv"
     # Another run's file at the old fixed temporary name stays untouched.

@@ -18,6 +18,7 @@ from mlmc_sdde.coupling import LevelPair, simulate_coupled
 from mlmc_sdde.model import builtin_payoff, builtin_problem
 from mlmc_sdde.rng import (
     _SEQUENCE_MIN_STEPS,
+    _TILE,
     NoiseStream,
     philox_words,
     uniforms_from_words,
@@ -92,6 +93,49 @@ def test_vectorised_block_matches_oracle_batched():
         assert tuple(int(w) for w in got[i]) == philox_oracle(
             [int(w) for w in ctrs[i]], key
         )
+
+
+def _check_at_tile_edges(flat, starts, counter_of, key):
+    # The oracle at the first and last counter and on both sides of every
+    # tile boundary.
+    assert len(starts) > 2 and len(flat) % _TILE
+    picks = {0, len(flat) - 1}
+    picks.update(i for b in starts[1:] for i in (b - 1, b))
+    for i in sorted(picks):
+        assert tuple(int(w) for w in flat[i]) == philox_oracle(
+            counter_of(i), key), i
+
+
+@pytest.mark.parametrize("n_steps, n_paths", [(17, 3000), (3, 2 * _TILE + 5)],
+                         ids=["rows-per-tile", "tiles-per-row"])
+def test_tiled_words_match_oracle_broadcast_counters(n_steps, n_paths):
+    steps = np.arange(40, 40 + n_steps, dtype=np.uint64)
+    paths = np.arange(n_paths, dtype=np.uint64) * 7 + 2
+    key = (_MASK, 3)
+    got = philox_words((steps[:, None], np.uint64(2), paths, np.uint64(1)),
+                       key)
+    assert got.shape == (n_steps, n_paths, 4)
+    if n_paths >= _TILE:
+        starts = [r * n_paths + c for r in range(n_steps)
+                  for c in range(0, n_paths, _TILE)]
+    else:
+        starts = list(range(0, n_steps * n_paths,
+                            _TILE // n_paths * n_paths))
+    _check_at_tile_edges(
+        got.reshape(-1, 4), starts,
+        lambda i: (int(steps[i // n_paths]), 2, int(paths[i % n_paths]), 1),
+        key)
+
+
+def test_tiled_words_match_oracle_full_array_counters():
+    n = 2 * _TILE + 1234
+    ctrs = np.random.default_rng(3).integers(0, 2**64, size=(n, 4),
+                                             dtype=np.uint64)
+    key = (99, _MASK)
+    got = philox_words(tuple(ctrs.T), key)
+    assert got.shape == (n, 4)
+    _check_at_tile_edges(got, list(range(0, n, _TILE)),
+                         lambda i: [int(w) for w in ctrs[i]], key)
 
 
 def test_numpy_philox_cross_check():
@@ -258,8 +302,8 @@ def test_moments_are_standard_normal():
 # Step ranges: the reference and numpy's C Philox give the same draws
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("length", [1, _SEQUENCE_MIN_STEPS - 1,
-                                    _SEQUENCE_MIN_STEPS, 70])
+@pytest.mark.parametrize("length", sorted({1, 31, 32, _SEQUENCE_MIN_STEPS - 1,
+                                           _SEQUENCE_MIN_STEPS, 70}))
 @pytest.mark.parametrize("dim", [1, 4, 5])
 @pytest.mark.parametrize("paths", [np.arange(6), np.array([0, 5, 6, 7, 100]),
                                    9], ids=["consecutive", "gaps", "scalar"])
