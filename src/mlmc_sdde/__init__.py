@@ -56,6 +56,7 @@ from .scheme import (
     check_admissibility,
     implicit_step_solve,
     tame_drift,
+    taming_for_level,
     theta_em_path,
 )
 
@@ -80,6 +81,7 @@ __all__ = [
     "check_admissibility",
     "implicit_step_solve",
     "tame_drift",
+    "taming_for_level",
     "theta_em_path",
     "CoupledPair",
     "LevelPair",

@@ -25,13 +25,18 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .coupling import LevelPair, simulate_coupled
 from .mlmc import _chunk_ranges, _refuse_blown_up
 from .model import Payoff, SddeProblem
 from .rng import NoiseStream
-from .scheme import DelayBuffer, GridSpec, TamedDrift, theta_em_path
+from .scheme import (
+    DelayBuffer,
+    GridSpec,
+    TamedDrift,
+    taming_for_level,
+    theta_em_path,
+)
 
 __all__ = [
     "RateFit",
@@ -148,6 +153,8 @@ def envelope_fit(columns: Sequence[Sequence[float]],
     y = np.asarray(y, dtype=float)
     if a.shape[0] != y.size:
         raise ValueError("columns and y must have matching lengths")
+    from scipy.optimize import nnls  # the only user; kept off start-up
+
     coeff, _ = nnls(a, y)
     base = a @ coeff
     if np.any(base <= 0.0):
@@ -202,13 +209,6 @@ def deterministic_skeleton(
     return theta_em_path(problem, grid, noise=None, taming=taming)
 
 
-def _taming_for_level(problem, level, M, delta):
-    if delta is None:
-        return None
-    h_coarse = problem.horizon * float(M) ** (-(level - 1))
-    return TamedDrift(base=problem.drift, h_coarse=h_coarse, delta=delta)
-
-
 # ---------------------------------------------------------------------------
 # Small-noise deviation from the skeleton
 # ---------------------------------------------------------------------------
@@ -254,7 +254,7 @@ def small_noise_deviation(
             "decade"
         )
     grid = GridSpec.for_problem(problem, theta=theta, level=level, M=M)
-    taming = _taming_for_level(problem, level, M, delta)
+    taming = taming_for_level(problem, level, M, delta)
     skeleton = theta_em_path(
         problem.with_noise_scale(0.0), grid, noise=None, taming=taming)
     z = skeleton.values[skeleton.m:]
@@ -453,7 +453,7 @@ def _uncoupled_payoff_var(problem, psi, level, M, theta, delta, n_paths,
     out = []
     for lv, cell_seed in ((level, seed_fine), (level - 1, seed_coarse)):
         grid = GridSpec.for_problem(problem, theta=theta, level=lv, M=M)
-        taming = _taming_for_level(problem, lv, M, delta)
+        taming = taming_for_level(problem, lv, M, delta)
         stream = NoiseStream(
             master_seed=cell_seed,
             level=lv,

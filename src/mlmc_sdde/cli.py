@@ -33,7 +33,6 @@ import numpy as np
 
 from .analysis import (
     _record,
-    _taming_for_level,
     coupled_moment_rates,
     coupled_variance_rates,
     small_noise_deviation,
@@ -43,7 +42,13 @@ from .coupling import LevelPair, coupled_payoff_delta, simulate_coupled
 from .mlmc import _chunk_ranges, mlmc_estimate
 from .model import SddeProblem, builtin_payoff, builtin_problem
 from .rng import NoiseStream
-from .scheme import AdmissibilityError, GridSpec, NonConvergence, theta_em_path
+from .scheme import (
+    AdmissibilityError,
+    GridSpec,
+    NonConvergence,
+    taming_for_level,
+    theta_em_path,
+)
 
 __all__ = ["RunConfig", "main", "run"]
 
@@ -401,7 +406,7 @@ def _run_path(cfg: RunConfig, problem: SddeProblem):
     level = cfg.base_level
     grid = GridSpec.for_problem(problem, theta=cfg.theta, level=level,
                                 M=cfg.M)
-    taming = _taming_for_level(problem, level, cfg.M, cfg.delta)
+    taming = taming_for_level(problem, level, cfg.M, cfg.delta)
     terminals, sups = [], []
     for a, b in _chunk_ranges(0, cfg.samples):
         stream = NoiseStream(master_seed=cfg.seed, level=level,

@@ -30,9 +30,9 @@ from .scheme import (
     DelayBuffer,
     GridSpec,
     NonConvergence,
-    TamedDrift,
     _step,
     check_admissibility,
+    taming_for_level,
 )
 
 __all__ = ["LevelPair", "CoupledPair", "simulate_coupled", "coupled_payoff_delta"]
@@ -102,18 +102,6 @@ class LevelPair:
         """Fine plus coarse step count, the standard pair cost unit."""
         return self.grid_fine.total_steps_N + self.grid_coarse.total_steps_N
 
-    def taming_for_fine(self, problem: SddeProblem) -> TamedDrift | None:
-        if self.delta is None:
-            return None
-        return TamedDrift(problem.drift, h_coarse=self.h_coarse,
-                          delta=self.delta)
-
-    def taming_for_coarse(self, problem: SddeProblem) -> TamedDrift | None:
-        if self.delta is None:
-            return None
-        return TamedDrift(problem.drift, h_coarse=self.M * self.h_coarse,
-                          delta=self.delta)
-
     def noise_stream(self, master_seed: int, path_index,
                      dim: int) -> NoiseStream:
         """Stream laid out for this pair: one coarse step, M substeps."""
@@ -167,8 +155,8 @@ def simulate_coupled(
     same stream on the fine grid.
     """
     gf, gc = pair.grid_fine, pair.grid_coarse
-    tame_f = pair.taming_for_fine(problem)
-    tame_c = pair.taming_for_coarse(problem)
+    tame_f = taming_for_level(problem, pair.level, pair.M, pair.delta)
+    tame_c = taming_for_level(problem, pair.level - 1, pair.M, pair.delta)
     if check:
         gf.validate_against(problem)
         gc.validate_against(problem)

@@ -30,7 +30,7 @@ from .scheme import (
     AdmissibilityError,
     GridSpec,
     NonConvergence,
-    TamedDrift,
+    taming_for_level,
     theta_em_path,
 )
 
@@ -266,10 +266,7 @@ def single_level_estimate(
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     grid = GridSpec.for_problem(problem, theta=theta, level=level, M=M)
-    taming = None
-    if delta is not None:
-        h_coarse = problem.horizon * float(M) ** (-(level - 1))
-        taming = TamedDrift(base=problem.drift, h_coarse=h_coarse, delta=delta)
+    taming = taming_for_level(problem, level, M, delta)
     cost = float(grid.total_steps_N)
 
     def chunk_fn(a: int, b: int) -> LevelStats:

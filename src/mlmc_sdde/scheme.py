@@ -39,6 +39,7 @@ __all__ = [
     "DelayBuffer",
     "TamedDrift",
     "tame_drift",
+    "taming_for_level",
     "check_admissibility",
     "implicit_step_solve",
     "theta_em_path",
@@ -184,11 +185,33 @@ def tame_drift(fvals: np.ndarray, h_coarse: float, delta: float) -> np.ndarray:
 
     Applies ``f -> f / (1 + h_coarse^delta |f|)`` with the Euclidean norm
     over the last axis.  Leaves direction unchanged and is the identity
-    at ``f = 0``.
+    at ``f = 0``.  The result is a new array; ``fvals`` is never written.
     """
     f = np.asarray(fvals, dtype=float)
-    norm = np.linalg.norm(f, axis=-1, keepdims=True)
-    return f / (1.0 + h_coarse**delta * norm)
+    if f.shape[-1] == 1:
+        # sqrt(f*f) is |f| unless f*f over- or underflows; an underflowed
+        # norm leaves 1 + h^delta |f| = 1 either way.
+        norm = np.abs(f)
+    else:
+        with np.errstate(over="ignore"):
+            norm = np.sqrt(np.add.reduce(f * f, axis=-1, keepdims=True))
+        _rescue_overflowed_norms(f, norm)
+    norm *= h_coarse**delta
+    norm += 1.0
+    return np.divide(f, norm, out=norm if norm.shape == f.shape else None)
+
+
+def _rescue_overflowed_norms(f: np.ndarray, norm: np.ndarray) -> None:
+    # Rows of finite values whose squared norm overflowed get their norm
+    # from the row scaled by its largest entry.
+    rows = np.flatnonzero(np.isinf(norm))
+    if rows.size:
+        fb = f.reshape(-1, f.shape[-1])[rows]
+        scale = np.abs(fb).max(axis=-1)
+        keep = np.isfinite(scale)
+        fb = fb[keep] / scale[keep, None]
+        norm.reshape(-1)[rows[keep]] = scale[keep] * np.sqrt(
+            np.add.reduce(fb * fb, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -218,6 +241,22 @@ class TamedDrift:
     def bound(self) -> float:
         """Upper bound ``h_coarse**-delta`` on the tamed drift norm."""
         return self.h_coarse ** (-self.delta)
+
+
+def taming_for_level(
+    problem: SddeProblem, level: int, M: int, delta: float | None
+) -> TamedDrift | None:
+    """The taming of the level-``level`` grid; ``None`` when ``delta`` is.
+
+    A grid with step ``T M^-level`` tames with the step of the level below,
+    ``h_coarse = T M^-(level-1)``.  So the fine member of a coupled pair at
+    level ``l`` tames with the pair's coarse step and the coarse member
+    with the step of level ``l - 2``.
+    """
+    if delta is None:
+        return None
+    h_coarse = problem.horizon * float(M) ** (-(level - 1))
+    return TamedDrift(base=problem.drift, h_coarse=h_coarse, delta=delta)
 
 
 def check_admissibility(
@@ -294,26 +333,50 @@ def implicit_step_solve(
     if th == 0.0:
         return y.copy()
 
-    x = y.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
+    # Each iterate is a fresh array that nothing writes once the drift has
+    # seen it; th*f(x) and the residual live in scratch owned here, so no
+    # input and no array the drift returned is ever written.
+    x = np.array(y if x0 is None else x0, dtype=float)
+    shape = np.broadcast_shapes(x.shape, y.shape, d.shape)
+    t, r = np.empty(shape), np.empty(shape)
     fp_budget = min(60, max_iter)
     prev_res = np.inf
     used = 0
     for _ in range(fp_budget):
-        fx = drift(x, d)
-        res_vec = x - th * fx - y
-        res = float(np.max(np.linalg.norm(res_vec, axis=-1), initial=0.0))
+        np.multiply(drift(x, d), th, out=t)
+        np.subtract(x, t, out=r)
+        r -= y
+        res = _max_norm(r)
         used += 1
         if res <= tol_abs:
             return x
-        if not np.isfinite(res) or res > 4.0 * prev_res:
+        if not math.isfinite(res) or res > 4.0 * prev_res:
             break  # diverging, hand over to Newton
         if res > 0.9 * prev_res and used >= 5:
             break  # too slow, hand over to Newton
         prev_res = res
-        x = y + th * fx
+        x = t + y
     if not np.all(np.isfinite(x)):
         x = y.copy()
     return _newton_solve(y, d, drift, th, x, tol_abs, max_iter - used, used)
+
+
+def _max_norm(r: np.ndarray) -> float:
+    """``max_batch |r|`` over the last axis; squares ``r`` in place.
+
+    Computed as sqrt(max sum r^2): sqrt is monotone and correctly rounded,
+    so this equals the largest of the row norms bit for bit.
+    """
+    np.multiply(r, r, out=r)
+    sq = np.add.reduce(r, axis=-1) if r.shape[-1] > 1 else r
+    return math.sqrt(sq.max(initial=0.0))
+
+
+def _row_norms(r: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, bit for bit ``np.linalg.norm``."""
+    sq = r * r
+    return np.sqrt(np.add.reduce(sq, axis=-1) if r.shape[-1] > 1
+                   else sq[..., 0])
 
 
 def _newton_solve(y, d, drift, th, x, tol_abs, budget, used):
@@ -325,13 +388,14 @@ def _newton_solve(y, d, drift, th, x, tol_abs, budget, used):
     res = np.inf
     for _ in range(max(budget, 1)):
         fx = drift(x, d)
-        r = x - th * fx - y
-        rn = np.linalg.norm(r, axis=-1)
+        r = x - th * fx
+        r -= y
+        rn = _row_norms(r)
         res = float(np.max(rn, initial=0.0))
         used += 1
         if res <= tol_abs:
             return x
-        if not np.isfinite(res):
+        if not math.isfinite(res):
             break
         jac = np.empty(x.shape + (a,))
         for j in range(a):
@@ -347,7 +411,9 @@ def _newton_solve(y, d, drift, th, x, tol_abs, budget, used):
         lam = np.ones(rn.shape)
         x_new = x + step
         for _ in range(25):
-            rn_new = np.linalg.norm(x_new - th * drift(x_new, d) - y, axis=-1)
+            r_new = x_new - th * drift(x_new, d)
+            r_new -= y
+            rn_new = _row_norms(r_new)
             bad = ~(rn_new <= np.maximum(1.0 - 0.25 * lam, 0.0) * rn + tol_abs)
             bad &= rn > tol_abs
             if not np.any(bad & (lam > 1e-6)):

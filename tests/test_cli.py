@@ -8,10 +8,14 @@ byte-identical reruns independent of --jobs), and the summary file.
 import csv
 import io
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mlmc_sdde
 from mlmc_sdde.cli import (
     CSV_COLUMNS,
     DEFAULTS,
@@ -43,6 +47,18 @@ def test_help_exits_zero_and_lists_every_flag(capsys):
     for experiment in EXPERIMENTS:
         assert experiment in out
     assert "default" in out
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is needed only by analysis.envelope_fit; importing it
+    # at start-up costs about a third of a second and 20 MiB.
+    src = str(Path(mlmc_sdde.__file__).resolve().parents[1])
+    probe = ("import sys, mlmc_sdde.cli; "
+             "print('scipy.optimize' in sys.modules)")
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_per_experiment_defaults_match_headline_runs():

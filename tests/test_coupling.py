@@ -20,7 +20,7 @@ from mlmc_sdde.coupling import (
 )
 from mlmc_sdde.model import builtin_payoff, builtin_problem
 from mlmc_sdde.rng import NoiseStream
-from mlmc_sdde.scheme import GridSpec, theta_em_path
+from mlmc_sdde.scheme import GridSpec, taming_for_level, theta_em_path
 
 
 def _stream_for(pair, problem, seed=0, paths=np.arange(16)):
@@ -55,13 +55,16 @@ def test_level_pair_tamed_needs_level_two():
     with pytest.raises(ValueError, match="tamed"):
         LevelPair.for_problem(p, level=1, M=2, delta=0.25)
     pair = LevelPair.for_problem(p, level=2, M=2, delta=0.25)
-    t_f = pair.taming_for_fine(p)
-    t_c = pair.taming_for_coarse(p)
-    assert t_f.h_coarse == pytest.approx(pair.h_coarse)
-    assert t_c.h_coarse == pytest.approx(2 * pair.h_coarse)
-    assert pair.taming_for_fine(builtin_problem("linear_scalar")) is not None
+    # The fine member tames with the pair's coarse step, the coarse member
+    # with the step of the level below it.
+    t_f = taming_for_level(p, pair.level, pair.M, pair.delta)
+    t_c = taming_for_level(p, pair.level - 1, pair.M, pair.delta)
+    assert t_f.h_coarse == pair.h_coarse
+    assert t_c.h_coarse == 2 * pair.h_coarse
+    assert taming_for_level(builtin_problem("linear_scalar"), 2, 2,
+                            0.25) is not None
     untamed = LevelPair.for_problem(p, level=2, M=2)
-    assert untamed.taming_for_fine(p) is None
+    assert taming_for_level(p, untamed.level, untamed.M, untamed.delta) is None
 
 
 def test_level_pair_rejects_bad_m():
