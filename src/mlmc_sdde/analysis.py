@@ -266,7 +266,6 @@ def small_noise_deviation(
             level=level,
             path_index=np.arange(n_paths),
             dim=problem.dim_noise,
-            substeps=1,
             n_steps=grid.total_steps_N,
         )
         path = theta_em_path(noisy_problem, grid, noise=stream, taming=taming)
@@ -459,7 +458,6 @@ def _uncoupled_payoff_var(problem, psi, level, M, theta, delta, n_paths,
             level=lv,
             path_index=np.arange(n_paths),
             dim=problem.dim_noise,
-            substeps=1,
             n_steps=grid.total_steps_N,
         )
         path = theta_em_path(problem, grid, noise=stream, taming=taming)
@@ -633,7 +631,6 @@ def strong_error_rate(
             level=ref_level,
             path_index=np.arange(a, b),
             dim=problem.dim_noise,
-            substeps=1,
             n_steps=n_ref,
         )
         dw_ref = stream.gaussian_increment(range(n_ref))

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import (
+    _cell_name,
     _record,
     coupled_moment_rates,
     coupled_variance_rates,
@@ -39,7 +40,7 @@ from .analysis import (
     strong_error_rate,
 )
 from .coupling import LevelPair, coupled_payoff_delta, simulate_coupled
-from .mlmc import _chunk_ranges, mlmc_estimate
+from .mlmc import _chunk_ranges, _refuse_blown_up, mlmc_estimate
 from .model import SddeProblem, builtin_payoff, builtin_problem
 from .rng import NoiseStream
 from .scheme import (
@@ -411,12 +412,15 @@ def _run_path(cfg: RunConfig, problem: SddeProblem):
     for a, b in _chunk_ranges(0, cfg.samples):
         stream = NoiseStream(master_seed=cfg.seed, level=level,
                              path_index=np.arange(a, b),
-                             dim=problem.dim_noise, substeps=1,
+                             dim=problem.dim_noise,
                              n_steps=grid.total_steps_N)
         path = theta_em_path(problem, grid, noise=stream, taming=taming)
         body = path.values[path.m:]
+        sup_sq = np.sum(body * body, axis=-1).max(axis=0)
+        _refuse_blown_up(_cell_name("path", level, problem.noise_scale, a, b),
+                         sup_sq)
         terminals.append(body[-1])
-        sups.append(np.sum(body * body, axis=-1).max(axis=0))
+        sups.append(sup_sq)
     terminal = np.concatenate(terminals)
     sup_sq = np.concatenate(sups)
     stats = (
@@ -446,10 +450,14 @@ def _run_coupled(cfg: RunConfig, problem: SddeProblem):
                                    problem.dim_noise)
         coupled = simulate_coupled(problem, pair, stream)
         diff = coupled.state_difference()
-        chunk_sum = np.sum(diff * diff, axis=-1).sum(axis=1)
+        sq = np.sum(diff * diff, axis=-1)
+        delta = coupled_payoff_delta(coupled, psi)[0]
+        _refuse_blown_up(_cell_name("coupled", level, problem.noise_scale,
+                                    a, b), sq, delta)
+        chunk_sum = sq.sum(axis=1)
         node_sq_sum = (chunk_sum if node_sq_sum is None
                        else node_sq_sum + chunk_sum)
-        deltas.append(coupled_payoff_delta(coupled, psi)[0])
+        deltas.append(delta)
     per_node = node_sq_sum / cfg.samples
     delta_arr = np.concatenate(deltas)
     stats = (

@@ -2,15 +2,18 @@
 
 A pair at fine level ``l`` runs the theta scheme twice over the same
 Brownian path: once with step ``h_l = T M^-l`` and once with step
-``h_{l-1} = M h_l``.  Each coarse step consumes the sum of its ``M`` fine
-substep draws,
+``h_{l-1} = M h_l``.  Fine step ``j`` consumes the stream's draw
+``xi(j)``, and coarse step ``n`` the sum of the draws of its ``M`` fine
+steps, added left to right,
 
-    dW_coarse(n) = sqrt(h_l) * (xi(n,0) + ... + xi(n,M-1)),
+    dW_coarse(n) = sqrt(h_l) * (xi(nM) + xi(nM + 1) + ... + xi(nM + M - 1)),
 
 so both paths see the same underlying Brownian motion and their payoff
-difference telescopes across levels.  Delay alignment requires the fine
-delay offset ``m_l`` to be divisible by ``M``; with ``tau = 0.25`` and
-``T = 1`` at ``M = 2`` that means fine levels of at least 3.
+difference telescopes across levels.  The fine member is the
+single-level path of level ``l`` on the same stream.  Delay alignment
+requires the fine delay offset ``m_l`` to be divisible by ``M``; with
+``tau = 0.25`` and ``T = 1`` at ``M = 2`` that means fine levels of at
+least 3.
 
 For one-sided Lipschitz drifts each member uses the tamed drift of its
 own level: the fine path tames with step ``h_{l-1}`` and the coarse path
@@ -104,14 +107,13 @@ class LevelPair:
 
     def noise_stream(self, master_seed: int, path_index,
                      dim: int) -> NoiseStream:
-        """Stream laid out for this pair: one coarse step, M substeps."""
+        """Stream of this pair: one draw per fine step."""
         return NoiseStream(
             master_seed=master_seed,
             level=self.level,
             path_index=path_index,
             dim=dim,
-            substeps=self.M,
-            n_steps=self.n_coarse,
+            n_steps=self.grid_fine.total_steps_N,
         )
 
 
@@ -146,13 +148,13 @@ def simulate_coupled(
 ) -> CoupledPair:
     """Run both members of ``pair`` on one shared increment stream.
 
-    ``noise`` must be laid out with ``substeps = pair.M`` fine draws per
-    coarse step (see :meth:`LevelPair.noise_stream`).  The fine member
-    consumes draw ``(n, k)`` at fine step ``n M + k``; the coarse member
-    consumes the elementwise sum over ``k`` at coarse step ``n``, scaled
-    by the same ``sqrt(h_fine)``.  The fine path produced here is bit for
-    bit the path :func:`mlmc_sdde.scheme.theta_em_path` yields for the
-    same stream on the fine grid.
+    ``noise`` must cover the fine grid (see :meth:`LevelPair.noise_stream`).
+    The fine member consumes draw ``j`` at fine step ``j``; the coarse
+    member consumes the elementwise sum of draws ``n M .. n M + M - 1``,
+    added left to right, at coarse step ``n``, scaled by the same
+    ``sqrt(h_fine)``.  The fine path produced here is bit for bit the
+    path :func:`mlmc_sdde.scheme.theta_em_path` yields for the same
+    stream on the fine grid.
     """
     gf, gc = pair.grid_fine, pair.grid_coarse
     tame_f = taming_for_level(problem, pair.level, pair.M, pair.delta)
@@ -164,20 +166,15 @@ def simulate_coupled(
         check_admissibility(problem, gc, tame_c)
     if not isinstance(noise, NoiseStream):
         raise TypeError("simulate_coupled requires a NoiseStream")
-    if noise.substeps != pair.M:
-        raise ValueError(
-            f"stream has {noise.substeps} substeps per step, pair needs "
-            f"M = {pair.M}"
-        )
     if noise.dim != problem.dim_noise:
         raise ValueError(
             f"noise stream dim {noise.dim} != problem dim_noise "
             f"{problem.dim_noise}"
         )
-    if noise.n_steps is not None and noise.n_steps < gc.total_steps_N:
+    if noise.n_steps is not None and noise.n_steps < gf.total_steps_N:
         raise ValueError(
-            f"stream covers {noise.n_steps} coarse steps, grid needs "
-            f"{gc.total_steps_N}"
+            f"stream covers {noise.n_steps} fine steps, grid needs "
+            f"{gf.total_steps_N}"
         )
 
     a = problem.dim_state
@@ -207,13 +204,13 @@ def simulate_coupled(
     vc[: m_c + 1] = hist_c[:, None, :]
 
     use_noise = eps > 0.0
-    draws = [stream.gaussian_increment(range(n_c), k) for k in range(pair.M)]
+    draws = stream.gaussian_increment(range(gf.total_steps_N))
     for n in range(n_c):
         csum = None
         for k in range(pair.M):
-            xi = draws[k][n]
-            csum = xi if k == 0 else csum + xi
             j = n * pair.M + k
+            xi = draws[j]
+            csum = xi if k == 0 else csum + xi
             dw = sqh * xi if use_noise else None
             vf[m_f + j + 1] = _coupled_step(
                 vf, m_f, j, h_f, theta, drift_f, diffusion, eps, dw, "fine"

@@ -275,7 +275,6 @@ def single_level_estimate(
             level=level,
             path_index=np.arange(a, b),
             dim=problem.dim_noise,
-            substeps=1,
             n_steps=grid.total_steps_N,
         )
         try:

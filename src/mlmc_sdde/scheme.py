@@ -459,10 +459,9 @@ def theta_em_path(
     noise : NoiseStream or ndarray or None
         ``None`` runs the drift-only skeleton (no diffusion term at all,
         regardless of the problem's eps).  A :class:`NoiseStream` supplies
-        standard normal vectors; flat step ``j`` consumes the stream's
-        substep ``(j // substeps, j % substeps)``, so a stream with
-        ``substeps = M`` addressed on a coarse grid drives the fine grid
-        of the corresponding coupled pair identically.  An ndarray is
+        standard normal vectors; step ``j`` consumes the stream's draw
+        ``j``, so the stream of a coupled pair at this grid's level drives
+        the pair's fine member identically.  An ndarray is
         taken as the Brownian increments ``dW`` themselves (already
         scaled by sqrt(h)), shaped ``(N, d)`` or ``(N, P, d)``.
     taming : TamedDrift, optional
@@ -492,10 +491,9 @@ def theta_em_path(
             raise ValueError(
                 f"noise stream dim {noise.dim} != problem dim_noise {dnoise}"
             )
-        total_fine = (noise.n_steps or 0) * noise.substeps
-        if noise.n_steps is not None and total_fine < N:
+        if noise.n_steps is not None and noise.n_steps < N:
             raise ValueError(
-                f"stream covers {total_fine} fine steps, grid needs {N}"
+                f"stream covers {noise.n_steps} steps, grid needs {N}"
             )
         sqh = math.sqrt(h)
         paths2d = noise.with_paths(
@@ -503,15 +501,10 @@ def theta_em_path(
         )
         squeeze = paths2d.n_paths == 1 and np.ndim(noise.path_index) == 0
         n_paths = paths2d.n_paths
-        S = noise.substeps
-        draws = []
-        if eps != 0.0:
-            # Fine step j is substep j % S of coarse step j // S.
-            draws = [paths2d.gaussian_increment(range((N - k + S - 1) // S), k)
-                     for k in range(min(S, N))]
+        draws = paths2d.gaussian_increment(range(N)) if eps != 0.0 else None
 
         def provider(n: int) -> np.ndarray:
-            return sqh * draws[n % S][n // S]
+            return sqh * draws[n]
 
     else:
         arr = np.asarray(noise, dtype=float)

@@ -113,7 +113,7 @@ def test_skeleton_matches_zero_noise_scheme_bitwise(theta):
     grid = GridSpec.for_problem(problem, theta=theta, level=4)
     skeleton = deterministic_skeleton(problem, grid)
     stream = NoiseStream(master_seed=9, level=4, path_index=np.arange(3),
-                         dim=problem.dim_noise, substeps=1,
+                         dim=problem.dim_noise,
                          n_steps=grid.total_steps_N)
     driven = theta_em_path(problem, grid, noise=stream)
     for p in range(3):

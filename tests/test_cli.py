@@ -214,11 +214,14 @@ def test_blown_up_samples_exit_two_naming_level_and_paths(tmp_path, capsys,
 @pytest.mark.parametrize("experiment, eps", [("rates-strong", "0.0001"),
                                              ("rates-moment", "0.0001"),
                                              ("rates-variance", "1e-05"),
-                                             ("deviation", "0.002")])
+                                             ("deviation", "0.002"),
+                                             ("path", "0.1"),
+                                             ("coupled", "0.1")])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in threads
 def test_blown_up_analysis_cells_exit_two_naming_experiment_level_and_paths(
         tmp_path, capsys, experiment, eps):
-    # The same overflow inside the sweeps of the analysis experiments.
+    # The same overflow inside the sweeps of the analysis experiments and
+    # the chunks of the path and coupled experiments.
     out = tmp_path / "x.csv"
     code = _run(["--experiment", experiment, "--problem", "cubic_onesided",
                  "--base-level", "3", "--samples", "16", "--jobs", "2",

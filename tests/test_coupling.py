@@ -105,11 +105,10 @@ def test_pair_members_match_standalone_paths_bitwise(theta):
     fine_alone = theta_em_path(p, pair.grid_fine, noise=stream)
     np.testing.assert_array_equal(out.fine.values, fine_alone.values)
 
-    # coarse member: same scheme driven by the summed increments
-    dw = np.stack([
-        math.sqrt(pair.h_fine) * stream.coarse_increment(n)
-        for n in range(pair.n_coarse)
-    ])
+    # coarse member: same scheme driven by the summed increments, added
+    # left to right over the M fine steps of each coarse step
+    xi = stream.gaussian_increment(range(pair.grid_fine.total_steps_N))
+    dw = math.sqrt(pair.h_fine) * (xi[0::2] + xi[1::2])
     coarse_alone = theta_em_path(p, pair.grid_coarse, noise=dw)
     np.testing.assert_array_equal(out.coarse.values, coarse_alone.values)
 
@@ -157,20 +156,36 @@ def test_coupled_payoff_delta_recomputes():
 # Stream layout validation
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("name, theta, delta", [
+    ("linear_scalar", 0.0, None), ("linear_scalar", 0.5, None),
+    ("cubic_onesided", 0.0, 0.25), ("cubic_onesided", 0.5, 0.5)])
+def test_fine_member_is_the_single_level_path_of_its_level(name, theta,
+                                                           delta):
+    # A pair's stream and a single-level stream of the same (seed, level)
+    # are one stream, so the fine member is the single-level path.
+    p = builtin_problem(name, eps=0.3)
+    pair = LevelPair.for_problem(p, level=4, M=2, theta=theta, delta=delta)
+    grid = pair.grid_fine
+    paths = np.arange(5, 12)
+    out = simulate_coupled(p, pair, pair.noise_stream(8, paths, 1))
+    single = NoiseStream(master_seed=8, level=4, path_index=paths, dim=1,
+                         n_steps=grid.total_steps_N)
+    alone = theta_em_path(p, grid, noise=single,
+                          taming=taming_for_level(p, 4, 2, delta))
+    assert np.all(np.isfinite(alone.values))
+    np.testing.assert_array_equal(out.fine.values, alone.values)
+
+
 def test_simulate_coupled_validates_stream():
     p = builtin_problem("linear_scalar")
     pair = LevelPair.for_problem(p, level=3, M=2)
-    bad_substeps = NoiseStream(master_seed=0, level=3, path_index=0, dim=1,
-                               substeps=4, n_steps=4)
-    with pytest.raises(ValueError, match="substeps"):
-        simulate_coupled(p, pair, bad_substeps)
     bad_dim = NoiseStream(master_seed=0, level=3, path_index=0, dim=2,
-                          substeps=2, n_steps=4)
+                          n_steps=8)
     with pytest.raises(ValueError, match="dim"):
         simulate_coupled(p, pair, bad_dim)
     short = NoiseStream(master_seed=0, level=3, path_index=0, dim=1,
-                        substeps=2, n_steps=2)
-    with pytest.raises(ValueError, match="coarse steps"):
+                        n_steps=4)
+    with pytest.raises(ValueError, match="fine steps"):
         simulate_coupled(p, pair, short)
     with pytest.raises(TypeError):
         simulate_coupled(p, pair, np.zeros((4, 2, 1)))

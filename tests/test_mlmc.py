@@ -183,7 +183,7 @@ def test_single_level_matches_direct_monte_carlo():
                               seed=21, chunk_size=128)
     grid = GridSpec.for_problem(prob, theta=0.5, level=5)
     stream = NoiseStream(master_seed=21, level=5, path_index=np.arange(n),
-                         dim=1, substeps=1, n_steps=grid.total_steps_N)
+                         dim=1, n_steps=grid.total_steps_N)
     path = theta_em_path(prob, grid, noise=stream)
     vals = TANH.eval(path.terminal)
     assert math.isclose(s.mean_delta, float(vals.mean()), rel_tol=1e-12)

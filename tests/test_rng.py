@@ -1,11 +1,11 @@
 """Tests for the counter-based noise source.
 
 The primary oracle is a deliberately plain pure-integer Philox-4x64-10,
-written and frozen against the reference known-answer vectors before the
-vectorised implementation existed.  numpy's Philox bit generator serves as
-a second, independent cross-check; its ``random_raw`` output for counter
-``c`` equals the reference block at counter ``c + 1`` because numpy
-advances the counter before generating.
+written and frozen against the reference known-answer vectors.  The
+stream's words come from numpy's Philox bit generator; its ``random_raw``
+output for counter ``c`` equals the reference block at counter ``c + 1``
+because numpy advances the counter before generating, so the stream
+positions it one below the block it wants.
 """
 
 import numpy as np
@@ -15,14 +15,9 @@ from scipy.special import ndtri
 
 from mlmc_sdde.analysis import strong_error_rate
 from mlmc_sdde.coupling import LevelPair, simulate_coupled
+from mlmc_sdde.mlmc import estimate_level
 from mlmc_sdde.model import builtin_payoff, builtin_problem
-from mlmc_sdde.rng import (
-    _SEQUENCE_MIN_STEPS,
-    _TILE,
-    NoiseStream,
-    philox_words,
-    uniforms_from_words,
-)
+from mlmc_sdde.rng import NoiseStream, _seek, uniforms_from_words
 from mlmc_sdde.scheme import GridSpec, theta_em_path
 
 # ---------------------------------------------------------------------------
@@ -78,64 +73,28 @@ def test_oracle_matches_reference_vectors():
         assert philox_oracle(ctr, key) == expected
 
 
+def _stream_block(ctr, key):
+    """Block at ``ctr`` from numpy's Philox positioned through ``state``,
+    the way the stream positions it."""
+    gen = Philox(key=key[0] | key[1] << 64)
+    _seek(gen, gen.state, sum(w << (64 * i) for i, w in enumerate(ctr)))
+    return tuple(int(w) for w in gen.random_raw(4))
+
+
 def test_vectorised_block_matches_oracle_on_kat():
+    # Counter (0, 0, 0, 0) is positioned one below it: the decrement
+    # borrows through all four words.
     for ctr, key, expected in _KAT:
-        got = philox_words(tuple(np.uint64(w) for w in ctr), key)
-        assert tuple(int(w) for w in got) == expected
+        assert _stream_block(ctr, key) == expected
 
 
 def test_vectorised_block_matches_oracle_batched():
     rng = np.random.default_rng(7)
     ctrs = rng.integers(0, 2**63, size=(64, 4), dtype=np.uint64)
     key = (12345, 678)
-    got = philox_words((ctrs[:, 0], ctrs[:, 1], ctrs[:, 2], ctrs[:, 3]), key)
-    for i in range(len(ctrs)):
-        assert tuple(int(w) for w in got[i]) == philox_oracle(
-            [int(w) for w in ctrs[i]], key
-        )
-
-
-def _check_at_tile_edges(flat, starts, counter_of, key):
-    # The oracle at the first and last counter and on both sides of every
-    # tile boundary.
-    assert len(starts) > 2 and len(flat) % _TILE
-    picks = {0, len(flat) - 1}
-    picks.update(i for b in starts[1:] for i in (b - 1, b))
-    for i in sorted(picks):
-        assert tuple(int(w) for w in flat[i]) == philox_oracle(
-            counter_of(i), key), i
-
-
-@pytest.mark.parametrize("n_steps, n_paths", [(17, 3000), (3, 2 * _TILE + 5)],
-                         ids=["rows-per-tile", "tiles-per-row"])
-def test_tiled_words_match_oracle_broadcast_counters(n_steps, n_paths):
-    steps = np.arange(40, 40 + n_steps, dtype=np.uint64)
-    paths = np.arange(n_paths, dtype=np.uint64) * 7 + 2
-    key = (_MASK, 3)
-    got = philox_words((steps[:, None], np.uint64(2), paths, np.uint64(1)),
-                       key)
-    assert got.shape == (n_steps, n_paths, 4)
-    if n_paths >= _TILE:
-        starts = [r * n_paths + c for r in range(n_steps)
-                  for c in range(0, n_paths, _TILE)]
-    else:
-        starts = list(range(0, n_steps * n_paths,
-                            _TILE // n_paths * n_paths))
-    _check_at_tile_edges(
-        got.reshape(-1, 4), starts,
-        lambda i: (int(steps[i // n_paths]), 2, int(paths[i % n_paths]), 1),
-        key)
-
-
-def test_tiled_words_match_oracle_full_array_counters():
-    n = 2 * _TILE + 1234
-    ctrs = np.random.default_rng(3).integers(0, 2**64, size=(n, 4),
-                                             dtype=np.uint64)
-    key = (99, _MASK)
-    got = philox_words(tuple(ctrs.T), key)
-    assert got.shape == (n, 4)
-    _check_at_tile_edges(got, list(range(0, n, _TILE)),
-                         lambda i: [int(w) for w in ctrs[i]], key)
+    for ctr in ctrs:
+        ctr = [int(w) for w in ctr]
+        assert _stream_block(ctr, key) == philox_oracle(ctr, key)
 
 
 def test_numpy_philox_cross_check():
@@ -173,26 +132,49 @@ def test_uniforms_strictly_inside_unit_interval():
     assert uniforms_from_words(np.uint64(4095)) == u[0]
 
 
+def _oracle_normal(seed, level, path, step, comp, dim):
+    # Draw comp of path at step is word i % 4 of block (i // 4, step, 0, 0),
+    # i = path * dim + comp.
+    i = path * dim + comp
+    word = philox_oracle((i // 4, step, 0, 0), (seed, level))[i % 4]
+    return ndtri(((word >> 12) + 0.5) * 2.0**-52)
+
+
 def test_increment_equals_ndtri_of_oracle_words():
-    stream = NoiseStream(master_seed=42, level=2, path_index=7, dim=4,
-                         substeps=2)
-    got = stream.gaussian_increment(3, 1)
-    words = philox_oracle((3, 1, 7, 0), (42, 2))
-    expected = ndtri(((np.array(words, dtype=np.uint64) >> np.uint64(12))
-                      .astype(float) + 0.5) * 2.0**-52)
-    np.testing.assert_array_equal(got, expected)
+    # Path 0 at step 0 positions the generator one below counter zero.
+    paths = np.arange(6)
+    for dim in (1, 3, 5, 9):
+        for seed in (42, _MASK):
+            got = NoiseStream(master_seed=seed, level=2, path_index=paths,
+                              dim=dim).gaussian_increment(range(3))
+            assert got.shape == (3, 6, dim)
+            want = [[[_oracle_normal(seed, 2, p, j, c, dim)
+                      for c in range(dim)] for p in range(6)]
+                    for j in range(3)]
+            np.testing.assert_array_equal(got, want)
 
 
 def test_multiblock_dimension_layout():
-    # dim > 4 spills into block 1; leading components must not move.
-    s5 = NoiseStream(master_seed=2**63, level=9, path_index=123456, dim=5)
-    s4 = NoiseStream(master_seed=2**63, level=9, path_index=123456, dim=4)
-    z5 = s5.gaussian_increment(5, 0)
-    z4 = s4.gaussian_increment(5, 0)
-    np.testing.assert_array_equal(z5[:4], z4)
-    w = philox_oracle((5, 0, 123456, 1), (2**63, 9))
-    u0 = ((w[0] >> 12) + 0.5) * 2.0**-52
-    assert z5[4] == ndtri(u0)
+    # The components of consecutive paths fill consecutive words of
+    # consecutive blocks with no padding, so a path of dim > 4 straddles
+    # blocks and starts wherever the previous path ended.
+    step, key = 5, (2**63, 9)
+    for dim in (5, 9):
+        z = NoiseStream(master_seed=key[0], level=key[1],
+                        path_index=np.arange(3, 7),
+                        dim=dim).gaussian_increment(step)
+        lo, hi = 3 * dim, 7 * dim
+        words = [w for b in range(lo // 4, -(-hi // 4))
+                 for w in philox_oracle((b, step, 0, 0), key)]
+        skip = lo % 4
+        expected = ndtri(uniforms_from_words(
+            np.array(words[skip:skip + hi - lo], dtype=np.uint64)))
+        np.testing.assert_array_equal(z.reshape(-1), expected)
+        single = NoiseStream(master_seed=key[0], level=key[1],
+                             path_index=123456, dim=dim)
+        np.testing.assert_array_equal(
+            single.gaussian_increment(step),
+            [_oracle_normal(*key, 123456, step, c, dim) for c in range(dim)])
 
 
 # ---------------------------------------------------------------------------
@@ -201,76 +183,91 @@ def test_multiblock_dimension_layout():
 
 def test_query_order_is_irrelevant():
     stream = NoiseStream(master_seed=11, level=3, path_index=0, dim=2,
-                         substeps=4, n_steps=8)
-    addresses = [(n, k) for n in range(8) for k in range(4)]
-    forward = {a: stream.gaussian_increment(*a) for a in addresses}
+                         n_steps=32)
+    forward = {j: stream.gaussian_increment(j) for j in range(32)}
     rng = np.random.default_rng(0)
-    for a in rng.permutation(len(addresses)):
-        n, k = addresses[a]
-        np.testing.assert_array_equal(
-            stream.gaussian_increment(n, k), forward[(n, k)]
-        )
+    for j in rng.permutation(32):
+        np.testing.assert_array_equal(stream.gaussian_increment(int(j)),
+                                      forward[j])
 
 
 def test_distinct_coordinates_give_distinct_draws():
-    base = dict(master_seed=5, level=1, path_index=3, dim=3, substeps=2)
-    z = NoiseStream(**base).gaussian_increment(1, 1)
+    base = dict(master_seed=5, level=1, path_index=3, dim=3)
+    z = NoiseStream(**base).gaussian_increment(3)
     for change in [dict(master_seed=6), dict(level=2), dict(path_index=4)]:
-        other = NoiseStream(**{**base, **change}).gaussian_increment(1, 1)
+        other = NoiseStream(**{**base, **change}).gaussian_increment(3)
         assert not np.array_equal(z, other)
     s = NoiseStream(**base)
-    assert not np.array_equal(z, s.gaussian_increment(1, 0))
-    assert not np.array_equal(z, s.gaussian_increment(0, 1))
+    assert not np.array_equal(z, s.gaussian_increment(2))
+    assert not np.array_equal(z, s.gaussian_increment(4))
 
 
 def test_batch_rows_match_scalar_streams():
     batch = NoiseStream(master_seed=9, level=4,
-                        path_index=np.arange(17, 25), dim=3, substeps=2)
-    z = batch.gaussian_increment(6, 1)
+                        path_index=np.arange(17, 25), dim=3)
+    z = batch.gaussian_increment(13)
     assert z.shape == (8, 3)
     for i, p in enumerate(range(17, 25)):
-        single = NoiseStream(master_seed=9, level=4, path_index=p,
-                             dim=3, substeps=2)
-        np.testing.assert_array_equal(z[i], single.gaussian_increment(6, 1))
+        single = NoiseStream(master_seed=9, level=4, path_index=p, dim=3)
+        np.testing.assert_array_equal(z[i], single.gaussian_increment(13))
 
 
-def test_coarse_increment_is_bitexact_sum_of_fine_draws():
-    stream = NoiseStream(master_seed=1234, level=5,
-                         path_index=np.arange(64), dim=2, substeps=4)
-    total = stream.gaussian_increment(2, 0)
-    for k in range(1, 4):
-        total = total + stream.gaussian_increment(2, k)
-    np.testing.assert_array_equal(stream.coarse_increment(2), total)
-    np.testing.assert_array_equal(stream.coarse_increment(2, 4), total)
+@pytest.mark.parametrize("dim", [1, 3, 4, 5, 9])
+def test_sub_batch_draws_equal_rows_of_the_full_batch(dim):
+    # Chunk boundaries never change a draw, including batches that start
+    # in the middle of a block and scalar paths.
+    full = NoiseStream(master_seed=_MASK, level=6, path_index=np.arange(13),
+                       dim=dim).gaussian_increment(range(4))
+    for a, b in [(0, 13), (1, 2), (1, 4), (2, 7), (3, 13), (5, 6), (6, 11),
+                 (12, 13)]:
+        part = NoiseStream(master_seed=_MASK, level=6,
+                           path_index=np.arange(a, b), dim=dim)
+        np.testing.assert_array_equal(part.gaussian_increment(range(4)),
+                                      full[:, a:b])
+    for p in (0, 1, 5, 12):
+        scalar = NoiseStream(master_seed=_MASK, level=6, path_index=p,
+                             dim=dim)
+        np.testing.assert_array_equal(scalar.gaussian_increment(range(4)),
+                                      full[:, p])
 
 
-def test_fine_step_flat_indexing():
-    stream = NoiseStream(master_seed=3, level=0, path_index=5, dim=1,
-                         substeps=4)
-    np.testing.assert_array_equal(
-        stream.fine_step(11), stream.gaussian_increment(2, 3)
-    )
-    np.testing.assert_array_equal(
-        stream.fine_step(0), stream.gaussian_increment(0, 0)
-    )
+def test_estimate_level_draws_do_not_depend_on_chunk_size(monkeypatch):
+    original = NoiseStream.gaussian_increment
+    per_path = {}
+
+    def record(self, j):
+        out = original(self, j)
+        for i, p in enumerate(np.atleast_1d(self.path_index)):
+            per_path.setdefault(int(p), []).append(out[:, i].copy())
+        return out
+
+    monkeypatch.setattr(NoiseStream, "gaussian_increment", record)
+    problem = builtin_problem("linear_scalar", eps=0.2)
+    psi = builtin_payoff("identity")
+    draws = []
+    for size in (1, 3, 4096):
+        per_path.clear()
+        estimate_level(problem, psi, 4, n_samples=10, seed=3,
+                       chunk_size=size, sample_offset=5)
+        assert sorted(per_path) == list(range(5, 15))
+        draws.append({p: np.concatenate(d) for p, d in per_path.items()})
+    for other in draws[1:]:
+        for p in range(5, 15):
+            np.testing.assert_array_equal(other[p], draws[0][p])
 
 
 def test_out_of_range_requests_raise():
     stream = NoiseStream(master_seed=0, level=0, path_index=0, dim=1,
-                         substeps=2, n_steps=4)
+                         n_steps=4)
     with pytest.raises(IndexError):
-        stream.gaussian_increment(4, 0)
+        stream.gaussian_increment(4)
     with pytest.raises(IndexError):
-        stream.gaussian_increment(-1, 0)
-    with pytest.raises(IndexError):
-        stream.gaussian_increment(0, 2)
-    with pytest.raises(IndexError):
-        stream.fine_step(-1)
-    for steps, k in ((range(2, 5), 0), (range(-1, 2), 0), (range(4), 2)):
+        stream.gaussian_increment(-1)
+    for steps in (range(2, 5), range(-1, 2)):
         with pytest.raises(IndexError):
-            stream.gaussian_increment(steps, k)
+            stream.gaussian_increment(steps)
     with pytest.raises(ValueError):
-        stream.gaussian_increment(range(0, 4, 2), 0)
+        stream.gaussian_increment(range(0, 4, 2))
     with pytest.raises(ValueError):
         NoiseStream(master_seed=-1, level=0, path_index=0, dim=1)
     with pytest.raises(ValueError):
@@ -279,11 +276,27 @@ def test_out_of_range_requests_raise():
         NoiseStream(master_seed=0, level=0, path_index=-2, dim=1)
 
 
+def test_gapped_batch_and_block_counter_overflow_raise():
+    for paths in (np.array([0, 2]), np.array([3, 2]), np.array([4, 4])):
+        with pytest.raises(ValueError, match="consecutive"):
+            NoiseStream(master_seed=0, level=0, path_index=paths, dim=1)
+    # Block counters are one word: (max path + 1) * dim <= 4 * 2**64.
+    with pytest.raises(ValueError, match="block counter"):
+        NoiseStream(master_seed=0, level=0, path_index=2**63 - 1, dim=9)
+    with pytest.raises(ValueError, match="block counter"):
+        NoiseStream(master_seed=0, level=0, path_index=np.uint64(_MASK),
+                    dim=5)
+    last = NoiseStream(master_seed=1, level=2, path_index=np.uint64(_MASK),
+                       dim=4)
+    np.testing.assert_array_equal(
+        last.gaussian_increment(7),
+        [_oracle_normal(1, 2, _MASK, 7, c, 4) for c in range(4)])
+
+
 def test_moments_are_standard_normal():
     stream = NoiseStream(master_seed=2025, level=0,
-                         path_index=np.arange(20000), dim=2, substeps=2)
-    draws = np.stack([stream.gaussian_increment(n, k)
-                      for n in range(3) for k in range(2)])
+                         path_index=np.arange(20000), dim=2)
+    draws = stream.gaussian_increment(range(6))
     flat = draws.reshape(-1)
     n = flat.size
     assert abs(flat.mean()) < 4.0 / np.sqrt(n)
@@ -299,27 +312,27 @@ def test_moments_are_standard_normal():
 
 
 # ---------------------------------------------------------------------------
-# Step ranges: the reference and numpy's C Philox give the same draws
+# Step ranges equal the stacked single steps
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("length", sorted({1, 31, 32, _SEQUENCE_MIN_STEPS - 1,
-                                           _SEQUENCE_MIN_STEPS, 70}))
+@pytest.mark.parametrize("length", [1, 31, 32, 63, 64, 70])
 @pytest.mark.parametrize("dim", [1, 4, 5])
 @pytest.mark.parametrize("paths", [np.arange(6), np.array([0, 5, 6, 7, 100]),
                                    9], ids=["consecutive", "gaps", "scalar"])
 @pytest.mark.parametrize("seed, start", [(77, 3), (_MASK, 0)])
 def test_step_range_equals_stacked_steps(length, dim, paths, seed, start):
-    # With seed 2**64 - 1, start 0, substep 0 and path 0 the C generator
-    # starts one below counter zero: the decrement borrows through all
-    # four words.
+    if np.ndim(paths) and np.any(np.diff(paths) != 1):
+        # Draws come one run of consecutive paths at a time.
+        with pytest.raises(ValueError, match="consecutive"):
+            NoiseStream(master_seed=seed, level=4, path_index=paths, dim=dim)
+        return
     stream = NoiseStream(master_seed=seed, level=4, path_index=paths,
-                         dim=dim, substeps=3)
+                         dim=dim)
     steps = range(start, start + length)
-    for k in (0, 2):
-        got = stream.gaussian_increment(steps, k)
-        want = np.stack([stream.gaussian_increment(n, k) for n in steps])
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
+    got = stream.gaussian_increment(steps)
+    want = np.stack([stream.gaussian_increment(j) for j in steps])
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 def test_every_draw_passes_through_gaussian_increment_once(monkeypatch):
@@ -328,8 +341,8 @@ def test_every_draw_passes_through_gaussian_increment_once(monkeypatch):
     sizes = []
     original = NoiseStream.gaussian_increment
 
-    def counted(self, n, k=0):
-        out = original(self, n, k)
+    def counted(self, j):
+        out = original(self, j)
         sizes.append(out.size)
         return out
 

@@ -275,7 +275,7 @@ def test_explicit_path_matches_hand_rolled_loop_bitwise():
     g = GridSpec.for_problem(p, theta=0.0, level=3)
     h, m, N = g.step_h, g.steps_per_delay_m, g.total_steps_N
     stream = NoiseStream(master_seed=77, level=3, path_index=4, dim=1,
-                         substeps=1, n_steps=N)
+                         n_steps=N)
     path = theta_em_path(p, g, noise=stream)
 
     sqh = math.sqrt(h)
@@ -283,7 +283,7 @@ def test_explicit_path_matches_hand_rolled_loop_bitwise():
     for n in range(N):
         x = vals[m + n]
         y = vals[n]
-        dw = sqh * stream.gaussian_increment(n, 0)[0]
+        dw = sqh * stream.gaussian_increment(n)[0]
         fx = a1 * x + a2 * y
         gx = b1 * x + b2 * y
         vals[m + n + 1] = (x + h * fx) + eps * (gx * dw)
@@ -328,7 +328,7 @@ def test_implicit_path_satisfies_stage_equation():
     for n in range(N):
         x, y = V[m + n], V[n]
         xn, yn = V[m + n + 1], V[n + 1]
-        dw = sqh * stream.gaussian_increment(n, 0)
+        dw = sqh * stream.gaussian_increment(n)
         lhs = xn - g.theta * h * p.drift(xn, yn)
         rhs = (
             x + (1 - g.theta) * h * p.drift(x, y)
@@ -367,7 +367,7 @@ def test_increment_array_drive_matches_stream_drive():
                          path_index=np.arange(6), dim=1, n_steps=N)
     by_stream = theta_em_path(p, g, noise=stream)
     dw = np.stack(
-        [math.sqrt(g.step_h) * stream.gaussian_increment(n, 0)
+        [math.sqrt(g.step_h) * stream.gaussian_increment(n)
          for n in range(N)]
     )
     by_array = theta_em_path(p, g, noise=dw)
