@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coupling import LevelPair, simulate_coupled
+from .coupling import LevelPair, _block_sums, simulate_coupled
 from .mlmc import _chunk_ranges, _refuse_blown_up
 from .model import Payoff, SddeProblem
 from .rng import NoiseStream
@@ -641,9 +641,7 @@ def strong_error_rate(
                                     a, b), psi_ref)
         sums = {}
         for lv in levels:
-            q = M ** (ref_level - lv)
-            n_l = grids[lv].total_steps_N
-            dw = dw_ref.reshape(n_l, q, b - a, problem.dim_noise).sum(axis=1)
+            dw = _block_sums(dw_ref, M ** (ref_level - lv))
             path = theta_em_path(problem, grids[lv], noise=dw)
             psi_lv = psi.eval(path.terminal)
             _refuse_blown_up(_cell_name("rates-strong", lv, eps, a, b),

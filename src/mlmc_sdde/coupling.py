@@ -9,11 +9,13 @@ steps, added left to right,
     dW_coarse(n) = sqrt(h_l) * (xi(nM) + xi(nM + 1) + ... + xi(nM + M - 1)),
 
 so both paths see the same underlying Brownian motion and their payoff
-difference telescopes across levels.  The fine member is the
-single-level path of level ``l`` on the same stream.  Delay alignment
-requires the fine delay offset ``m_l`` to be divisible by ``M``; with
-``tau = 0.25`` and ``T = 1`` at ``M = 2`` that means fine levels of at
-least 3.
+difference telescopes across levels.  The stream's draws of the fine grid
+are read once; the members then run one after the other through the
+scheme's single step loop, each fed its increment step by step, so the
+fine member is the single-level path of level ``l`` on the same stream.
+Delay alignment requires the fine delay offset ``m_l`` to be divisible by
+``M``; with ``tau = 0.25`` and ``T = 1`` at ``M = 2`` that means fine
+levels of at least 3.
 
 For one-sided Lipschitz drifts each member uses the tamed drift of its
 own level: the fine path tames with step ``h_{l-1}`` and the coarse path
@@ -32,8 +34,7 @@ from .rng import NoiseStream
 from .scheme import (
     DelayBuffer,
     GridSpec,
-    NonConvergence,
-    _step,
+    _integrate,
     check_admissibility,
     taming_for_level,
 )
@@ -140,11 +141,25 @@ class CoupledPair:
         return self.fine_on_coarse_grid - self.coarse_on_grid
 
 
+def _block_sums(x: np.ndarray, q: int) -> np.ndarray:
+    """Sums of consecutive blocks of ``q`` entries of ``x`` along axis 0,
+    added left to right.
+
+    The coarse-increment rule: a coarse increment is the sum of its ``q``
+    fine ones in this order, whatever the batch shape (``ndarray.sum``
+    may sum a contiguous axis pairwise instead).
+    """
+    blocks = x.reshape(-1, q, *x.shape[1:])
+    out = blocks[:, 0].copy()
+    for k in range(1, q):
+        out += blocks[:, k]
+    return out
+
+
 def simulate_coupled(
     problem: SddeProblem,
     pair: LevelPair,
     noise: NoiseStream,
-    check: bool = True,
 ) -> CoupledPair:
     """Run both members of ``pair`` on one shared increment stream.
 
@@ -152,18 +167,18 @@ def simulate_coupled(
     The fine member consumes draw ``j`` at fine step ``j``; the coarse
     member consumes the elementwise sum of draws ``n M .. n M + M - 1``,
     added left to right, at coarse step ``n``, scaled by the same
-    ``sqrt(h_fine)``.  The fine path produced here is bit for bit the
-    path :func:`mlmc_sdde.scheme.theta_em_path` yields for the same
-    stream on the fine grid.
+    ``sqrt(h_fine)``.  The members run one after the other through the
+    scheme's single step loop, so the fine path produced here is bit for
+    bit the path :func:`mlmc_sdde.scheme.theta_em_path` yields for the
+    same stream on the fine grid.
     """
     gf, gc = pair.grid_fine, pair.grid_coarse
     tame_f = taming_for_level(problem, pair.level, pair.M, pair.delta)
     tame_c = taming_for_level(problem, pair.level - 1, pair.M, pair.delta)
-    if check:
-        gf.validate_against(problem)
-        gc.validate_against(problem)
-        check_admissibility(problem, gf, tame_f)
-        check_admissibility(problem, gc, tame_c)
+    gf.validate_against(problem)
+    gc.validate_against(problem)
+    check_admissibility(problem, gf, tame_f)
+    check_admissibility(problem, gc, tame_c)
     if not isinstance(noise, NoiseStream):
         raise TypeError("simulate_coupled requires a NoiseStream")
     if noise.dim != problem.dim_noise:
@@ -171,75 +186,23 @@ def simulate_coupled(
             f"noise stream dim {noise.dim} != problem dim_noise "
             f"{problem.dim_noise}"
         )
-    if noise.n_steps is not None and noise.n_steps < gf.total_steps_N:
+    n_f, M = gf.total_steps_N, pair.M
+    if noise.n_steps is not None and noise.n_steps < n_f:
         raise ValueError(
-            f"stream covers {noise.n_steps} fine steps, grid needs "
-            f"{gf.total_steps_N}"
+            f"stream covers {noise.n_steps} fine steps, grid needs {n_f}"
         )
 
-    a = problem.dim_state
-    eps = problem.noise_scale
-    theta = pair.theta
-    h_f, h_c = gf.step_h, gc.step_h
-    m_f, m_c = gf.steps_per_delay_m, gc.steps_per_delay_m
-    n_c = gc.total_steps_N
-    drift_f = tame_f if tame_f is not None else problem.drift
-    drift_c = tame_c if tame_c is not None else problem.drift
-    diffusion = problem.diffusion
-    sqh = math.sqrt(h_f)
-
-    stream = noise.with_paths(np.atleast_1d(np.asarray(noise.path_index)))
-    squeeze = stream.n_paths == 1 and np.ndim(noise.path_index) == 0
-    n_paths = stream.n_paths
-
-    hist_f = np.asarray(
-        problem.initial_segment(h_f * np.arange(-m_f, 1)), dtype=float
-    )
-    hist_c = np.asarray(
-        problem.initial_segment(h_c * np.arange(-m_c, 1)), dtype=float
-    )
-    vf = np.empty((gf.total_steps_N + m_f + 1, n_paths, a))
-    vc = np.empty((n_c + m_c + 1, n_paths, a))
-    vf[: m_f + 1] = hist_f[:, None, :]
-    vc[: m_c + 1] = hist_c[:, None, :]
-
-    use_noise = eps > 0.0
-    draws = stream.gaussian_increment(range(gf.total_steps_N))
-    for n in range(n_c):
-        csum = None
-        for k in range(pair.M):
-            j = n * pair.M + k
-            xi = draws[j]
-            csum = xi if k == 0 else csum + xi
-            dw = sqh * xi if use_noise else None
-            vf[m_f + j + 1] = _coupled_step(
-                vf, m_f, j, h_f, theta, drift_f, diffusion, eps, dw, "fine"
-            )
-        dw = sqh * csum if use_noise else None
-        vc[m_c + n + 1] = _coupled_step(
-            vc, m_c, n, h_c, theta, drift_c, diffusion, eps, dw, "coarse"
-        )
-
-    if squeeze:
-        vf = vf[:, 0, :]
-        vc = vc[:, 0, :]
-    return CoupledPair(
-        pair=pair,
-        fine=DelayBuffer(vf, m=m_f, step_h=h_f),
-        coarse=DelayBuffer(vc, m=m_c, step_h=h_c),
-    )
-
-
-def _coupled_step(v, m, n, h, theta, drift, diffusion, eps, dw, tag):
-    try:
-        return _step(v[m + n], v[n], v[n + 1], h, theta, drift, diffusion,
-                     eps, dw)
-    except NonConvergence as exc:
-        raise NonConvergence(
-            f"{tag} member, step {n} (t = {n * h:.6g}): {exc}",
-            iterations=exc.iterations,
-            residual=exc.residual,
-        ) from None
+    n_paths = None if np.ndim(noise.path_index) == 0 else noise.n_paths
+    sqh = math.sqrt(gf.step_h)
+    xi = noise.gaussian_increment(range(n_f)).reshape(
+        n_f, -1, problem.dim_noise)
+    fine = _integrate(problem, gf, tame_f, n_paths,
+                      lambda j: sqh * xi[j], "fine member, ")
+    coarse = _integrate(
+        problem, gc, tame_c, n_paths,
+        lambda n: sqh * _block_sums(xi[n * M:(n + 1) * M], M)[0],
+        "coarse member, ")
+    return CoupledPair(pair=pair, fine=fine, coarse=coarse)
 
 
 def coupled_payoff_delta(

@@ -184,20 +184,29 @@ def _refuse_blown_up(where: str, *samples: np.ndarray) -> None:
             f"{where}: {bad} non-finite samples (the paths blew up)")
 
 
-def _chunk_stats(level: int, a: int, b: int, deltas: np.ndarray,
-                 fines: np.ndarray, cost: float) -> LevelStats:
-    """Stats of the chunk of paths ``[a, b)``, refusing blown-up samples."""
-    _refuse_blown_up(f"level {level}, paths [{a}, {b})", deltas, fines)
-    return LevelStats.from_samples(level, deltas, fines, cost)
-
-
-def _run_chunks(chunk_fn: Callable[[int, int], LevelStats],
-                start: int, stop: int, chunk_size: int) -> LevelStats:
+def _run_chunks(chunk_fn: Callable[[int, int], tuple[np.ndarray, ...]],
+                level: int, cost: float, start: int, stop: int,
+                chunk_size: int) -> LevelStats:
     """Evaluate the chunks of ``[start, stop)`` in order, folding each
-    into the running statistics."""
+    into the running statistics.
+
+    ``chunk_fn(a, b)`` returns the ``(deltas, fines)`` payoff samples of
+    the paths ``[a, b)``.  A solver failure is re-raised and a blown-up
+    sample refused, both naming the level and the chunk's path range.
+    """
     out = None
     for a, b in _chunk_ranges(start, stop, chunk_size):
-        stats = chunk_fn(a, b)
+        where = f"level {level}, paths [{a}, {b})"
+        try:
+            deltas, fines = chunk_fn(a, b)
+        except NonConvergence as exc:
+            raise NonConvergence(f"{where}: {exc}", exc.iterations,
+                                 exc.residual) from exc
+        _refuse_blown_up(where, deltas, fines)
+        stats = LevelStats.from_samples(level, deltas, fines, cost)
+        # A payoff may be a view of the chunk's path buffer: release it
+        # before the next chunk allocates its own.
+        del deltas, fines
         out = stats if out is None else out.merge(stats)
     return out
 
@@ -226,22 +235,14 @@ def estimate_level(
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     pair = LevelPair.for_problem(problem, level, M=M, theta=theta, delta=delta)
-    cost = pair.cost_per_path
 
-    def chunk_fn(a: int, b: int) -> LevelStats:
+    def chunk_fn(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
         stream = pair.noise_stream(seed, np.arange(a, b), problem.dim_noise)
-        try:
-            coupled = simulate_coupled(problem, pair, stream)
-        except NonConvergence as exc:
-            raise NonConvergence(
-                f"level {level}, paths [{a}, {b}): {exc}",
-                exc.iterations, exc.residual,
-            ) from exc
-        deltas, fines = coupled_payoff_delta(coupled, psi)
-        return _chunk_stats(level, a, b, deltas, fines, cost)
+        return coupled_payoff_delta(simulate_coupled(problem, pair, stream),
+                                    psi)
 
-    return _run_chunks(chunk_fn, sample_offset, sample_offset + n_samples,
-                       chunk_size)
+    return _run_chunks(chunk_fn, level, pair.cost_per_path, sample_offset,
+                       sample_offset + n_samples, chunk_size)
 
 
 def single_level_estimate(
@@ -267,9 +268,8 @@ def single_level_estimate(
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     grid = GridSpec.for_problem(problem, theta=theta, level=level, M=M)
     taming = taming_for_level(problem, level, M, delta)
-    cost = float(grid.total_steps_N)
 
-    def chunk_fn(a: int, b: int) -> LevelStats:
+    def chunk_fn(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
         stream = NoiseStream(
             master_seed=seed,
             level=level,
@@ -277,32 +277,12 @@ def single_level_estimate(
             dim=problem.dim_noise,
             n_steps=grid.total_steps_N,
         )
-        try:
-            path = theta_em_path(problem, grid, noise=stream, taming=taming)
-        except NonConvergence as exc:
-            raise NonConvergence(
-                f"level {level}, paths [{a}, {b}): {exc}",
-                exc.iterations, exc.residual,
-            ) from exc
+        path = theta_em_path(problem, grid, noise=stream, taming=taming)
         vals = psi.eval(path.terminal)
-        return _chunk_stats(level, a, b, vals, vals, cost)
+        return vals, vals
 
-    return _run_chunks(chunk_fn, sample_offset, sample_offset + n_samples,
-                       chunk_size)
-
-
-def _level_runner(problem, psi, M, theta, delta, seed, chunk_size):
-    """Closure running (level, n, offset) -> LevelStats for base or pairs."""
-
-    def run(level: int, base: bool, n: int, offset: int) -> LevelStats:
-        fn = single_level_estimate if base else estimate_level
-        return fn(
-            problem, psi, level, M=M, theta=theta, delta=delta,
-            n_samples=n, seed=seed, chunk_size=chunk_size,
-            sample_offset=offset,
-        )
-
-    return run
+    return _run_chunks(chunk_fn, level, float(grid.total_steps_N),
+                       sample_offset, sample_offset + n_samples, chunk_size)
 
 
 def mlmc_estimate(
@@ -349,7 +329,16 @@ def mlmc_estimate(
         )
 
     levels = list(range(base_level, max_level + 1))
-    run = _level_runner(problem, psi, M, theta, delta, seed, chunk_size)
+
+    def run(level: int, n: int, offset: int) -> LevelStats:
+        # Looked up at call time, so a rebound module global is seen.
+        fn = single_level_estimate if level == base_level else estimate_level
+        return fn(
+            problem, psi, level, M=M, theta=theta, delta=delta,
+            n_samples=n, seed=seed, chunk_size=chunk_size,
+            sample_offset=offset,
+        )
+
     warnings: list[str] = []
 
     if samples_per_level is not None:
@@ -361,16 +350,13 @@ def mlmc_estimate(
             )
         if any(n < 2 for n in counts):
             raise ValueError("every level needs at least 2 samples")
-        stats = [
-            run(lv, lv == base_level, n, 0)
-            for lv, n in zip(levels, counts)
-        ]
+        stats = [run(lv, n, 0) for lv, n in zip(levels, counts)]
     else:
         if not target_se > 0.0:
             raise ValueError(f"target_se must be > 0, got {target_se}")
         pilot_n = max(int(n_pilot), 2)
         cap = int(sample_cap)
-        stats = [run(lv, lv == base_level, pilot_n, 0) for lv in levels]
+        stats = [run(lv, pilot_n, 0) for lv in levels]
         cost_per = [s.cost_units / s.samples for s in stats]
         target_var = target_se * target_se
         while True:
@@ -386,7 +372,7 @@ def mlmc_estimate(
                 want = min(max(want, 2), cap)
                 have = stats[i].samples
                 if want > have:
-                    extra = run(lv, lv == base_level, want - have, have)
+                    extra = run(lv, want - have, have)
                     stats[i] = stats[i].merge(extra)
                     grew = True
             achieved_var = sum(s.var_delta / s.samples for s in stats)

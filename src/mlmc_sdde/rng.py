@@ -189,16 +189,6 @@ class NoiseStream:
             z = z[:, 0]
         return z if isinstance(j, range) else z[0]
 
-    def with_paths(self, path_index) -> "NoiseStream":
-        """Same stream identity, different path batch."""
-        return NoiseStream(
-            master_seed=self.master_seed,
-            level=self.level,
-            path_index=path_index,
-            dim=self.dim,
-            n_steps=self.n_steps,
-        )
-
     @property
     def n_paths(self) -> int:
         arr, scalar = _as_path_array(self.path_index)

@@ -148,10 +148,10 @@ def _near_int(x: float, what: str) -> int:
 class DelayBuffer:
     """Path storage indexed by grid step, history included.
 
-    ``state(n)`` returns the state at grid index ``n`` for
-    ``-m <= n <= N``; negative indices address the initial segment.
     ``values`` is the raw array of shape ``(N + m + 1, a)`` for a single
-    path or ``(N + m + 1, P, a)`` for a batch of ``P`` paths.
+    path or ``(N + m + 1, P, a)`` for a batch of ``P`` paths; the state at
+    grid index ``n``, ``-m <= n <= N``, is ``values[m + n]``, so negative
+    indices address the initial segment.
     """
 
     def __init__(self, values: np.ndarray, m: int, step_h: float):
@@ -160,24 +160,9 @@ class DelayBuffer:
         self.step_h = float(step_h)
         self.total_steps = values.shape[0] - 1 - self.m
 
-    def state(self, n: int) -> np.ndarray:
-        if not -self.m <= n <= self.total_steps:
-            raise IndexError(
-                f"grid index {n} outside [{-self.m}, {self.total_steps}]"
-            )
-        return self.values[self.m + n]
-
     @property
     def terminal(self) -> np.ndarray:
         return self.values[-1]
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.step_h * np.arange(-self.m, self.total_steps + 1)
-
-    @property
-    def batched(self) -> bool:
-        return self.values.ndim == 3
 
 
 def tame_drift(fvals: np.ndarray, h_coarse: float, delta: float) -> np.ndarray:
@@ -430,7 +415,7 @@ def _newton_solve(y, d, drift, th, x, tol_abs, budget, used):
 
 
 def _step(x, x_del, x_del_next, h, theta, drift, diffusion, eps, dw):
-    """Advance one grid step; shared by single paths and coupled pairs."""
+    """Advance one grid step of the theta scheme."""
     fx = drift(x, x_del)
     base = x + (1.0 - theta) * h * fx if theta > 0.0 else x + h * fx
     if dw is not None:
@@ -442,12 +427,65 @@ def _step(x, x_del, x_del_next, h, theta, drift, diffusion, eps, dw):
     return implicit_step_solve(base, x_del_next, drift, theta, h, x0=x0)
 
 
+def _integrate(
+    problem: SddeProblem,
+    grid: GridSpec,
+    taming: TamedDrift | None,
+    n_paths: int | None,
+    increment: Callable[[int], np.ndarray] | None,
+    where: str = "",
+) -> DelayBuffer:
+    """Run the ``N`` theta-steps of ``grid`` from the problem's history.
+
+    The one step loop of the package: single paths and both members of a
+    coupled pair run through it.  ``increment(n)`` returns the Brownian
+    increment of step ``n``, shaped ``(n_paths, d)``; it is not called
+    when ``increment`` is ``None`` or the problem's eps is 0, which runs
+    the drift-only scheme.  ``n_paths=None`` is one path stored without
+    the batch axis.  A :class:`NonConvergence` is re-raised with
+    ``where``, the step and its time prefixed to the message.
+    """
+    h, m, N = grid.step_h, grid.steps_per_delay_m, grid.total_steps_N
+    a = problem.dim_state
+    eps = problem.noise_scale
+    drift = taming if taming is not None else problem.drift
+    if eps == 0.0:
+        increment = None
+
+    hist = np.asarray(problem.initial_segment(h * np.arange(-m, 1)),
+                      dtype=float)
+    if hist.shape != (m + 1, a):
+        raise ValueError(
+            f"initial segment returned shape {hist.shape}, "
+            f"expected {(m + 1, a)}"
+        )
+    values = np.empty((N + m + 1, 1 if n_paths is None else n_paths, a))
+    values[: m + 1] = hist[:, None, :]
+
+    for n in range(N):
+        dw = increment(n) if increment is not None else None
+        try:
+            values[m + n + 1] = _step(
+                values[m + n], values[n], values[n + 1],
+                h, grid.theta, drift, problem.diffusion, eps, dw,
+            )
+        except NonConvergence as exc:
+            raise NonConvergence(
+                f"{where}step {n} (t = {n * h:.6g}): {exc}",
+                iterations=exc.iterations,
+                residual=exc.residual,
+            ) from None
+
+    if n_paths is None:
+        values = values[:, 0, :]
+    return DelayBuffer(values, m=m, step_h=h)
+
+
 def theta_em_path(
     problem: SddeProblem,
     grid: GridSpec,
     noise: Union[NoiseStream, np.ndarray, None] = None,
     taming: TamedDrift | None = None,
-    check: bool = True,
 ) -> DelayBuffer:
     """Simulate one batch of theta-EM paths on a delay-aligned grid.
 
@@ -455,7 +493,7 @@ def theta_em_path(
     ----------
     problem, grid
         Problem instance and grid; the grid is validated against the
-        problem and the step-size restrictions unless ``check=False``.
+        problem and the step-size restrictions.
     noise : NoiseStream or ndarray or None
         ``None`` runs the drift-only skeleton (no diffusion term at all,
         regardless of the problem's eps).  A :class:`NoiseStream` supplies
@@ -473,20 +511,13 @@ def theta_em_path(
         History plus computed path, shape ``(N + m + 1, a)`` or
         ``(N + m + 1, P, a)`` matching the noise batch.
     """
-    if check:
-        grid.validate_against(problem)
-        check_admissibility(problem, grid, taming)
-    h, m, N = grid.step_h, grid.steps_per_delay_m, grid.total_steps_N
-    theta = grid.theta
-    a, dnoise = problem.dim_state, problem.dim_noise
-    eps = problem.noise_scale
-    drift = taming if taming is not None else problem.drift
-    diffusion = problem.diffusion
+    grid.validate_against(problem)
+    check_admissibility(problem, grid, taming)
+    N, dnoise = grid.total_steps_N, problem.dim_noise
 
-    squeeze = False
     if noise is None:
-        n_paths, provider, squeeze = 1, None, True
-    elif isinstance(noise, NoiseStream):
+        return _integrate(problem, grid, taming, None, None)
+    if isinstance(noise, NoiseStream):
         if noise.dim != dnoise:
             raise ValueError(
                 f"noise stream dim {noise.dim} != problem dim_noise {dnoise}"
@@ -495,59 +526,22 @@ def theta_em_path(
             raise ValueError(
                 f"stream covers {noise.n_steps} steps, grid needs {N}"
             )
-        sqh = math.sqrt(h)
-        paths2d = noise.with_paths(
-            np.atleast_1d(np.asarray(noise.path_index))
-        )
-        squeeze = paths2d.n_paths == 1 and np.ndim(noise.path_index) == 0
-        n_paths = paths2d.n_paths
-        draws = paths2d.gaussian_increment(range(N)) if eps != 0.0 else None
+        n_paths = None if np.ndim(noise.path_index) == 0 else noise.n_paths
+        if problem.noise_scale == 0.0:
+            return _integrate(problem, grid, taming, n_paths, None)
+        sqh = math.sqrt(grid.step_h)
+        draws = noise.gaussian_increment(range(N)).reshape(N, -1, dnoise)
+        return _integrate(problem, grid, taming, n_paths,
+                          lambda n: sqh * draws[n])
 
-        def provider(n: int) -> np.ndarray:
-            return sqh * draws[n]
-
-    else:
-        arr = np.asarray(noise, dtype=float)
-        if arr.ndim == 2:
-            arr = arr[:, None, :]
-            squeeze = True
-        if arr.ndim != 3 or arr.shape[0] != N or arr.shape[2] != dnoise:
-            raise ValueError(
-                f"increment array must have shape (N, P, d) = ({N}, *, "
-                f"{dnoise}), got {np.asarray(noise).shape}"
-            )
-        n_paths = arr.shape[1]
-
-        def provider(n: int) -> np.ndarray:
-            return arr[n]
-
-    if eps == 0.0:
-        provider = None  # drift-only: keep batch shape, drop the noise term
-
-    hist_times = h * np.arange(-m, 1)
-    hist = np.asarray(problem.initial_segment(hist_times), dtype=float)
-    if hist.shape != (m + 1, a):
+    arr = np.asarray(noise, dtype=float)
+    single = arr.ndim == 2
+    if single:
+        arr = arr[:, None, :]
+    if arr.ndim != 3 or arr.shape[0] != N or arr.shape[2] != dnoise:
         raise ValueError(
-            f"initial segment returned shape {hist.shape}, "
-            f"expected {(m + 1, a)}"
+            f"increment array must have shape (N, P, d) = ({N}, *, "
+            f"{dnoise}), got {np.asarray(noise).shape}"
         )
-    values = np.empty((N + m + 1, n_paths, a))
-    values[: m + 1] = hist[:, None, :]
-
-    for n in range(N):
-        dw = provider(n) if provider is not None else None
-        try:
-            values[m + n + 1] = _step(
-                values[m + n], values[n], values[n + 1],
-                h, theta, drift, diffusion, eps, dw,
-            )
-        except NonConvergence as exc:
-            raise NonConvergence(
-                f"step {n} (t = {n * h:.6g}): {exc}",
-                iterations=exc.iterations,
-                residual=exc.residual,
-            ) from None
-
-    if squeeze:
-        values = values[:, 0, :]
-    return DelayBuffer(values, m=m, step_h=h)
+    return _integrate(problem, grid, taming, None if single else arr.shape[1],
+                      lambda n: arr[n])

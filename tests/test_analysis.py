@@ -9,6 +9,7 @@ schemas, worker-count invariance) are the load-bearing part.
 import numpy as np
 import pytest
 
+from mlmc_sdde import analysis
 from mlmc_sdde.analysis import (
     EnvelopeFit,
     RateFit,
@@ -290,6 +291,34 @@ def test_strong_error_chunking_does_not_change_results():
     big = strong_error_rate(problem, psi, chunk_paths=10_000, **kwargs)
     for a, b in zip(small.errors_sq, big.errors_sq):
         assert a == pytest.approx(b, rel=1e-10)
+
+
+def test_strong_error_increments_do_not_depend_on_chunk_size(monkeypatch):
+    # Each level's increments are block sums of the reference increments;
+    # they must be the same numbers whether a chunk holds one path or all.
+    original = analysis.theta_em_path
+    per_grid = {}
+
+    def record(problem, grid, noise=None, taming=None):
+        per_grid.setdefault(grid.total_steps_N, []).append(np.copy(noise))
+        return original(problem, grid, noise=noise, taming=taming)
+
+    monkeypatch.setattr(analysis, "theta_em_path", record)
+    problem = builtin_problem("linear_scalar", eps=1e-4)
+    psi = builtin_payoff("identity")
+    runs = []
+    for size in (1, 2, 5):
+        per_grid.clear()
+        strong_error_rate(problem, psi, level_sweep=[3, 4, 5], n_paths=5,
+                          seed=13, chunk_paths=size, jobs=1)
+        runs.append({n: np.concatenate(arrs, axis=1)
+                     for n, arrs in per_grid.items()})
+    assert sorted(runs[0]) == [8, 16, 32, 256]
+    for other in runs[1:]:
+        assert sorted(other) == sorted(runs[0])
+        for n, dw in runs[0].items():
+            assert dw.shape == (n, 5, 1)
+            np.testing.assert_array_equal(other[n], dw)
 
 
 def test_strong_error_validation():

@@ -95,22 +95,39 @@ def test_zero_drift_additive_pair_agrees_at_coarse_nodes(M, theta):
     assert np.max(diff / scale) < 1e-12
 
 
-@pytest.mark.parametrize("theta", [0.0, 0.5])
-def test_pair_members_match_standalone_paths_bitwise(theta):
-    p = builtin_problem("linear_scalar", eps=0.3)
-    pair = LevelPair.for_problem(p, level=4, M=2, theta=theta)
-    stream = _stream_for(pair, p, seed=42, paths=np.arange(8))
+@pytest.mark.parametrize("name, M, level, theta, delta, paths", [
+    ("linear_scalar", 2, 4, 0.0, None, np.arange(8)),
+    ("linear_scalar", 2, 4, 0.5, None, np.arange(8)),
+    ("linear_scalar", 4, 3, 0.0, None, np.arange(8)),
+    ("linear_scalar", 4, 3, 0.5, None, np.arange(8)),
+    ("cubic_onesided", 2, 4, 0.5, 0.5, np.arange(8)),
+    ("linear_scalar", 2, 4, 0.5, None, 5),
+], ids=["0.0", "0.5", "M4-0.0", "M4-0.5", "tamed-0.5", "scalar-path"])
+def test_pair_members_match_standalone_paths_bitwise(name, M, level, theta,
+                                                     delta, paths):
+    p = builtin_problem(name, eps=0.3)
+    pair = LevelPair.for_problem(p, level=level, M=M, theta=theta,
+                                 delta=delta)
+    stream = _stream_for(pair, p, seed=42, paths=paths)
     out = simulate_coupled(p, pair, stream)
 
-    fine_alone = theta_em_path(p, pair.grid_fine, noise=stream)
+    fine_alone = theta_em_path(p, pair.grid_fine, noise=stream,
+                               taming=taming_for_level(p, level, M, delta))
     np.testing.assert_array_equal(out.fine.values, fine_alone.values)
 
     # coarse member: same scheme driven by the summed increments, added
     # left to right over the M fine steps of each coarse step
     xi = stream.gaussian_increment(range(pair.grid_fine.total_steps_N))
-    dw = math.sqrt(pair.h_fine) * (xi[0::2] + xi[1::2])
-    coarse_alone = theta_em_path(p, pair.grid_coarse, noise=dw)
+    csum = xi[0::M].copy()
+    for k in range(1, M):
+        csum = csum + xi[k::M]
+    dw = math.sqrt(pair.h_fine) * csum
+    coarse_alone = theta_em_path(
+        p, pair.grid_coarse, noise=dw,
+        taming=taming_for_level(p, level - 1, M, delta))
     np.testing.assert_array_equal(out.coarse.values, coarse_alone.values)
+    assert out.fine.values.shape[1:] == ((1,) if np.ndim(paths) == 0
+                                         else (8, 1))
 
 
 def test_pair_skeleton_matches_single_grid_skeletons():
@@ -131,10 +148,11 @@ def test_fine_on_coarse_grid_alignment():
     out = simulate_coupled(p, pair, stream)
     fg = out.fine_on_coarse_grid
     assert fg.shape == out.coarse_on_grid.shape == (pair.n_coarse + 1, 4, 1)
-    np.testing.assert_array_equal(fg[0], out.fine.state(0))
+    m = out.fine.m
+    np.testing.assert_array_equal(fg[0], out.fine.values[m + 0])
     np.testing.assert_array_equal(fg[-1], out.fine.terminal)
     for n in range(pair.n_coarse + 1):
-        np.testing.assert_array_equal(fg[n], out.fine.state(n * pair.M))
+        np.testing.assert_array_equal(fg[n], out.fine.values[m + n * pair.M])
 
 
 def test_coupled_payoff_delta_recomputes():

@@ -349,14 +349,13 @@ def test_history_occupies_buffer_head():
     )
     g = GridSpec.for_problem(p, theta=0.0, level=2)
     path = theta_em_path(p, g)
-    assert path.state(-1)[0] == pytest.approx(1.0 - 0.25)
-    assert path.state(0)[0] == pytest.approx(1.0)
-    with pytest.raises(IndexError):
-        path.state(-2)
-    with pytest.raises(IndexError):
-        path.state(5)
-    assert path.times[0] == pytest.approx(-0.25)
-    assert path.times[-1] == pytest.approx(1.0)
+    m, N = g.steps_per_delay_m, g.total_steps_N
+    # grid index n lives at values[m + n]: -m is the head, N the terminal
+    assert (m, N) == (1, 4) and path.values.shape == (m + N + 1, 1)
+    assert path.values[m - 1][0] == pytest.approx(1.0 - 0.25)
+    assert path.values[m + 0][0] == pytest.approx(1.0)
+    assert -m * path.step_h == pytest.approx(-0.25)
+    assert (path.values.shape[0] - 1 - m) * path.step_h == pytest.approx(1.0)
 
 
 def test_increment_array_drive_matches_stream_drive():
