@@ -438,7 +438,7 @@ def _coupled_payoff_var(problem, psi, level, M, theta, delta, n_paths,
     pair = LevelPair.for_problem(problem, level, M=M, theta=theta, delta=delta)
     stream = pair.noise_stream(master_seed, np.arange(n_paths),
                                problem.dim_noise)
-    coupled = simulate_coupled(problem, pair, stream)
+    coupled = simulate_coupled(problem, pair, stream, full_path=False)
     pf = psi.eval(coupled.fine.terminal)
     pc = psi.eval(coupled.coarse.terminal)
     _refuse_blown_up(_cell_name("rates-variance", level, problem.noise_scale,
@@ -460,7 +460,8 @@ def _uncoupled_payoff_var(problem, psi, level, M, theta, delta, n_paths,
             dim=problem.dim_noise,
             n_steps=grid.total_steps_N,
         )
-        path = theta_em_path(problem, grid, noise=stream, taming=taming)
+        path = theta_em_path(problem, grid, noise=stream, taming=taming,
+                             full_path=False)
         out.append(psi.eval(path.terminal))
         _refuse_blown_up(_cell_name("rates-variance uncoupled", lv,
                                     problem.noise_scale, 0, n_paths), out[-1])
@@ -635,14 +636,15 @@ def strong_error_rate(
         )
         dw_ref = stream.gaussian_increment(range(n_ref))
         dw_ref *= np.sqrt(grid_ref.step_h)
-        ref = theta_em_path(problem, grid_ref, noise=dw_ref)
+        ref = theta_em_path(problem, grid_ref, noise=dw_ref, full_path=False)
         psi_ref = psi.eval(ref.terminal)
         _refuse_blown_up(_cell_name("rates-strong reference", ref_level, eps,
                                     a, b), psi_ref)
         sums = {}
         for lv in levels:
             dw = _block_sums(dw_ref, M ** (ref_level - lv))
-            path = theta_em_path(problem, grids[lv], noise=dw)
+            path = theta_em_path(problem, grids[lv], noise=dw,
+                                 full_path=False)
             psi_lv = psi.eval(path.terminal)
             _refuse_blown_up(_cell_name("rates-strong", lv, eps, a, b),
                              psi_lv)

@@ -129,16 +129,22 @@ class CoupledPair:
     @property
     def fine_on_coarse_grid(self) -> np.ndarray:
         """Fine-path states at the coarse nodes, shape like ``coarse``."""
-        m = self.fine.m
-        return self.fine.values[m:][:: self.pair.M]
+        return _grid_states(self.fine)[:: self.pair.M]
 
     @property
     def coarse_on_grid(self) -> np.ndarray:
-        return self.coarse.values[self.coarse.m:]
+        return _grid_states(self.coarse)
 
     def state_difference(self) -> np.ndarray:
         """Fine minus coarse at every coarse node, shape (N_c + 1, ..., a)."""
         return self.fine_on_coarse_grid - self.coarse_on_grid
+
+
+def _grid_states(buf: DelayBuffer) -> np.ndarray:
+    """States at grid indices ``0 .. N`` of a full-path member."""
+    if buf.values.shape[0] != buf.m + buf.total_steps + 1:
+        raise ValueError("pair holds only the delay window (full_path=False)")
+    return buf.values[buf.m:]
 
 
 def _block_sums(x: np.ndarray, q: int) -> np.ndarray:
@@ -160,6 +166,8 @@ def simulate_coupled(
     problem: SddeProblem,
     pair: LevelPair,
     noise: NoiseStream,
+    *,
+    full_path: bool = True,
 ) -> CoupledPair:
     """Run both members of ``pair`` on one shared increment stream.
 
@@ -170,7 +178,10 @@ def simulate_coupled(
     ``sqrt(h_fine)``.  The members run one after the other through the
     scheme's single step loop, so the fine path produced here is bit for
     bit the path :func:`mlmc_sdde.scheme.theta_em_path` yields for the
-    same stream on the fine grid.
+    same stream on the fine grid.  ``full_path=False`` keeps only the
+    delay window of each member (see :func:`mlmc_sdde.scheme.theta_em_path`),
+    enough for the terminal states; the whole-path views of the pair then
+    raise ``ValueError``.  When the problem's eps is 0 no draw is made.
     """
     gf, gc = pair.grid_fine, pair.grid_coarse
     tame_f = taming_for_level(problem, pair.level, pair.M, pair.delta)
@@ -194,14 +205,16 @@ def simulate_coupled(
 
     n_paths = None if np.ndim(noise.path_index) == 0 else noise.n_paths
     sqh = math.sqrt(gf.step_h)
-    xi = noise.gaussian_increment(range(n_f)).reshape(
-        n_f, -1, problem.dim_noise)
+    # With eps = 0 the step loop never calls the increment functions.
+    xi = None if problem.noise_scale == 0.0 else noise.gaussian_increment(
+        range(n_f)).reshape(n_f, -1, problem.dim_noise)
     fine = _integrate(problem, gf, tame_f, n_paths,
-                      lambda j: sqh * xi[j], "fine member, ")
+                      lambda j: sqh * xi[j], "fine member, ",
+                      full_path=full_path)
     coarse = _integrate(
         problem, gc, tame_c, n_paths,
         lambda n: sqh * _block_sums(xi[n * M:(n + 1) * M], M)[0],
-        "coarse member, ")
+        "coarse member, ", full_path=full_path)
     return CoupledPair(pair=pair, fine=fine, coarse=coarse)
 
 

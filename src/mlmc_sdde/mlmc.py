@@ -238,8 +238,8 @@ def estimate_level(
 
     def chunk_fn(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
         stream = pair.noise_stream(seed, np.arange(a, b), problem.dim_noise)
-        return coupled_payoff_delta(simulate_coupled(problem, pair, stream),
-                                    psi)
+        return coupled_payoff_delta(
+            simulate_coupled(problem, pair, stream, full_path=False), psi)
 
     return _run_chunks(chunk_fn, level, pair.cost_per_path, sample_offset,
                        sample_offset + n_samples, chunk_size)
@@ -277,7 +277,8 @@ def single_level_estimate(
             dim=problem.dim_noise,
             n_steps=grid.total_steps_N,
         )
-        path = theta_em_path(problem, grid, noise=stream, taming=taming)
+        path = theta_em_path(problem, grid, noise=stream, taming=taming,
+                             full_path=False)
         vals = psi.eval(path.terminal)
         return vals, vals
 

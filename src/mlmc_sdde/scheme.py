@@ -146,19 +146,23 @@ def _near_int(x: float, what: str) -> int:
 
 
 class DelayBuffer:
-    """Path storage indexed by grid step, history included.
+    """Path storage indexed by grid step.
 
-    ``values`` is the raw array of shape ``(N + m + 1, a)`` for a single
-    path or ``(N + m + 1, P, a)`` for a batch of ``P`` paths; the state at
-    grid index ``n``, ``-m <= n <= N``, is ``values[m + n]``, so negative
-    indices address the initial segment.
+    A full path holds the history too: ``values`` has shape
+    ``(N + m + 1, a)`` for a single path or ``(N + m + 1, P, a)`` for a
+    batch of ``P`` paths, and the state at grid index ``n``, ``-m <= n <=
+    N``, is ``values[m + n]``.  A delay window holds only grid indices
+    ``N - m .. N`` in order, shaped ``(m + 1, a)`` or ``(m + 1, P, a)``.
+    Either way ``total_steps`` is ``N`` and ``terminal`` the state at
+    grid index ``N``.
     """
 
-    def __init__(self, values: np.ndarray, m: int, step_h: float):
+    def __init__(self, values: np.ndarray, m: int, step_h: float,
+                 total_steps: int):
         self.values = values
         self.m = int(m)
         self.step_h = float(step_h)
-        self.total_steps = values.shape[0] - 1 - self.m
+        self.total_steps = int(total_steps)
 
     @property
     def terminal(self) -> np.ndarray:
@@ -434,6 +438,8 @@ def _integrate(
     n_paths: int | None,
     increment: Callable[[int], np.ndarray] | None,
     where: str = "",
+    *,
+    full_path: bool = True,
 ) -> DelayBuffer:
     """Run the ``N`` theta-steps of ``grid`` from the problem's history.
 
@@ -442,8 +448,11 @@ def _integrate(
     increment of step ``n``, shaped ``(n_paths, d)``; it is not called
     when ``increment`` is ``None`` or the problem's eps is 0, which runs
     the drift-only scheme.  ``n_paths=None`` is one path stored without
-    the batch axis.  A :class:`NonConvergence` is re-raised with
-    ``where``, the step and its time prefixed to the message.
+    the batch axis.  ``full_path=False`` keeps only a ring of the last
+    ``m + 1`` states, which ends ordered as grid indices ``N - m .. N``;
+    the arithmetic, and so every state, is that of the full path.  A
+    :class:`NonConvergence` is re-raised with ``where``, the step and its
+    time prefixed to the message.
     """
     h, m, N = grid.step_h, grid.steps_per_delay_m, grid.total_steps_N
     a = problem.dim_state
@@ -459,14 +468,20 @@ def _integrate(
             f"initial segment returned shape {hist.shape}, "
             f"expected {(m + 1, a)}"
         )
-    values = np.empty((N + m + 1, 1 if n_paths is None else n_paths, a))
-    values[: m + 1] = hist[:, None, :]
+    # Grid index n lives in row (n + off) % rows; the offset puts grid
+    # index N in the last row.  Row n - m, read last by step n, is the
+    # one step n writes.
+    rows = N + m + 1 if full_path else m + 1
+    off = rows - 1 - N
+    values = np.empty((rows, 1 if n_paths is None else n_paths, a))
+    values[(np.arange(-m, 1) + off) % rows] = hist[:, None, :]
 
     for n in range(N):
         dw = increment(n) if increment is not None else None
         try:
-            values[m + n + 1] = _step(
-                values[m + n], values[n], values[n + 1],
+            values[(n + 1 + off) % rows] = _step(
+                values[(n + off) % rows], values[(n - m + off) % rows],
+                values[(n + 1 - m + off) % rows],
                 h, grid.theta, drift, problem.diffusion, eps, dw,
             )
         except NonConvergence as exc:
@@ -478,7 +493,7 @@ def _integrate(
 
     if n_paths is None:
         values = values[:, 0, :]
-    return DelayBuffer(values, m=m, step_h=h)
+    return DelayBuffer(values, m=m, step_h=h, total_steps=N)
 
 
 def theta_em_path(
@@ -486,6 +501,8 @@ def theta_em_path(
     grid: GridSpec,
     noise: Union[NoiseStream, np.ndarray, None] = None,
     taming: TamedDrift | None = None,
+    *,
+    full_path: bool = True,
 ) -> DelayBuffer:
     """Simulate one batch of theta-EM paths on a delay-aligned grid.
 
@@ -504,19 +521,26 @@ def theta_em_path(
         scaled by sqrt(h)), shaped ``(N, d)`` or ``(N, P, d)``.
     taming : TamedDrift, optional
         Drift replacement for one-sided problems.
+    full_path : bool, keyword-only
+        ``True`` (default) returns the history plus the computed path.
+        ``False`` returns only the delay window of the last ``m + 1``
+        states, bit for bit the tail of the full path, so a run that
+        reads only ``terminal`` holds ``O(m P)`` states, not ``O(N P)``.
 
     Returns
     -------
     DelayBuffer
         History plus computed path, shape ``(N + m + 1, a)`` or
-        ``(N + m + 1, P, a)`` matching the noise batch.
+        ``(N + m + 1, P, a)`` matching the noise batch; with
+        ``full_path=False`` the first axis has length ``m + 1``.
     """
     grid.validate_against(problem)
     check_admissibility(problem, grid, taming)
     N, dnoise = grid.total_steps_N, problem.dim_noise
 
     if noise is None:
-        return _integrate(problem, grid, taming, None, None)
+        return _integrate(problem, grid, taming, None, None,
+                          full_path=full_path)
     if isinstance(noise, NoiseStream):
         if noise.dim != dnoise:
             raise ValueError(
@@ -527,12 +551,12 @@ def theta_em_path(
                 f"stream covers {noise.n_steps} steps, grid needs {N}"
             )
         n_paths = None if np.ndim(noise.path_index) == 0 else noise.n_paths
-        if problem.noise_scale == 0.0:
-            return _integrate(problem, grid, taming, n_paths, None)
         sqh = math.sqrt(grid.step_h)
-        draws = noise.gaussian_increment(range(N)).reshape(N, -1, dnoise)
+        # With eps = 0 the step loop never calls the increment function.
+        draws = None if problem.noise_scale == 0.0 else (
+            noise.gaussian_increment(range(N)).reshape(N, -1, dnoise))
         return _integrate(problem, grid, taming, n_paths,
-                          lambda n: sqh * draws[n])
+                          lambda n: sqh * draws[n], full_path=full_path)
 
     arr = np.asarray(noise, dtype=float)
     single = arr.ndim == 2
@@ -544,4 +568,4 @@ def theta_em_path(
             f"{dnoise}), got {np.asarray(noise).shape}"
         )
     return _integrate(problem, grid, taming, None if single else arr.shape[1],
-                      lambda n: arr[n])
+                      lambda n: arr[n], full_path=full_path)

@@ -299,9 +299,9 @@ def test_strong_error_increments_do_not_depend_on_chunk_size(monkeypatch):
     original = analysis.theta_em_path
     per_grid = {}
 
-    def record(problem, grid, noise=None, taming=None):
+    def record(problem, grid, noise=None, taming=None, **kwargs):
         per_grid.setdefault(grid.total_steps_N, []).append(np.copy(noise))
-        return original(problem, grid, noise=noise, taming=taming)
+        return original(problem, grid, noise=noise, taming=taming, **kwargs)
 
     monkeypatch.setattr(analysis, "theta_em_path", record)
     problem = builtin_problem("linear_scalar", eps=1e-4)

@@ -314,3 +314,46 @@ def test_interval_increment_second_moment_scaling():
     slope, r2 = _loglog_slope(xs, ys)
     assert abs(slope - 1.0) <= 0.3
     assert r2 >= 0.9
+
+
+# ---------------------------------------------------------------------------
+# Delay-window pairs and drift-only pairs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name, M, level, theta, delta, eps", [
+    ("linear_scalar", 2, 3, 0.0, None, 0.3),
+    ("linear_scalar", 4, 2, 0.0, None, 0.3),
+    ("cubic_onesided", 2, 4, 0.5, 0.5, 0.1),
+    ("linear_scalar", 2, 4, 0.5, None, 0.0),
+])
+def test_window_pair_is_tail_of_full_pair_bitwise(name, M, level, theta,
+                                                  delta, eps):
+    p = builtin_problem(name, eps=eps)
+    pair = LevelPair.for_problem(p, level=level, M=M, theta=theta,
+                                 delta=delta)
+    for paths in (np.arange(5), 2):
+        stream = _stream_for(pair, p, seed=9, paths=paths)
+        full = simulate_coupled(p, pair, stream)
+        window = simulate_coupled(p, pair, stream, full_path=False)
+        for f, w in ((full.fine, window.fine), (full.coarse, window.coarse)):
+            np.testing.assert_array_equal(w.values, f.values[-(f.m + 1):])
+            np.testing.assert_array_equal(w.terminal, f.terminal)
+            assert (w.total_steps, w.m, w.step_h) == (
+                f.total_steps, f.m, f.step_h)
+        with pytest.raises(ValueError, match="window"):
+            window.state_difference()
+
+
+def test_drift_only_pair_draws_nothing(monkeypatch):
+    calls = []
+    original = NoiseStream.gaussian_increment
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(NoiseStream, "gaussian_increment", counting)
+    p = builtin_problem("linear_scalar", eps=0.0)
+    pair = LevelPair.for_problem(p, level=5, M=2, theta=0.5)
+    simulate_coupled(p, pair, _stream_for(pair, p))
+    assert calls == []

@@ -8,6 +8,7 @@ scheme are checked bit for bit against a hand-rolled loop.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -427,3 +428,67 @@ def test_second_moment_stays_bounded_on_long_run():
     assert np.all(np.isfinite(second_moment))
     # contractive drift, small noise: far below the initial square
     assert second_moment[-1] < 1.0
+
+
+# ---------------------------------------------------------------------------
+# Delay-window runs
+# ---------------------------------------------------------------------------
+
+def _window_cases():
+    lin = builtin_problem("linear_scalar", eps=0.3)
+    cub = builtin_problem("cubic_onesided")
+    g_lin = GridSpec.for_problem(lin, theta=0.0, level=4)
+    g_cub = GridSpec.for_problem(cub, theta=0.5, level=4)
+    # Level 3: N = 8, m = 2, so the ring of m + 1 rows wraps mid-cycle.
+    g_3 = GridSpec.for_problem(lin, theta=0.0, level=3)
+    batch = NoiseStream(master_seed=5, level=4, path_index=np.arange(6),
+                        dim=1, n_steps=16)
+    rng = np.random.default_rng(0)
+    return {
+        "explicit": (lin, g_lin, batch, None),
+        "tamed-implicit": (cub, g_cub, batch,
+                           TamedDrift(cub.drift, h_coarse=2.0**-3,
+                                      delta=0.5)),
+        "scalar-path": (lin, g_lin, NoiseStream(master_seed=5, level=4,
+                                                path_index=3, dim=1,
+                                                n_steps=16), None),
+        "array-noise": (lin, g_lin, 0.25 * rng.standard_normal((16, 4, 1)),
+                        None),
+        "zero-eps": (builtin_problem("linear_scalar", eps=0.0), g_lin, batch,
+                     None),
+        "skeleton": (lin, g_lin, None, None),
+        "ring-wraps": (lin, g_3, 0.3 * rng.standard_normal((8, 3, 1)), None),
+    }
+
+
+@pytest.mark.parametrize("case", list(_window_cases()))
+def test_window_run_is_tail_of_full_run_bitwise(case):
+    problem, grid, noise, taming = _window_cases()[case]
+    full = theta_em_path(problem, grid, noise=noise, taming=taming)
+    window = theta_em_path(problem, grid, noise=noise, taming=taming,
+                           full_path=False)
+    m = grid.steps_per_delay_m
+    assert window.values.shape == full.values[-(m + 1):].shape
+    np.testing.assert_array_equal(window.values, full.values[-(m + 1):])
+    np.testing.assert_array_equal(window.terminal, full.terminal)
+    assert (window.total_steps, window.m, window.step_h) == (
+        full.total_steps, full.m, full.step_h)
+
+
+def test_window_run_memory_is_order_m_not_n():
+    # The reference shape of the default strong-error sweep: level 10,
+    # N = 1024, m = 256, 2500 paths; a full path holds 24.4 MiB of states.
+    p = builtin_problem("linear_scalar", eps=1e-4)
+    g = GridSpec.for_problem(p, theta=0.0, level=10)
+    dw = np.sqrt(g.step_h) * np.random.default_rng(1).standard_normal(
+        (g.total_steps_N, 2500, 1))
+    peaks = {}
+    for full_path in (True, False):
+        tracemalloc.start()
+        try:
+            theta_em_path(p, g, noise=dw, full_path=full_path)
+            peaks[full_path] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[True] > 24 * 2**20
+    assert peaks[False] < 12 * 2**20
