@@ -13,26 +13,28 @@ the index enumerates cells within a lane.  Together with the per-level
 stream keying this makes all cells pairwise disjoint, so results are
 independent of evaluation order and of worker count.
 
-A cell whose paths blow up (non-finite values) raises ``ValueError``
-naming the experiment, the level, the noise scale and the path range,
-the way a chunk of :mod:`mlmc` does.
+A cell whose paths blow up (non-finite values) raises ``ValueError``,
+and one whose solve stalls ``NonConvergence``, naming the experiment, the
+level, the noise scale and the path range, the way a chunk of :mod:`mlmc`
+does.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .coupling import LevelPair, _block_sums, simulate_coupled
-from .mlmc import _chunk_ranges, _refuse_blown_up
+from .coupling import (LevelPair, _block_sums, coupled_payoff_delta,
+                       simulate_coupled)
+from .mlmc import _level_paths, _refuse_blown_up, _run_cells, _run_chunks
 from .model import Payoff, SddeProblem
 from .rng import NoiseStream
 from .scheme import (
     DelayBuffer,
     GridSpec,
+    NonConvergence,
     TamedDrift,
     taming_for_level,
     theta_em_path,
@@ -55,27 +57,62 @@ __all__ = [
 
 _LANE_STRIDE = 1_000_003
 
+# The normals one chunk of a cell may draw (128 MiB of float64); every
+# default cell fits in one chunk.  With the counter-based stream a path's
+# draws do not depend on its chunk, so at theta = 0 chunks give the bits
+# of one batch; at theta > 0 the implicit solve iterates per chunk.
+_CHUNK_DRAWS = 2**24
+
 
 def _cell_seed(seed: int, lane: int, index: int = 0) -> int:
     return int(seed) + _LANE_STRIDE * lane + index
 
 
-def _cell_name(experiment: str, level: int, eps: float, a: int,
-               b: int) -> str:
-    return f"{experiment} level {level} (eps {eps:g}), paths [{a}, {b})"
+def _cell_samples(chunk_fn: Callable[[int, int], tuple[np.ndarray, ...]],
+                  experiment: str, problem: SddeProblem, level: int, M: int,
+                  n_paths: int) -> tuple[np.ndarray, ...]:
+    """The samples of :func:`_run_chunks` over the paths ``[0, n_paths)``
+    of a cell whose finest grid is that of ``level``, in chunks within
+    ``_CHUNK_DRAWS``, each sample joined along the path axis."""
+    size = max(1, _CHUNK_DRAWS // (M ** level * problem.dim_noise))
+    where = f"{experiment} level {level} (eps {problem.noise_scale:g})"
+    chunks = _run_chunks(chunk_fn, where, 0, n_paths, size)
+    return tuple(parts[0] if len(parts) == 1
+                 else np.concatenate(parts, axis=-1) for parts in zip(*chunks))
 
 
-def _run_cells(thunks: Sequence[Callable[[], object]],
-               jobs: int | None) -> list:
-    """Evaluate independent cell closures, in order, optionally threaded.
+def _path_samples(problem, level, M, theta, delta, seed, n_paths,
+                  experiment, centre=None):
+    """Terminal states ``(a, P)`` and ``sup_n |X_n - centre_n|^2`` ``(P,)``
+    over the nodes of ``n_paths`` level paths; ``centre`` is a state per
+    grid node ``(N + 1, a)``, or ``None`` for the origin."""
+    def chunk(a, b):
+        path = _level_paths(problem, level, M, theta, delta, seed, a, b,
+                            full_path=True)
+        body = path.values[path.m:]
+        diff = body if centre is None else body - centre[:, None, :]
+        return body[-1].T, np.sum(diff * diff, axis=-1).max(axis=0)
 
-    Results always come back in cell order, so threading cannot change
-    any downstream number.
-    """
-    if jobs is None or jobs <= 1 or len(thunks) <= 1:
-        return [fn() for fn in thunks]
-    with ThreadPoolExecutor(max_workers=min(jobs, len(thunks))) as pool:
-        return list(pool.map(lambda fn: fn(), thunks))
+    return _cell_samples(chunk, experiment, problem, level, M, n_paths)
+
+
+def _pair_samples(problem, level, M, theta, delta, seed, n_paths,
+                  experiment, psi=None):
+    """``|fine - coarse|^2`` at every coarse node ``(N_c + 1, P)`` of
+    ``n_paths`` coupled pairs and, given a payoff ``psi``, the payoff
+    difference ``(P,)``."""
+    pair = LevelPair.for_problem(problem, level, M=M, theta=theta, delta=delta)
+
+    def chunk(a, b):
+        coupled = simulate_coupled(problem, pair, pair.noise_stream(
+            seed, np.arange(a, b), problem.dim_noise))
+        diff = coupled.state_difference()
+        sq = np.sum(diff * diff, axis=-1)
+        if psi is None:
+            return (sq,)
+        return sq, coupled_payoff_delta(coupled, psi)[0]
+
+    return _cell_samples(chunk, experiment, problem, level, M, n_paths)
 
 
 @dataclass(frozen=True)
@@ -255,31 +292,22 @@ def small_noise_deviation(
         )
     grid = GridSpec.for_problem(problem, theta=theta, level=level, M=M)
     taming = taming_for_level(problem, level, M, delta)
-    skeleton = theta_em_path(
-        problem.with_noise_scale(0.0), grid, noise=None, taming=taming)
-    z = skeleton.values[skeleton.m:]
+    try:
+        skeleton = theta_em_path(
+            problem.with_noise_scale(0.0), grid, noise=None, taming=taming)
+    except NonConvergence as exc:
+        raise NonConvergence(f"deviation level {level} skeleton: {exc}",
+                             exc.iterations, exc.residual) from exc
 
     def cell(i: int, eps: float) -> float:
-        noisy_problem = problem.with_noise_scale(eps)
-        stream = NoiseStream(
-            master_seed=_cell_seed(seed, 4, i),
-            level=level,
-            path_index=np.arange(n_paths),
-            dim=problem.dim_noise,
-            n_steps=grid.total_steps_N,
-        )
-        path = theta_em_path(noisy_problem, grid, noise=stream, taming=taming)
-        diff = path.values[path.m:] - z[:, None, :]
-        sup_sq = np.sum(diff * diff, axis=-1).max(axis=0)
-        _refuse_blown_up(_cell_name("deviation", level, eps, 0, n_paths),
-                         sup_sq)
+        _, sup_sq = _path_samples(
+            problem.with_noise_scale(eps), level, M, theta, delta,
+            _cell_seed(seed, 4, i), n_paths, "deviation",
+            centre=skeleton.values[skeleton.m:])
         return float(sup_sq.mean())
 
-    deviations = _run_cells(
-        [lambda i=i, eps=eps: cell(i, eps)
-         for i, eps in enumerate(eps_values)],
-        jobs,
-    )
+    deviations = _run_cells([lambda i=i, eps=eps: cell(i, eps)
+                             for i, eps in enumerate(eps_values)], jobs)
     records = [
         _record("deviation", level, grid.step_h, eps, theta, delta,
                 "deviation_sup_sq", dev, n_paths, seed)
@@ -318,16 +346,50 @@ def small_noise_deviation(
 
 def _pair_sq_moments(problem, level, M, theta, delta, n_paths, master_seed):
     """(sup over coarse nodes, terminal) of E|fine - coarse|^2."""
-    pair = LevelPair.for_problem(problem, level, M=M, theta=theta, delta=delta)
-    stream = pair.noise_stream(master_seed, np.arange(n_paths),
-                               problem.dim_noise)
-    coupled = simulate_coupled(problem, pair, stream)
-    diff = coupled.state_difference()
-    sq = np.sum(diff * diff, axis=-1)
-    _refuse_blown_up(_cell_name("rates-moment", level, problem.noise_scale,
-                                0, n_paths), sq)
+    sq, = _pair_samples(problem, level, M, theta, delta, master_seed,
+                        n_paths, "rates-moment")
     per_node = sq.mean(axis=-1)
-    return float(per_node.max()), float(per_node[-1]), pair
+    return float(per_node.max()), float(per_node[-1])
+
+
+def _two_sweeps(experiment, problem, theta, delta, M, level_sweep,
+                eps_sweep, n_paths, seed, jobs, cell):
+    """The level and noise sweeps of :func:`coupled_moment_rates` and
+    :func:`coupled_variance_rates`.
+
+    ``cell(problem, level, master_seed, k)`` returns a dict of statistics,
+    ``k`` enumerating the cells of both sweeps.  Returns ``(h_values,
+    eps_values, level_columns, eps_columns, records)``, a column holding
+    one statistic over a sweep as a tuple.
+    """
+    levels = sorted(int(lv) for lv in level_sweep)
+    if len(levels) < 3:
+        raise ValueError("level_sweep needs >= 3 levels")
+    eps_values = [float(e) for e in eps_sweep]
+    if len(eps_values) < 3:
+        raise ValueError("eps_sweep needs >= 3 noise scales")
+
+    runs = [(problem, lv, _cell_seed(seed, 0)) for lv in levels]
+    runs += [(problem.with_noise_scale(eps), levels[-1],
+              _cell_seed(seed, 1, i)) for i, eps in enumerate(eps_values)]
+    results = _run_cells([lambda k=k, run=run: cell(*run, k)
+                          for k, run in enumerate(runs)], jobs)
+    records = tuple(
+        _record(experiment, lv, problem.horizon * float(M) ** (-lv),
+                cell_problem.noise_scale, theta, delta, stat, value,
+                n_paths, seed)
+        for (cell_problem, lv, _), stats in zip(runs, results)
+        for stat, value in stats.items()
+    )
+    coarse = 0 if delta is None else 1  # see coupled_moment_rates
+    h_values = tuple(problem.horizon * float(M) ** (coarse - lv)
+                     for lv in levels)
+
+    def columns(stats):
+        return {key: tuple(s[key] for s in stats) for key in stats[0]}
+
+    return (h_values, tuple(eps_values), columns(results[:len(levels)]),
+            columns(results[len(levels):]), records)
 
 
 @dataclass(frozen=True)
@@ -368,64 +430,27 @@ def coupled_moment_rates(
     each regime's bound convention; the slope is unaffected by that
     constant factor.
     """
-    levels = sorted(int(lv) for lv in level_sweep)
-    if len(levels) < 3:
-        raise ValueError("level_sweep needs >= 3 levels")
-    eps_values = [float(e) for e in eps_sweep]
-    if len(eps_values) < 3:
-        raise ValueError("eps_sweep needs >= 3 noise scales")
+    sup, term = "coupled_sup_sq_moment", "coupled_terminal_sq_moment"
 
-    top = levels[-1]
-    level_cells = [
-        lambda lv=lv: _pair_sq_moments(
-            problem, lv, M, theta, delta, n_paths, _cell_seed(seed, 0))
-        for lv in levels
-    ]
-    eps_cells = [
-        lambda i=i, eps=eps: _pair_sq_moments(
-            problem.with_noise_scale(eps), top, M, theta, delta, n_paths,
-            _cell_seed(seed, 1, i))
-        for i, eps in enumerate(eps_values)
-    ]
-    results = _run_cells(level_cells + eps_cells, jobs)
+    def cell(cell_problem, level, master_seed, k):
+        return dict(zip((sup, term), _pair_sq_moments(
+            cell_problem, level, M, theta, delta, n_paths, master_seed)))
 
-    records = []
-    h_values, h_sup, h_term = [], [], []
-    for lv, (sup, term, pair) in zip(levels, results[: len(levels)]):
-        x = pair.h_fine if delta is None else pair.h_coarse
-        h_values.append(x)
-        h_sup.append(sup)
-        h_term.append(term)
-        for stat, val in (("coupled_sup_sq_moment", sup),
-                          ("coupled_terminal_sq_moment", term)):
-            records.append(_record(
-                "rates-moment", lv, pair.h_fine, problem.noise_scale,
-                theta, delta, stat, val, n_paths, seed,
-            ))
-
-    eps_sup, eps_term = [], []
-    for eps, (sup, term, pair) in zip(eps_values, results[len(levels):]):
-        eps_sup.append(sup)
-        eps_term.append(term)
-        for stat, val in (("coupled_sup_sq_moment", sup),
-                          ("coupled_terminal_sq_moment", term)):
-            records.append(_record(
-                "rates-moment", top, pair.h_fine, eps, theta, delta,
-                stat, val, n_paths, seed,
-            ))
-
+    h_values, eps_values, h, e, records = _two_sweeps(
+        "rates-moment", problem, theta, delta, M, level_sweep, eps_sweep,
+        n_paths, seed, jobs, cell)
     return MomentRates(
-        h_slope=RateFit.from_data(h_values, h_sup),
-        eps_slope=RateFit.from_data(eps_values, eps_sup),
-        h_slope_terminal=RateFit.from_data(h_values, h_term),
-        eps_slope_terminal=RateFit.from_data(eps_values, eps_term),
-        h_values=tuple(h_values),
-        h_sup=tuple(h_sup),
-        h_terminal=tuple(h_term),
-        eps_values=tuple(eps_values),
-        eps_sup=tuple(eps_sup),
-        eps_terminal=tuple(eps_term),
-        records=tuple(records),
+        h_slope=RateFit.from_data(h_values, h[sup]),
+        eps_slope=RateFit.from_data(eps_values, e[sup]),
+        h_slope_terminal=RateFit.from_data(h_values, h[term]),
+        eps_slope_terminal=RateFit.from_data(eps_values, e[term]),
+        h_values=h_values,
+        h_sup=h[sup],
+        h_terminal=h[term],
+        eps_values=eps_values,
+        eps_sup=e[sup],
+        eps_terminal=e[term],
+        records=records,
     )
 
 
@@ -436,14 +461,15 @@ def coupled_moment_rates(
 def _coupled_payoff_var(problem, psi, level, M, theta, delta, n_paths,
                         master_seed):
     pair = LevelPair.for_problem(problem, level, M=M, theta=theta, delta=delta)
-    stream = pair.noise_stream(master_seed, np.arange(n_paths),
-                               problem.dim_noise)
-    coupled = simulate_coupled(problem, pair, stream, full_path=False)
-    pf = psi.eval(coupled.fine.terminal)
-    pc = psi.eval(coupled.coarse.terminal)
-    _refuse_blown_up(_cell_name("rates-variance", level, problem.noise_scale,
-                                0, n_paths), pf, pc)
-    return float(np.var(pf - pc, ddof=1)), pair
+
+    def chunk(a, b):
+        coupled = simulate_coupled(problem, pair, pair.noise_stream(
+            master_seed, np.arange(a, b), problem.dim_noise), full_path=False)
+        return coupled_payoff_delta(coupled, psi)[:1]
+
+    deltas, = _cell_samples(chunk, "rates-variance", problem, level, M,
+                            n_paths)
+    return float(np.var(deltas, ddof=1))
 
 
 def _uncoupled_payoff_var(problem, psi, level, M, theta, delta, n_paths,
@@ -451,20 +477,13 @@ def _uncoupled_payoff_var(problem, psi, level, M, theta, delta, n_paths,
     """Variance of the payoff difference across INDEPENDENT runs."""
     out = []
     for lv, cell_seed in ((level, seed_fine), (level - 1, seed_coarse)):
-        grid = GridSpec.for_problem(problem, theta=theta, level=lv, M=M)
-        taming = taming_for_level(problem, lv, M, delta)
-        stream = NoiseStream(
-            master_seed=cell_seed,
-            level=lv,
-            path_index=np.arange(n_paths),
-            dim=problem.dim_noise,
-            n_steps=grid.total_steps_N,
-        )
-        path = theta_em_path(problem, grid, noise=stream, taming=taming,
-                             full_path=False)
-        out.append(psi.eval(path.terminal))
-        _refuse_blown_up(_cell_name("rates-variance uncoupled", lv,
-                                    problem.noise_scale, 0, n_paths), out[-1])
+        def chunk(a, b, lv=lv, cell_seed=cell_seed):
+            path = _level_paths(problem, lv, M, theta, delta, cell_seed, a,
+                                b, full_path=False)
+            return (psi.eval(path.terminal),)
+
+        out += _cell_samples(chunk, "rates-variance uncoupled", problem, lv,
+                             M, n_paths)
     return float(np.var(out[0] - out[1], ddof=1))
 
 
@@ -507,74 +526,30 @@ def coupled_variance_rates(
     substreams) whose difference variance does not benefit from shared
     noise; the coupled value should sit below it everywhere.
     """
-    levels = sorted(int(lv) for lv in level_sweep)
-    if len(levels) < 3:
-        raise ValueError("level_sweep needs >= 3 levels")
-    eps_values = [float(e) for e in eps_sweep]
-    if len(eps_values) < 3:
-        raise ValueError("eps_sweep needs >= 3 noise scales")
+    def cell(cell_problem, level, master_seed, k):
+        return {
+            "var_delta_coupled": _coupled_payoff_var(
+                cell_problem, psi, level, M, theta, delta, n_paths,
+                master_seed),
+            "var_delta_uncoupled": _uncoupled_payoff_var(
+                cell_problem, psi, level, M, theta, delta, n_paths,
+                _cell_seed(seed, 2, k), _cell_seed(seed, 3, k)),
+        }
 
-    top = levels[-1]
-    n_h = len(levels)
-
-    def level_cell(j, lv):
-        var_c, pair = _coupled_payoff_var(
-            problem, psi, lv, M, theta, delta, n_paths, _cell_seed(seed, 0))
-        var_u = _uncoupled_payoff_var(
-            problem, psi, lv, M, theta, delta, n_paths,
-            _cell_seed(seed, 2, j), _cell_seed(seed, 3, j))
-        return var_c, var_u, pair
-
-    def eps_cell(i, eps):
-        noisy = problem.with_noise_scale(eps)
-        var_c, pair = _coupled_payoff_var(
-            noisy, psi, top, M, theta, delta, n_paths, _cell_seed(seed, 1, i))
-        var_u = _uncoupled_payoff_var(
-            noisy, psi, top, M, theta, delta, n_paths,
-            _cell_seed(seed, 2, n_h + i), _cell_seed(seed, 3, n_h + i))
-        return var_c, var_u, pair
-
-    thunks = [lambda j=j, lv=lv: level_cell(j, lv)
-              for j, lv in enumerate(levels)]
-    thunks += [lambda i=i, eps=eps: eps_cell(i, eps)
-               for i, eps in enumerate(eps_values)]
-    results = _run_cells(thunks, jobs)
-
-    records = []
-    h_values, h_coup, h_unc = [], [], []
-    for lv, (var_c, var_u, pair) in zip(levels, results[:n_h]):
-        x = pair.h_fine if delta is None else pair.h_coarse
-        h_values.append(x)
-        h_coup.append(var_c)
-        h_unc.append(var_u)
-        for stat, val in (("var_delta_coupled", var_c),
-                          ("var_delta_uncoupled", var_u)):
-            records.append(_record(
-                "rates-variance", lv, pair.h_fine, problem.noise_scale,
-                theta, delta, stat, val, n_paths, seed,
-            ))
-
-    eps_coup, eps_unc = [], []
-    for eps, (var_c, var_u, pair) in zip(eps_values, results[n_h:]):
-        eps_coup.append(var_c)
-        eps_unc.append(var_u)
-        for stat, val in (("var_delta_coupled", var_c),
-                          ("var_delta_uncoupled", var_u)):
-            records.append(_record(
-                "rates-variance", top, pair.h_fine, eps, theta, delta,
-                stat, val, n_paths, seed,
-            ))
-
+    h_values, eps_values, h, e, records = _two_sweeps(
+        "rates-variance", problem, theta, delta, M, level_sweep, eps_sweep,
+        n_paths, seed, jobs, cell)
+    coupled, uncoupled = "var_delta_coupled", "var_delta_uncoupled"
     return VarianceRates(
-        h_slope=RateFit.from_data(h_values, h_coup),
-        eps_slope=RateFit.from_data(eps_values, eps_coup),
-        h_values=tuple(h_values),
-        h_coupled=tuple(h_coup),
-        h_uncoupled=tuple(h_unc),
-        eps_values=tuple(eps_values),
-        eps_coupled=tuple(eps_coup),
-        eps_uncoupled=tuple(eps_unc),
-        records=tuple(records),
+        h_slope=RateFit.from_data(h_values, h[coupled]),
+        eps_slope=RateFit.from_data(eps_values, e[coupled]),
+        h_values=h_values,
+        h_coupled=h[coupled],
+        h_uncoupled=h[uncoupled],
+        eps_values=eps_values,
+        eps_coupled=e[coupled],
+        eps_uncoupled=e[uncoupled],
+        records=records,
     )
 
 
@@ -626,7 +601,7 @@ def strong_error_rate(
 
     eps = problem.noise_scale
 
-    def chunk(a: int, b: int) -> dict[int, float]:
+    def chunk(a: int, b: int) -> list[np.ndarray]:
         stream = NoiseStream(
             master_seed=_cell_seed(seed, 0),
             level=ref_level,
@@ -638,30 +613,27 @@ def strong_error_rate(
         dw_ref *= np.sqrt(grid_ref.step_h)
         ref = theta_em_path(problem, grid_ref, noise=dw_ref, full_path=False)
         psi_ref = psi.eval(ref.terminal)
-        _refuse_blown_up(_cell_name("rates-strong reference", ref_level, eps,
-                                    a, b), psi_ref)
-        sums = {}
+        _refuse_blown_up(f"rates-strong reference level {ref_level} (eps "
+                         f"{eps:g}), paths [{a}, {b})", psi_ref)
+        errors_sq = []
         for lv in levels:
             dw = _block_sums(dw_ref, M ** (ref_level - lv))
             path = theta_em_path(problem, grids[lv], noise=dw,
                                  full_path=False)
             psi_lv = psi.eval(path.terminal)
-            _refuse_blown_up(_cell_name("rates-strong", lv, eps, a, b),
-                             psi_lv)
+            _refuse_blown_up(f"rates-strong level {lv} (eps {eps:g}), paths "
+                             f"[{a}, {b})", psi_lv)
             diff = psi_ref - psi_lv
-            sums[lv] = float(np.sum(diff * diff))
-        return sums
+            errors_sq.append(diff * diff)
+        return errors_sq
 
-    chunk_sums = _run_cells(
-        [lambda a=a, b=b: chunk(a, b)
-         for a, b in _chunk_ranges(0, n_paths, chunk_paths)], jobs)
-    err_sums = {lv: 0.0 for lv in levels}
-    for sums in chunk_sums:
-        for lv in levels:
-            err_sums[lv] += sums[lv]
-
+    chunks = _run_chunks(
+        chunk, f"rates-strong levels {levels[0]}..{ref_level} (eps {eps:g})",
+        0, n_paths, chunk_paths, jobs)
     h_values = [grids[lv].step_h for lv in levels]
-    errors = [err_sums[lv] / n_paths for lv in levels]
+    # Each level's per-chunk sums, added in chunk order.
+    errors = [sum(float(np.sum(part)) for part in parts) / n_paths
+              for parts in zip(*chunks)]
     records = tuple(
         _record("rates-strong", lv, grids[lv].step_h, eps, theta, None,
                 "strong_error_sq", err, n_paths, seed)

@@ -5,8 +5,12 @@ analysis module) plus a human-readable ``<out>.summary.txt`` with the
 resolved configuration, headline results, and wall time.  Runs are
 deterministic: the same configuration and seed produce byte-identical
 CSV regardless of ``--jobs``.  Only the rates and deviation sweeps use
-threads, over cells with per-cell substreams; path, coupled and mlmc run
-their fixed chunks in order on one thread.
+threads, over cells with per-cell substreams (rates-strong over its path
+chunks); path, coupled and mlmc run on one thread.  Path batches run in
+chunks: MLMC levels fold chunks of 4096 paths, rates-strong sums chunks
+of ``chunk_paths``, and every other batch (the path and coupled runs
+reuse the cells of the deviation and rates-moment sweeps) keeps a chunk
+within 2**24 draws.
 
 Configuration is layered: per-experiment defaults, then a ``--config``
 file of flat ``key=value`` lines, then command-line flags.  The config
@@ -32,24 +36,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import (
-    _cell_name,
+    _pair_samples,
+    _path_samples,
     _record,
     coupled_moment_rates,
     coupled_variance_rates,
     small_noise_deviation,
     strong_error_rate,
 )
-from .coupling import LevelPair, coupled_payoff_delta, simulate_coupled
-from .mlmc import _chunk_ranges, _refuse_blown_up, mlmc_estimate
+from .mlmc import mlmc_estimate
 from .model import SddeProblem, builtin_payoff, builtin_problem
-from .rng import NoiseStream
-from .scheme import (
-    AdmissibilityError,
-    GridSpec,
-    NonConvergence,
-    taming_for_level,
-    theta_em_path,
-)
+from .scheme import AdmissibilityError, NonConvergence
 
 __all__ = ["RunConfig", "main", "run"]
 
@@ -404,76 +401,43 @@ def _build_payoff(cfg: RunConfig):
 
 
 def _run_path(cfg: RunConfig, problem: SddeProblem):
-    level = cfg.base_level
-    grid = GridSpec.for_problem(problem, theta=cfg.theta, level=level,
-                                M=cfg.M)
-    taming = taming_for_level(problem, level, cfg.M, cfg.delta)
-    terminals, sups = [], []
-    for a, b in _chunk_ranges(0, cfg.samples):
-        stream = NoiseStream(master_seed=cfg.seed, level=level,
-                             path_index=np.arange(a, b),
-                             dim=problem.dim_noise,
-                             n_steps=grid.total_steps_N)
-        path = theta_em_path(problem, grid, noise=stream, taming=taming)
-        body = path.values[path.m:]
-        sup_sq = np.sum(body * body, axis=-1).max(axis=0)
-        _refuse_blown_up(_cell_name("path", level, problem.noise_scale, a, b),
-                         sup_sq)
-        terminals.append(body[-1])
-        sups.append(sup_sq)
-    terminal = np.concatenate(terminals)
-    sup_sq = np.concatenate(sups)
+    terminal, sup_sq = _path_samples(problem, cfg.base_level, cfg.M,
+                                     cfg.theta, cfg.delta, cfg.seed,
+                                     cfg.samples, "path")
     stats = (
-        ("terminal_mean", float(terminal[:, 0].mean())),
-        ("terminal_variance", float(np.var(terminal[:, 0], ddof=1))),
-        ("terminal_second_moment", float(np.sum(terminal**2, axis=-1).mean())),
+        ("terminal_mean", float(terminal[0].mean())),
+        ("terminal_variance", float(np.var(terminal[0], ddof=1))),
+        ("terminal_second_moment", float(np.sum(terminal**2, axis=0).mean())),
         ("sup_second_moment", float(sup_sq.mean())),
     )
-    records = [
-        _record("path", level, grid.step_h, problem.noise_scale, cfg.theta,
-                cfg.delta, name, value, cfg.samples, cfg.seed)
-        for name, value in stats
-    ]
-    summary = [f"{name} = {value!r}" for name, value in stats]
-    return records, summary
+    return _cell_output(cfg, problem, "path", stats)
 
 
 def _run_coupled(cfg: RunConfig, problem: SddeProblem):
-    level = cfg.base_level
     psi = _build_payoff(cfg)
-    pair = LevelPair.for_problem(problem, level, M=cfg.M, theta=cfg.theta,
-                                 delta=cfg.delta)
-    node_sq_sum = None
-    deltas = []
-    for a, b in _chunk_ranges(0, cfg.samples):
-        stream = pair.noise_stream(cfg.seed, np.arange(a, b),
-                                   problem.dim_noise)
-        coupled = simulate_coupled(problem, pair, stream)
-        diff = coupled.state_difference()
-        sq = np.sum(diff * diff, axis=-1)
-        delta = coupled_payoff_delta(coupled, psi)[0]
-        _refuse_blown_up(_cell_name("coupled", level, problem.noise_scale,
-                                    a, b), sq, delta)
-        chunk_sum = sq.sum(axis=1)
-        node_sq_sum = (chunk_sum if node_sq_sum is None
-                       else node_sq_sum + chunk_sum)
-        deltas.append(delta)
-    per_node = node_sq_sum / cfg.samples
-    delta_arr = np.concatenate(deltas)
+    sq, deltas = _pair_samples(problem, cfg.base_level, cfg.M, cfg.theta,
+                               cfg.delta, cfg.seed, cfg.samples, "coupled",
+                               psi)
+    per_node = sq.mean(axis=-1)
     stats = (
         ("coupled_sup_sq_moment", float(per_node.max())),
         ("coupled_terminal_sq_moment", float(per_node[-1])),
-        ("mean_delta", float(delta_arr.mean())),
-        ("var_delta", float(np.var(delta_arr, ddof=1))),
+        ("mean_delta", float(deltas.mean())),
+        ("var_delta", float(np.var(deltas, ddof=1))),
     )
+    records, summary = _cell_output(cfg, problem, "coupled", stats)
+    return records, [f"payoff = {psi.name}"] + summary
+
+
+def _cell_output(cfg: RunConfig, problem: SddeProblem, experiment, stats):
+    """Records and summary lines of a one-cell run at ``base_level``."""
+    h = problem.horizon * float(cfg.M) ** (-cfg.base_level)
     records = [
-        _record("coupled", level, pair.h_fine, problem.noise_scale,
+        _record(experiment, cfg.base_level, h, problem.noise_scale,
                 cfg.theta, cfg.delta, name, value, cfg.samples, cfg.seed)
         for name, value in stats
     ]
-    summary = [f"payoff = {psi.name}"]
-    summary += [f"{name} = {value!r}" for name, value in stats]
-    return records, summary
+    return records, [f"{name} = {value!r}" for name, value in stats]
 
 
 def _run_mlmc(cfg: RunConfig, problem: SddeProblem):

@@ -6,10 +6,12 @@ tests/test_acceptance.py.  Exact checks (skeleton oracles, record
 schemas, worker-count invariance) are the load-bearing part.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from mlmc_sdde import analysis
+from mlmc_sdde import analysis, cli
 from mlmc_sdde.analysis import (
     EnvelopeFit,
     RateFit,
@@ -357,6 +359,89 @@ def test_sweeps_are_invariant_under_jobs():
     s1 = strong_error_rate(problem, psi, **se_kw)
     s2 = strong_error_rate(problem, psi, jobs=4, **se_kw)
     assert s1.errors_sq == s2.errors_sq
+
+
+# ---------------------------------------------------------------------------
+# Chunked cells
+# ---------------------------------------------------------------------------
+
+def _record_chunking(monkeypatch):
+    """Wrap the chunk runner; returns the list of ``(where, paths, chunk
+    size)`` it is called with."""
+    seen = []
+    original = analysis._run_chunks
+
+    def recording(chunk_fn, where, start, stop, chunk_size, jobs=None):
+        seen.append((where, stop - start, chunk_size))
+        return original(chunk_fn, where, start, stop, chunk_size, jobs)
+
+    monkeypatch.setattr(analysis, "_run_chunks", recording)
+    return seen
+
+
+def test_cell_chunks_bound_memory_and_keep_values(monkeypatch):
+    # Level 4 at M = 4 has 256 fine steps, so a budget of 2**18 draws runs
+    # the 4000 paths of a cell in chunks of 1024.
+    problem = _strong_noise_problem(eps=0.1)
+    psi = builtin_payoff("tanh")
+    cells = [
+        (analysis._coupled_payoff_var,
+         (problem, psi, 4, 4, 0.0, None, 4000, 5), 3.0),
+        (analysis._pair_sq_moments,
+         (problem, 4, 4, 0.0, None, 4000, 5), 2.5),
+    ]
+
+    def traced(fn, args):
+        tracemalloc.start()
+        try:
+            value = fn(*args)
+            return value, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for fn, args, factor in cells:
+        whole, whole_peak = traced(fn, args)
+        seen = _record_chunking(monkeypatch)
+        monkeypatch.setattr(analysis, "_CHUNK_DRAWS", 2**18)
+        chunked, chunked_peak = traced(fn, args)
+        monkeypatch.undo()
+        assert [size for _, _, size in seen] == [1024]
+        assert chunked == whole
+        assert chunked_peak * factor <= whole_peak, (
+            fn.__name__, chunked_peak, whole_peak)
+
+
+def test_multi_chunk_cells_equal_one_batch_at_theta_zero(monkeypatch,
+                                                         tmp_path):
+    # The parameters of test_sweeps_are_invariant_under_jobs, with one
+    # path more, so every chunk size below leaves a short last chunk.
+    problem = _strong_noise_problem(eps=0.05)
+    psi = builtin_payoff("tanh")
+    mom = dict(theta=0.0, level_sweep=[3, 4, 5],
+               eps_sweep=[0.05, 0.1, 0.2], n_paths=121, seed=21)
+    dev = dict(level=4, theta=0.0,
+               eps_sweep=[0.005, 0.01, 0.02, 0.05], n_paths=121, seed=2)
+
+    def run_all(tag):
+        out = [coupled_moment_rates(problem, **mom).records,
+               coupled_variance_rates(problem, psi, **mom).records,
+               small_noise_deviation(problem, **dev).records]
+        for experiment in ("path", "coupled"):
+            csv = tmp_path / f"{experiment}-{tag}.csv"
+            assert cli.main(["--experiment", experiment, "--base-level", "3",
+                             "--samples", "121", "--out", str(csv)]) == 0
+            out.append(csv.read_bytes())
+        return out
+
+    whole = run_all("whole")
+    seen = _record_chunking(monkeypatch)
+    # 192 draws: 48 paths per chunk at level 2 down to 6 at level 5.
+    monkeypatch.setattr(analysis, "_CHUNK_DRAWS", 192)
+    chunked = run_all("chunked")
+    assert chunked == whole
+    assert len(seen) == 2 * 6 + 2 * 6 + 4 + 2
+    for where, paths, size in seen:
+        assert -(-paths // size) >= 3 and paths % size, where
 
 
 def test_records_share_one_canonical_schema():

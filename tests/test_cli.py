@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import mlmc_sdde
+from mlmc_sdde import scheme
 from mlmc_sdde.cli import (
     CSV_COLUMNS,
     DEFAULTS,
@@ -230,6 +231,35 @@ def test_blown_up_analysis_cells_exit_two_naming_experiment_level_and_paths(
     err = capsys.readouterr().err
     assert (f"{experiment} level 3 (eps {eps}), paths [0, 16): 16 "
             "non-finite samples") in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, where", [
+    ("path", "path level 3 (eps 0.1), paths [0, 16)"),
+    ("coupled", "coupled level 3 (eps 0.1), paths [0, 16)"),
+    ("rates-moment", "rates-moment level 3 (eps 0.0001), paths [0, 16)"),
+    ("rates-variance", "rates-variance level 3 (eps 1e-05), paths [0, 16)"),
+    ("deviation", "deviation level 3 (eps 0.002), paths [0, 16)"),
+    ("deviation", "deviation level 3 skeleton"),
+])
+def test_solver_failures_exit_three_naming_experiment_level_and_paths(
+        tmp_path, monkeypatch, capsys, experiment, where):
+    # Every solve of a path batch stalls; the one-path skeleton of the
+    # deviation experiment stalls too only in the case that names it.
+    original = scheme.implicit_step_solve
+
+    def stall(base, *args, **kwargs):
+        if len(base) == 1 and "skeleton" not in where:
+            return original(base, *args, **kwargs)
+        raise NonConvergence("stage stalled", iterations=7, residual=1.0)
+
+    monkeypatch.setattr(scheme, "implicit_step_solve", stall)
+    out = tmp_path / "x.csv"
+    code = _run(["--experiment", experiment, "--theta", "0.5",
+                 "--base-level", "3", "--samples", "16", "--jobs", "2",
+                 "--out", str(out)])
+    assert code == 3
+    assert f"{where}: " in capsys.readouterr().err
     assert not out.exists()
 
 
