@@ -601,6 +601,19 @@ def strong_error_rate(
 
     eps = problem.noise_scale
 
+    def terminal_payoff(name: str, grid: GridSpec,
+                        dw: np.ndarray) -> np.ndarray:
+        # One grid's payoffs; a stalled solve or a blown-up path is named
+        # by the grid and the chunk.
+        try:
+            path = theta_em_path(problem, grid, noise=dw, full_path=False)
+        except NonConvergence as exc:
+            raise NonConvergence(f"{name}: {exc}", exc.iterations,
+                                 exc.residual) from exc
+        values = psi.eval(path.terminal)
+        _refuse_blown_up(name, values)
+        return values
+
     def chunk(a: int, b: int) -> list[np.ndarray]:
         stream = NoiseStream(
             master_seed=_cell_seed(seed, 0),
@@ -611,18 +624,14 @@ def strong_error_rate(
         )
         dw_ref = stream.gaussian_increment(range(n_ref))
         dw_ref *= np.sqrt(grid_ref.step_h)
-        ref = theta_em_path(problem, grid_ref, noise=dw_ref, full_path=False)
-        psi_ref = psi.eval(ref.terminal)
-        _refuse_blown_up(f"rates-strong reference level {ref_level} (eps "
-                         f"{eps:g}), paths [{a}, {b})", psi_ref)
+        psi_ref = terminal_payoff(
+            f"rates-strong reference level {ref_level} (eps {eps:g}), "
+            f"paths [{a}, {b})", grid_ref, dw_ref)
         errors_sq = []
         for lv in levels:
-            dw = _block_sums(dw_ref, M ** (ref_level - lv))
-            path = theta_em_path(problem, grids[lv], noise=dw,
-                                 full_path=False)
-            psi_lv = psi.eval(path.terminal)
-            _refuse_blown_up(f"rates-strong level {lv} (eps {eps:g}), paths "
-                             f"[{a}, {b})", psi_lv)
+            psi_lv = terminal_payoff(
+                f"rates-strong level {lv} (eps {eps:g}), paths [{a}, {b})",
+                grids[lv], _block_sums(dw_ref, M ** (ref_level - lv)))
             diff = psi_ref - psi_lv
             errors_sq.append(diff * diff)
         return errors_sq

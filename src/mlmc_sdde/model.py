@@ -313,7 +313,7 @@ def _cubic_onesided(*, c=0.5, sigma=0.5, x0=5.0,
         )
 
     def drift(x, y):
-        return -(x**3) + c * y
+        return c * y - x * x * x
 
     def diffusion(x, y):
         del y

@@ -8,11 +8,14 @@ advances
 
 with ``xi_n`` i.i.d. standard normal vectors.  ``theta = 0`` is the
 explicit Euler-Maruyama scheme and is computed in exactly that closed
-form; ``theta > 0`` solves the implicit relation with a fixed-point
-iteration that falls back to a damped Newton method.  Because ``m >= 1``,
-the delayed argument ``X_{n+1-m}`` of the implicit stage is always a
-value already computed, so the solve is a plain nonlinear equation in
-``X_{n+1}`` only.
+form; ``theta > 0`` solves the implicit relation with a secant-accelerated
+(Anderson(1)) fixed-point iteration that falls back to a damped Newton
+method.  Because ``m >= 1``, the delayed argument ``X_{n+1-m}`` of the
+implicit stage is always a value already computed, so the solve is a
+plain nonlinear equation in ``X_{n+1}`` only.  The solve returns the
+array it last evaluated the drift at, with ``X_{n+1-m}``; those are the
+arguments of the next step's first drift evaluation, so the step loop
+reuses that value, bit for bit what a fresh call would return.
 
 Drift taming replaces ``f`` by ``f / (1 + h_c^delta |f|)`` for a coarse
 step size ``h_c`` and an exponent ``delta`` in (0, 1/2].  The tamed drift
@@ -310,32 +313,52 @@ def implicit_step_solve(
 ) -> np.ndarray:
     """Solve ``x - theta h f(x, delayed) = y_target`` for ``x``.
 
-    Runs fixed-point iteration while it contracts and switches to a damped
-    Newton method with finite-difference Jacobians when it stalls.  The
-    residual is measured as ``max_batch |x - theta h f(x, d) - y|`` and
-    must fall below ``tol_abs``.  Raises :class:`NonConvergence` after
-    ``max_iter`` total iterations; the step size is never adapted here.
+    Iterates ``g(x) = y + theta h f(x, d)`` with a secant (Anderson(1))
+    acceleration while it contracts, and switches to a damped Newton
+    method with finite-difference Jacobians when it stalls or diverges.
+    The first iteration is the plain step ``x <- g(x)``; after it each row
+    takes ``x <- g_k - gamma (g_k - g_{k-1})`` with ``gamma = <r_k, dr> /
+    <dr, dr>``, ``r = x - theta h f - y`` and ``dr = r_k - r_{k-1}``; for
+    one state coordinate ``gamma = r_k / dr`` and this is the secant
+    method on ``r``.  A row whose residual rose since the last iterate, or
+    whose ``gamma`` is not finite, takes the plain step.  Should the
+    accelerated run miss the tolerance within ``max_iter`` iterations, the
+    solve starts again from ``x0`` (or ``y_target``) with plain steps
+    ``x <- g(x)`` and the same Newton fallback, and that run decides: it
+    converges on every input the plain iteration converges on, and its
+    :class:`NonConvergence` is the one raised.
+
+    The residual is measured as ``max_batch |(x - theta h f(x, d)) - y|``
+    and must fall below ``tol_abs``; the step size is never adapted here.
+    The returned array is the last one the drift was evaluated at, with
+    ``delayed`` as its second argument, which lets the step loop reuse
+    that evaluation.  No input and no array the drift returned is ever
+    written.
     """
     y = np.asarray(y_target, dtype=float)
     d = np.asarray(delayed, dtype=float)
     th = theta * h
     if th == 0.0:
         return y.copy()
-
-    # Each iterate is a fresh array that nothing writes once the drift has
-    # seen it; th*f(x) and the residual live in scratch owned here, so no
-    # input and no array the drift returned is ever written.
     x = np.array(y if x0 is None else x0, dtype=float)
-    shape = np.broadcast_shapes(x.shape, y.shape, d.shape)
-    t, r = np.empty(shape), np.empty(shape)
+    try:
+        return _iterate(y, d, drift, th, x, tol_abs, max_iter, secant=True)
+    except NonConvergence:
+        return _iterate(y, d, drift, th, x, tol_abs, max_iter, secant=False)
+
+
+def _iterate(y, d, drift, th, x, tol_abs, max_iter, secant):
+    # Every iterate, g and residual is a fresh array that nothing writes
+    # once made, so no input and no array the drift returned is written.
     fp_budget = min(60, max_iter)
     prev_res = np.inf
     used = 0
+    g_prev = r_prev = sq_prev = None
     for _ in range(fp_budget):
-        np.multiply(drift(x, d), th, out=t)
-        np.subtract(x, t, out=r)
-        r -= y
-        res = _max_norm(r)
+        t = drift(x, d) * th
+        r = x - t - y
+        sq = _row_sum(r * r)
+        res = math.sqrt(sq.max(initial=0.0))
         used += 1
         if res <= tol_abs:
             return x
@@ -344,21 +367,37 @@ def implicit_step_solve(
         if res > 0.9 * prev_res and used >= 5:
             break  # too slow, hand over to Newton
         prev_res = res
-        x = t + y
+        g = t + y
+        if r_prev is None:
+            x = g
+        else:
+            dr = r - r_prev
+            # With one coordinate gamma is the secant quotient r / dr;
+            # dividing directly saves two passes and never squares dr.
+            with np.errstate(divide="ignore", invalid="ignore",
+                             over="ignore"):
+                gamma = (r / dr if r.shape[-1] == 1 else
+                         _row_sum(r * dr) / _row_sum(dr * dr))
+            accelerate = np.isfinite(gamma)
+            accelerate &= sq <= sq_prev
+            dg = g - g_prev
+            dg *= np.where(accelerate, gamma, 0.0)
+            x = g - dg
+        if secant:
+            g_prev, r_prev, sq_prev = g, r, sq
     if not np.all(np.isfinite(x)):
         x = y.copy()
     return _newton_solve(y, d, drift, th, x, tol_abs, max_iter - used, used)
 
 
-def _max_norm(r: np.ndarray) -> float:
-    """``max_batch |r|`` over the last axis; squares ``r`` in place.
+def _row_sum(v: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, kept as an axis of length 1.
 
-    Computed as sqrt(max sum r^2): sqrt is monotone and correctly rounded,
-    so this equals the largest of the row norms bit for bit.
+    For squares this is the squared row norm, and the square root of its
+    maximum is the largest row norm bit for bit: sqrt is monotone and
+    correctly rounded.
     """
-    np.multiply(r, r, out=r)
-    sq = np.add.reduce(r, axis=-1) if r.shape[-1] > 1 else r
-    return math.sqrt(sq.max(initial=0.0))
+    return np.add.reduce(v, axis=-1, keepdims=True) if v.shape[-1] > 1 else v
 
 
 def _row_norms(r: np.ndarray) -> np.ndarray:
@@ -418,17 +457,41 @@ def _newton_solve(y, d, drift, th, x, tol_abs, budget, used):
     )
 
 
-def _step(x, x_del, x_del_next, h, theta, drift, diffusion, eps, dw):
-    """Advance one grid step of the theta scheme."""
-    fx = drift(x, x_del)
+class _LastDrift:
+    """A drift that remembers its last evaluation: argument and value."""
+
+    def __init__(self, drift):
+        self.drift = drift
+        self.x = self.value = None
+
+    def __call__(self, x, y):
+        self.value = self.drift(x, y)
+        self.x = x
+        return self.value
+
+
+def _step(x, x_del, x_del_next, h, theta, drift, diffusion, eps, dw, fx):
+    """Advance one grid step of the theta scheme.
+
+    ``fx`` is ``f(x, x_del)`` when the previous step's solve already
+    evaluated it, else ``None``.  Returns ``X_{n+1}`` and, when the
+    implicit stage returned the array the drift saw last,
+    ``f(X_{n+1}, x_del_next)``, else ``None``.  Those arguments are bit
+    for bit the next step's ``x`` and ``x_del``, so reusing the value is
+    exact.
+    """
+    if fx is None:
+        fx = drift(x, x_del)
     base = x + (1.0 - theta) * h * fx if theta > 0.0 else x + h * fx
     if dw is not None:
         gx = diffusion(x, x_del)
         base = base + eps * np.einsum("...ij,...j->...i", gx, dw)
     if theta == 0.0:
-        return base
+        return base, None
     x0 = base + theta * h * fx
-    return implicit_step_solve(base, x_del_next, drift, theta, h, x0=x0)
+    last = _LastDrift(drift)
+    x_next = implicit_step_solve(base, x_del_next, last, theta, h, x0=x0)
+    return x_next, last.value if x_next is last.x else None
 
 
 def _integrate(
@@ -476,13 +539,14 @@ def _integrate(
     values = np.empty((rows, 1 if n_paths is None else n_paths, a))
     values[(np.arange(-m, 1) + off) % rows] = hist[:, None, :]
 
+    fx = None
     for n in range(N):
         dw = increment(n) if increment is not None else None
         try:
-            values[(n + 1 + off) % rows] = _step(
+            values[(n + 1 + off) % rows], fx = _step(
                 values[(n + off) % rows], values[(n - m + off) % rows],
                 values[(n + 1 - m + off) % rows],
-                h, grid.theta, drift, problem.diffusion, eps, dw,
+                h, grid.theta, drift, problem.diffusion, eps, dw, fx,
             )
         except NonConvergence as exc:
             raise NonConvergence(

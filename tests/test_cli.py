@@ -241,16 +241,22 @@ def test_blown_up_analysis_cells_exit_two_naming_experiment_level_and_paths(
     ("rates-variance", "rates-variance level 3 (eps 1e-05), paths [0, 16)"),
     ("deviation", "deviation level 3 (eps 0.002), paths [0, 16)"),
     ("deviation", "deviation level 3 skeleton"),
+    ("rates-strong",
+     "rates-strong reference level 10 (eps 0.0001), paths [0, 16)"),
+    ("rates-strong", "rates-strong level 4 (eps 0.0001), paths [0, 16)"),
 ])
 def test_solver_failures_exit_three_naming_experiment_level_and_paths(
         tmp_path, monkeypatch, capsys, experiment, where):
     # Every solve of a path batch stalls; the one-path skeleton of the
-    # deviation experiment stalls too only in the case that names it.
+    # deviation experiment stalls too only in the case that names it, and
+    # the rates-strong case naming level 4 stalls on its grid (h = 1/16)
+    # only.
     original = scheme.implicit_step_solve
 
-    def stall(base, *args, **kwargs):
-        if len(base) == 1 and "skeleton" not in where:
-            return original(base, *args, **kwargs)
+    def stall(base, delayed, drift, theta, h, **kwargs):
+        if (len(base) == 1 and "skeleton" not in where
+                or where.startswith("rates-strong level 4") and h != 1 / 16):
+            return original(base, delayed, drift, theta, h, **kwargs)
         raise NonConvergence("stage stalled", iterations=7, residual=1.0)
 
     monkeypatch.setattr(scheme, "implicit_step_solve", stall)

@@ -4,9 +4,11 @@ Solver answers are checked against two independent oracles: the exact
 closed form for linear drifts, and interval bisection for the scalar
 cubic drift (whose implicit-stage residual is strictly increasing, so the
 root is unique and bisection cannot lie).  Path values for the explicit
-scheme are checked bit for bit against a hand-rolled loop.
+scheme and for the tamed implicit scheme are checked bit for bit against
+hand-rolled loops.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlmc_sdde.model import SddeProblem, GlobalLipschitz, builtin_problem, derived_constants
+from mlmc_sdde import scheme
 from mlmc_sdde.rng import NoiseStream
 from mlmc_sdde.scheme import (
     AdmissibilityError,
@@ -26,6 +29,7 @@ from mlmc_sdde.scheme import (
     check_admissibility,
     implicit_step_solve,
     tame_drift,
+    taming_for_level,
     theta_em_path,
 )
 
@@ -336,6 +340,55 @@ def test_implicit_path_satisfies_stage_equation():
             + p.noise_scale * p.diffusion(x, y)[..., 0] * dw
         )
         np.testing.assert_allclose(lhs, rhs, atol=5e-12)
+
+
+@pytest.mark.parametrize("full_path", [True, False])
+def test_implicit_steps_reuse_the_stage_drift_exactly(monkeypatch, full_path):
+    # Step n + 1 starts from f(X_{n+1}, X_{n+1-m}), which the stage solve
+    # of step n evaluated last.  The run must equal, bit for bit, a loop
+    # that calls the drift afresh at every step, and N implicit steps must
+    # make N - 1 fewer drift calls than the solves' evaluations plus N.
+    calls = {"all": 0, "solve": 0}
+    in_solve = [False]
+    cubic = builtin_problem("cubic_onesided", eps=0.5)
+
+    def drift(x, y):
+        calls["all"] += 1
+        calls["solve"] += in_solve[0]
+        return cubic.drift(x, y)
+
+    p = dataclasses.replace(cubic, drift=drift)
+    g = GridSpec.for_problem(p, theta=0.5, level=5)
+    taming = taming_for_level(p, 5, 2, 0.5)
+    h, m, N, theta = g.step_h, g.steps_per_delay_m, g.total_steps_N, g.theta
+    dw = math.sqrt(h) * np.random.default_rng(3).standard_normal((N, 6, 1))
+    solve = scheme.implicit_step_solve
+
+    def counted_solve(*args, **kwargs):
+        in_solve[0] = True
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            in_solve[0] = False
+
+    monkeypatch.setattr(scheme, "implicit_step_solve", counted_solve)
+    path = theta_em_path(p, g, noise=dw, taming=taming, full_path=full_path)
+    assert calls["solve"] >= N
+    assert calls["all"] == calls["solve"] + N - (N - 1)
+
+    vals = np.empty((N + m + 1, 6, 1))
+    vals[:m + 1] = p.initial_segment(h * np.arange(-m, 1))[:, None, :]
+    for n in range(N):
+        x, x_del = vals[m + n], vals[n]
+        fx = taming(x, x_del)
+        base = x + (1.0 - theta) * h * fx
+        base = base + p.noise_scale * np.einsum(
+            "...ij,...j->...i", p.diffusion(x, x_del), dw[n])
+        vals[m + n + 1] = solve(base, vals[n + 1], taming, theta, h,
+                                x0=base + theta * h * fx)
+    want = vals if full_path else vals[-(m + 1):]
+    assert path.values.shape == want.shape
+    assert path.values.tobytes() == want.tobytes()
 
 
 def test_history_occupies_buffer_head():

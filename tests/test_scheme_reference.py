@@ -2,16 +2,19 @@
 
 ``reference_implicit_step_solve``, ``_reference_newton_solve`` and
 ``reference_tame_drift`` below are the straightforward numpy versions the
-package used before its solver and taming were rewritten to make fewer
-array passes.  The rewrite promises the same floating-point operations in
-the same order, so every output here must agree bit for bit: the
-fixed-point path, the Newton fallback, and a ``NonConvergence`` with the
-same iteration count, residual and message.  Taming differs on purpose
-only where ``|f|^2`` overflows, which the reference gets wrong (see
-``test_tame_drift_survives_an_overflowing_square``).
+package used before its solver and taming were rewritten.  Taming makes
+the same floating-point operations in the same order, so it must agree
+bit for bit; it differs on purpose only where ``|f|^2`` overflows, which
+the reference gets wrong (see ``test_tame_drift_survives_an_overflowing_
+square``).  The solver accelerates the reference's plain fixed-point
+iteration with a secant step, so it is held to properties instead: every
+solution it returns meets the tolerance on the reference's own residual,
+it converges wherever the reference does, on equations with one root it
+finds the reference's root, and it fails with the reference's message.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -132,21 +135,42 @@ def _outcome(solve, *args, **kwargs):
         return (exc.iterations, exc.residual, str(exc))
 
 
-def _assert_same_outcome(got, want):
-    if isinstance(want, tuple):
-        assert isinstance(got, tuple), "reference failed, the solver did not"
-        assert got[0] == want[0] and got[2] == want[2]
-        assert math.isnan(want[1]) and math.isnan(got[1]) or (
-            got[1] == want[1])
-    else:
-        assert not isinstance(got, tuple), f"solver failed: {got}"
-        assert _same_bits(got, want)
+_FAILURE = re.compile(r"implicit stage stalled at residual (\S+) after "
+                      r"(\d+) iterations \(tolerance (\S+)\)")
+
+
+def _assert_solver_properties(got, want, y, d, drift, th, tol_abs,
+                              one_root):
+    """``got`` (the solver's outcome) against ``want`` (the reference's).
+
+    A solution meets ``tol_abs`` on the reference's residual formula; the
+    solver converges wherever the reference does; on an equation with one
+    root both find it to within ``10 tol_abs`` (the residual bounds the
+    distance to the root on these families); a failure carries the
+    reference's message format.
+    """
+    if isinstance(got, tuple):
+        assert isinstance(want, tuple), f"only the solver failed: {got}"
+        match = _FAILURE.fullmatch(got[2])
+        assert match, got[2]
+        assert int(match[2]) == got[0]
+        assert float(match[3]) == float(f"{tol_abs:.1e}")
+        assert match[1] == f"{got[1]:.3e}"
+        return
+    with np.errstate(all="ignore"):
+        res_vec = got - th * drift(got, d) - y  # the reference's formula
+        res = np.max(np.linalg.norm(res_vec, axis=-1), initial=0.0)
+    assert res <= tol_abs
+    if one_root and not isinstance(want, tuple):
+        assert np.max(np.abs(got - want), initial=0.0) <= 10.0 * tol_abs
 
 
 # Drift families, each a function of (a, c) returning the untamed drift.
 # ``linear`` contracts and converges by fixed point, ``cubic`` falls back
 # to Newton once th*x^2 is large, and ``quadratic`` has no root for many
-# inputs (x - th*(x^2 + c) = y), so the solve fails.
+# inputs (x - th*(x^2 + c) = y), so the solve fails.  ``linear`` and
+# ``cubic`` give x - th*f(x) = y exactly one root, tamed or not;
+# ``quadratic`` has zero, two or, tamed with a small h_coarse^delta, three.
 def _linear(a, c):
     mix = np.array([[-1.0, 0.3], [0.2, -0.8]])[:a, :a]
     return lambda x, y: x @ mix.T + c * y
@@ -163,6 +187,7 @@ def _quadratic(a, c):
 
 
 DRIFTS = {"linear": _linear, "cubic": _cubic, "quadratic": _quadratic}
+ONE_ROOT = ("linear", "cubic")
 
 SHAPES = ("flat1", "flat2", "col1", "col2")  # (1,), (2,), (P, 1), (P, 2)
 
@@ -173,7 +198,7 @@ def _shape(kind, n_paths):
 
 
 # ---------------------------------------------------------------------------
-# Bitwise agreement
+# The solver against the reference
 # ---------------------------------------------------------------------------
 
 values = st.floats(-6.0, 6.0, allow_nan=False, allow_infinity=False)
@@ -195,9 +220,9 @@ values = st.floats(-6.0, 6.0, allow_nan=False, allow_infinity=False)
     max_iter=st.integers(1, 80),
     tol_abs=st.sampled_from([1e-13, 1e-10, 1e-6]),
 )
-def test_solver_matches_reference_bitwise(data, kind, n_paths, family, c,
-                                          theta, h, tamed, h_coarse, delta,
-                                          with_x0, max_iter, tol_abs):
+def test_solver_agrees_with_reference(data, kind, n_paths, family, c, theta,
+                                      h, tamed, h_coarse, delta, with_x0,
+                                      max_iter, tol_abs):
     shape = _shape(kind, n_paths)
     arrays = st.lists(values, min_size=math.prod(shape),
                       max_size=math.prod(shape))
@@ -217,15 +242,18 @@ def test_solver_matches_reference_bitwise(data, kind, n_paths, family, c,
         want = _outcome(reference_implicit_step_solve, y, d, ref_drift,
                         theta, h, **kwargs)
         got = _outcome(implicit_step_solve, y, d, drift, theta, h, **kwargs)
-    _assert_same_outcome(got, want)
+    _assert_solver_properties(got, want, y, d, drift, theta * h, tol_abs,
+                              family in ONE_ROOT)
 
 
 @pytest.mark.parametrize("kind", SHAPES)
 @pytest.mark.parametrize("seed", range(4))
 def test_solver_stops_on_the_reference_residual(kind, seed):
     # With the tolerance set to the reference's fixed-point residual at
-    # iteration k, both solvers stop exactly there only if the residual
-    # is the same to the last bit.
+    # iteration k, the reference stops exactly there; the solver must stop
+    # on a point whose residual, computed the reference's way, is within
+    # that tolerance too, which a residual summed in another order can
+    # miss by a rounding.
     shape = _shape(kind, 7)
     rng = np.random.default_rng(seed)
     y = rng.uniform(-3.0, 3.0, shape) * 10.0 ** rng.integers(-3, 3, shape)
@@ -240,8 +268,8 @@ def test_solver_stops_on_the_reference_residual(kind, seed):
                         tol_abs=tol)
         got = _outcome(implicit_step_solve, y, d, drift, th, 1.0,
                        tol_abs=tol)
-        _assert_same_outcome(got, want)
-        assert _same_bits(got, x)
+        assert _same_bits(want, x)
+        _assert_solver_properties(got, want, y, d, drift, th, tol, True)
         x = y + th * fx
 
 
@@ -275,7 +303,8 @@ def test_each_solver_regime_matches_reference(monkeypatch, kind, regime):
     spy = _NewtonSpy(monkeypatch)
     want = _outcome(reference_implicit_step_solve, rhs, d, drift, theta, h)
     got = _outcome(implicit_step_solve, rhs, d, drift, theta, h)
-    _assert_same_outcome(got, want)
+    _assert_solver_properties(got, want, rhs, d, drift, theta * h, 1e-13,
+                              family in ONE_ROOT)
     assert (spy.calls > 0) == (regime != "fixed_point")
     assert isinstance(got, tuple) == (regime == "fails")
 
@@ -371,7 +400,7 @@ def test_solver_writes_no_input_and_no_drift_output(kind, tamed, which):
 
     want = reference_implicit_step_solve(y.copy(), d.copy(), ref_drift,
                                          0.5, 0.5, x0=x0.copy())
-    assert _same_bits(got, want)
+    _assert_solver_properties(got, want, y, d, ref_drift, 0.25, 1e-13, True)
     for arr, snapshot in inputs:
         assert _same_bits(arr, snapshot)
     assert seen and seen_base
