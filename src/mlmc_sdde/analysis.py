@@ -26,8 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coupling import (LevelPair, _block_sums, coupled_payoff_delta,
-                       simulate_coupled)
+from .coupling import LevelPair, coupled_payoff_delta, simulate_coupled
 from .mlmc import _level_paths, _refuse_blown_up, _run_cells, _run_chunks
 from .model import Payoff, SddeProblem
 from .rng import NoiseStream
@@ -36,6 +35,7 @@ from .scheme import (
     GridSpec,
     NonConvergence,
     TamedDrift,
+    _stream_increments,
     taming_for_level,
     theta_em_path,
 )
@@ -584,9 +584,9 @@ def strong_error_rate(
 
     The reference runs the same scheme ``ref_offset`` levels finer; each
     coarser level is driven by block sums of the reference increments,
-    so all paths share one Brownian skeleton and the measured error is
-    pathwise.  Fits ``log E|psi(X_ref(T)) - psi(X_l(T))|^2`` against
-    ``log h_l``.
+    added up as the reference run reads them, so all paths share one
+    Brownian skeleton and the measured error is pathwise.  Fits
+    ``log E|psi(X_ref(T)) - psi(X_l(T))|^2`` against ``log h_l``.
     """
     levels = sorted(int(lv) for lv in level_sweep)
     if len(levels) < 3:
@@ -622,16 +622,30 @@ def strong_error_rate(
             dim=problem.dim_noise,
             n_steps=n_ref,
         )
-        dw_ref = stream.gaussian_increment(range(n_ref))
-        dw_ref *= np.sqrt(grid_ref.step_h)
+        sums = {lv: np.empty((grids[lv].total_steps_N, b - a,
+                              problem.dim_noise)) for lv in levels}
+
+        def reference_increments():
+            # Each passing increment is added into its block of every
+            # level's increments, left to right as in a coupled pair.
+            rows = [(M ** (ref_level - lv), list(sums[lv])) for lv in levels]
+            for j, dw in enumerate(_stream_increments(
+                    stream, n_ref, np.sqrt(grid_ref.step_h))):
+                for q, acc in rows:
+                    if j % q:
+                        acc[j // q] += dw
+                    else:
+                        acc[j // q][...] = dw
+                yield dw
+
         psi_ref = terminal_payoff(
             f"rates-strong reference level {ref_level} (eps {eps:g}), "
-            f"paths [{a}, {b})", grid_ref, dw_ref)
+            f"paths [{a}, {b})", grid_ref, reference_increments())
         errors_sq = []
         for lv in levels:
             psi_lv = terminal_payoff(
                 f"rates-strong level {lv} (eps {eps:g}), paths [{a}, {b})",
-                grids[lv], _block_sums(dw_ref, M ** (ref_level - lv)))
+                grids[lv], sums[lv])
             diff = psi_ref - psi_lv
             errors_sq.append(diff * diff)
         return errors_sq

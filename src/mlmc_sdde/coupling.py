@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -147,21 +148,6 @@ def _grid_states(buf: DelayBuffer) -> np.ndarray:
     return buf.values[buf.m:]
 
 
-def _block_sums(x: np.ndarray, q: int) -> np.ndarray:
-    """Sums of consecutive blocks of ``q`` entries of ``x`` along axis 0,
-    added left to right.
-
-    The coarse-increment rule: a coarse increment is the sum of its ``q``
-    fine ones in this order, whatever the batch shape (``ndarray.sum``
-    may sum a contiguous axis pairwise instead).
-    """
-    blocks = x.reshape(-1, q, *x.shape[1:])
-    out = blocks[:, 0].copy()
-    for k in range(1, q):
-        out += blocks[:, k]
-    return out
-
-
 def simulate_coupled(
     problem: SddeProblem,
     pair: LevelPair,
@@ -205,15 +191,17 @@ def simulate_coupled(
 
     n_paths = None if np.ndim(noise.path_index) == 0 else noise.n_paths
     sqh = math.sqrt(gf.step_h)
-    # With eps = 0 the step loop never calls the increment functions.
+    # With eps = 0 the step loop reads no increment, so none is drawn.
     xi = None if problem.noise_scale == 0.0 else noise.gaussian_increment(
         range(n_f)).reshape(n_f, -1, problem.dim_noise)
     fine = _integrate(problem, gf, tame_f, n_paths,
-                      lambda j: sqh * xi[j], "fine member, ",
+                      (sqh * xi[j] for j in range(n_f)), "fine member, ",
                       full_path=full_path)
     coarse = _integrate(
         problem, gc, tame_c, n_paths,
-        lambda n: sqh * _block_sums(xi[n * M:(n + 1) * M], M)[0],
+        # M draws added left to right (ndarray.sum may add them pairwise).
+        (sqh * reduce(np.add, xi[n * M:(n + 1) * M])
+         for n in range(gc.total_steps_N)),
         "coarse member, ", full_path=full_path)
     return CoupledPair(pair=pair, fine=fine, coarse=coarse)
 

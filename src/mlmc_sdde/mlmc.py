@@ -200,16 +200,18 @@ def _run_chunks(chunk_fn: Callable[[int, int], tuple[np.ndarray, ...]],
     each ``chunk_size`` long but the last.
 
     ``chunk_fn`` returns per-path samples, one value per path along their
-    last axis.  A solver failure is re-raised and a blown-up sample
-    refused, both naming ``"{where}, paths [{a}, {b})"``.  Returns copies
-    of each chunk's samples, in chunk order, so no chunk's path buffer
-    outlives it.
+    last axis.  A blown-up sample is refused, and a solver failure
+    re-raised unless its message names the chunk's path range already,
+    both naming ``"{where}, paths [{a}, {b})"``.  Returns copies of each
+    chunk's samples, in chunk order, so no chunk's path buffer outlives it.
     """
     def run(a: int, b: int) -> tuple[np.ndarray, ...]:
         name = f"{where}, paths [{a}, {b})"
         try:
             samples = chunk_fn(a, b)
         except NonConvergence as exc:
+            if f"paths [{a}, {b})" in str(exc):
+                raise
             raise NonConvergence(f"{name}: {exc}", exc.iterations,
                                  exc.residual) from exc
         _refuse_blown_up(name, *samples)

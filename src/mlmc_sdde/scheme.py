@@ -26,9 +26,10 @@ unchanged wherever ``|f|`` is moderate.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
@@ -68,6 +69,9 @@ class NonConvergence(RuntimeError):
         super().__init__(message)
         self.iterations = iterations
         self.residual = residual
+
+    def __reduce__(self):
+        return type(self), (self.args[0], self.iterations, self.residual)
 
 
 @dataclass(frozen=True)
@@ -494,12 +498,29 @@ def _step(x, x_del, x_del_next, h, theta, drift, diffusion, eps, dw, fx):
     return x_next, last.value if x_next is last.x else None
 
 
+# The normals of one block of a streamed NoiseStream (512 KiB of float64).
+_BLOCK_DRAWS = 2**16
+
+
+def _stream_increments(noise: NoiseStream, n_steps: int,
+                       scale: float) -> Iterator[np.ndarray]:
+    """``scale`` times the draws of steps ``0 .. n_steps - 1`` of ``noise``,
+    one ``(P, d)`` array per step, drawn ``_BLOCK_DRAWS // (P d)`` steps
+    (at least one) at a time."""
+    block = max(1, _BLOCK_DRAWS // (noise.n_paths * noise.dim))
+    for start in range(0, n_steps, block):
+        draws = noise.gaussian_increment(
+            range(start, min(start + block, n_steps)))
+        draws *= scale
+        yield from draws.reshape(len(draws), -1, noise.dim)
+
+
 def _integrate(
     problem: SddeProblem,
     grid: GridSpec,
     taming: TamedDrift | None,
     n_paths: int | None,
-    increment: Callable[[int], np.ndarray] | None,
+    increments: Iterator[np.ndarray] | None,
     where: str = "",
     *,
     full_path: bool = True,
@@ -507,9 +528,9 @@ def _integrate(
     """Run the ``N`` theta-steps of ``grid`` from the problem's history.
 
     The one step loop of the package: single paths and both members of a
-    coupled pair run through it.  ``increment(n)`` returns the Brownian
-    increment of step ``n``, shaped ``(n_paths, d)``; it is not called
-    when ``increment`` is ``None`` or the problem's eps is 0, which runs
+    coupled pair run through it.  Step ``n`` reads the ``n``-th Brownian
+    increment of ``increments``, shaped ``(n_paths, d)``; none is read
+    when ``increments`` is ``None`` or the problem's eps is 0, which runs
     the drift-only scheme.  ``n_paths=None`` is one path stored without
     the batch axis.  ``full_path=False`` keeps only a ring of the last
     ``m + 1`` states, which ends ordered as grid indices ``N - m .. N``;
@@ -522,7 +543,7 @@ def _integrate(
     eps = problem.noise_scale
     drift = taming if taming is not None else problem.drift
     if eps == 0.0:
-        increment = None
+        increments = None
 
     hist = np.asarray(problem.initial_segment(h * np.arange(-m, 1)),
                       dtype=float)
@@ -541,7 +562,7 @@ def _integrate(
 
     fx = None
     for n in range(N):
-        dw = increment(n) if increment is not None else None
+        dw = next(increments) if increments is not None else None
         try:
             values[(n + 1 + off) % rows], fx = _step(
                 values[(n + off) % rows], values[(n - m + off) % rows],
@@ -563,7 +584,7 @@ def _integrate(
 def theta_em_path(
     problem: SddeProblem,
     grid: GridSpec,
-    noise: Union[NoiseStream, np.ndarray, None] = None,
+    noise: Union[NoiseStream, np.ndarray, Iterator[np.ndarray], None] = None,
     taming: TamedDrift | None = None,
     *,
     full_path: bool = True,
@@ -575,14 +596,18 @@ def theta_em_path(
     problem, grid
         Problem instance and grid; the grid is validated against the
         problem and the step-size restrictions.
-    noise : NoiseStream or ndarray or None
+    noise : NoiseStream or ndarray or iterator or None
         ``None`` runs the drift-only skeleton (no diffusion term at all,
         regardless of the problem's eps).  A :class:`NoiseStream` supplies
         standard normal vectors; step ``j`` consumes the stream's draw
         ``j``, so the stream of a coupled pair at this grid's level drives
-        the pair's fine member identically.  An ndarray is
+        the pair's fine member identically.  The stream is drawn a block
+        of steps at a time, never all ``N`` steps at once.  An ndarray is
         taken as the Brownian increments ``dW`` themselves (already
-        scaled by sqrt(h)), shaped ``(N, d)`` or ``(N, P, d)``.
+        scaled by sqrt(h)), shaped ``(N, d)`` or ``(N, P, d)``.  An
+        iterator yields the same increments one step at a time, each an
+        array shaped ``(P, d)``, and is read as the steps run.  Either
+        must give exactly ``N`` increments, else ``ValueError``.
     taming : TamedDrift, optional
         Drift replacement for one-sided problems.
     full_path : bool, keyword-only
@@ -615,21 +640,32 @@ def theta_em_path(
                 f"stream covers {noise.n_steps} steps, grid needs {N}"
             )
         n_paths = None if np.ndim(noise.path_index) == 0 else noise.n_paths
-        sqh = math.sqrt(grid.step_h)
-        # With eps = 0 the step loop never calls the increment function.
-        draws = None if problem.noise_scale == 0.0 else (
-            noise.gaussian_increment(range(N)).reshape(N, -1, dnoise))
-        return _integrate(problem, grid, taming, n_paths,
-                          lambda n: sqh * draws[n], full_path=full_path)
+        return _integrate(problem, grid, taming, n_paths, _stream_increments(
+            noise, N, math.sqrt(grid.step_h)), full_path=full_path)
+    single = not isinstance(noise, Iterator) and np.ndim(noise) == 2
+    if not isinstance(noise, Iterator):  # all N increments in one array
+        arr = np.asarray(noise, dtype=float)
+        noise = iter(arr[:, None] if single else arr)
 
-    arr = np.asarray(noise, dtype=float)
-    single = arr.ndim == 2
-    if single:
-        arr = arr[:, None, :]
-    if arr.ndim != 3 or arr.shape[0] != N or arr.shape[2] != dnoise:
-        raise ValueError(
-            f"increment array must have shape (N, P, d) = ({N}, *, "
-            f"{dnoise}), got {np.asarray(noise).shape}"
-        )
-    return _integrate(problem, grid, taming, None if single else arr.shape[1],
-                      lambda n: arr[n], full_path=full_path)
+    def checked():
+        # Yields P, then the increments, each checked against (P, d); the
+        # None put after the last one ends the loop.
+        first = next(noise, None)
+        shape = (len(first) if np.ndim(first) == 2 else "P", dnoise)
+        if np.shape(first) == shape:
+            yield shape[0]
+        for n, dw in enumerate(itertools.chain([first], noise, [None])):
+            if n == N or np.shape(dw) != shape:
+                break
+            yield dw
+        if n < N or dw is not None:
+            raise ValueError(f"noise must give N = {N} increments of "
+                             f"shape (P, d) = ({shape[0]}, {dnoise})")
+
+    rows = checked()
+    n_paths = next(rows)
+    path = _integrate(problem, grid, taming, None if single else n_paths,
+                      rows, full_path=full_path)
+    for _ in rows:  # the increments eps = 0 left unread, then the check
+        pass
+    return path

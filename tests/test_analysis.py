@@ -302,8 +302,11 @@ def test_strong_error_increments_do_not_depend_on_chunk_size(monkeypatch):
     per_grid = {}
 
     def record(problem, grid, noise=None, taming=None, **kwargs):
-        per_grid.setdefault(grid.total_steps_N, []).append(np.copy(noise))
-        return original(problem, grid, noise=noise, taming=taming, **kwargs)
+        # The reference increments arrive as an iterator: materialize them.
+        dw = np.array(list(noise))
+        per_grid.setdefault(grid.total_steps_N, []).append(dw)
+        return original(problem, grid, noise=iter(dw), taming=taming,
+                        **kwargs)
 
     monkeypatch.setattr(analysis, "theta_em_path", record)
     problem = builtin_problem("linear_scalar", eps=1e-4)
@@ -321,6 +324,24 @@ def test_strong_error_increments_do_not_depend_on_chunk_size(monkeypatch):
         for n, dw in runs[0].items():
             assert dw.shape == (n, 5, 1)
             np.testing.assert_array_equal(other[n], dw)
+
+
+def test_strong_error_chunk_holds_less_than_the_reference_increments():
+    # One 2500-path chunk of levels 3..5 against reference level 8: the
+    # reference increments stream through the step loop, so the chunk
+    # never holds all n_ref x P of them at once.
+    problem = builtin_problem("linear_scalar", eps=1e-4)
+    psi = builtin_payoff("identity")
+    n_ref, n_paths = 2**8, 2500
+    tracemalloc.start()
+    try:
+        strong_error_rate(problem, psi, level_sweep=[3, 4, 5],
+                          n_paths=n_paths, seed=13, chunk_paths=n_paths,
+                          jobs=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n_ref * n_paths * 8
 
 
 def test_strong_error_validation():

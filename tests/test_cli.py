@@ -265,7 +265,10 @@ def test_solver_failures_exit_three_naming_experiment_level_and_paths(
                  "--base-level", "3", "--samples", "16", "--jobs", "2",
                  "--out", str(out)])
     assert code == 3
-    assert f"{where}: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{where}: " in err
+    # The failing path range is named once.
+    assert err.count("paths [") == where.count("paths [")
     assert not out.exists()
 
 

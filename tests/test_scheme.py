@@ -10,6 +10,7 @@ hand-rolled loops.
 
 import dataclasses
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -270,6 +271,13 @@ def test_solver_reports_nonconvergence():
     assert err.residual > 0
 
 
+def test_nonconvergence_survives_pickling():
+    err = NonConvergence("stalled", iterations=7, residual=1.0)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is NonConvergence
+    assert (str(back), back.iterations, back.residual) == ("stalled", 7, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Path simulation
 # ---------------------------------------------------------------------------
@@ -412,19 +420,41 @@ def test_history_occupies_buffer_head():
     assert (path.values.shape[0] - 1 - m) * path.step_h == pytest.approx(1.0)
 
 
-def test_increment_array_drive_matches_stream_drive():
-    p = builtin_problem("linear_scalar", eps=0.4)
-    g = GridSpec.for_problem(p, theta=0.0, level=3)
-    N = g.total_steps_N
-    stream = NoiseStream(master_seed=5, level=3,
-                         path_index=np.arange(6), dim=1, n_steps=N)
-    by_stream = theta_em_path(p, g, noise=stream)
-    dw = np.stack(
-        [math.sqrt(g.step_h) * stream.gaussian_increment(n)
-         for n in range(N)]
-    )
-    by_array = theta_em_path(p, g, noise=dw)
-    np.testing.assert_array_equal(by_stream.values, by_array.values)
+def test_increment_array_drive_matches_stream_drive(monkeypatch):
+    # A stream, drawn here three steps at a time with a short last block,
+    # its increments in one array, and an iterator over that array's rows
+    # drive the same paths bit for bit, explicit and tamed implicit, whole
+    # paths and delay windows.
+    blocks = []
+    draw = NoiseStream.gaussian_increment
+
+    def spy(self, j):
+        blocks.append(len(j))
+        return draw(self, j)
+
+    monkeypatch.setattr(scheme, "_BLOCK_DRAWS", 18)
+    cub = builtin_problem("cubic_onesided")
+    for p, theta, level, taming in [
+            (builtin_problem("linear_scalar", eps=0.4), 0.0, 3, None),
+            (cub, 0.5, 4, taming_for_level(cub, 4, 2, 0.5))]:
+        g = GridSpec.for_problem(p, theta=theta, level=level)
+        N = g.total_steps_N
+        stream = NoiseStream(master_seed=5, level=level,
+                             path_index=np.arange(6), dim=1, n_steps=N)
+        dw = np.stack(
+            [math.sqrt(g.step_h) * stream.gaussian_increment(n)
+             for n in range(N)]
+        )
+        for full_path in (True, False):
+            with monkeypatch.context() as patch:
+                patch.setattr(NoiseStream, "gaussian_increment", spy)
+                blocks.clear()
+                runs = [theta_em_path(p, g, noise=noise, taming=taming,
+                                      full_path=full_path)
+                        for noise in (stream, dw, iter(dw))]
+            assert blocks == [3] * (N // 3) + [N % 3] and N % 3
+            for run in runs[1:]:
+                np.testing.assert_array_equal(run.values, runs[0].values)
 
 
 def test_path_rejects_mismatched_noise():
@@ -435,6 +465,13 @@ def test_path_rejects_mismatched_noise():
         theta_em_path(p, g, noise=wrong_dim)
     with pytest.raises(ValueError, match="shape"):
         theta_em_path(p, g, noise=np.zeros((4, 1)))  # N mismatch
+    # Iterators of too few, too many or wrongly shaped increments; the
+    # grid needs N = 8 of shape (P, 1).
+    row = np.zeros((2, 1))
+    for rows in ([row] * 7, [row] * 9, [row] * 3 + [np.zeros((3, 1))] * 5,
+                 [np.zeros((2, 2))] * 8, []):
+        with pytest.raises(ValueError, match=r"N = 8 .* shape \(P, d\)"):
+            theta_em_path(p, g, noise=iter(rows))
 
 
 def test_single_step_second_moment_scaling():
