@@ -624,23 +624,15 @@ def strong_error_rate(
         )
         sums = {lv: np.empty((grids[lv].total_steps_N, b - a,
                               problem.dim_noise)) for lv in levels}
-
-        def reference_increments():
-            # Each passing increment is added into its block of every
-            # level's increments, left to right as in a coupled pair.
-            rows = [(M ** (ref_level - lv), list(sums[lv])) for lv in levels]
-            for j, dw in enumerate(_stream_increments(
-                    stream, n_ref, np.sqrt(grid_ref.step_h))):
-                for q, acc in rows:
-                    if j % q:
-                        acc[j // q] += dw
-                    else:
-                        acc[j // q][...] = dw
-                yield dw
-
+        # The levels are driven by block sums of the reference increments,
+        # added up as the reference reads them.  At eps = 0 it gets the
+        # stream, which then draws nothing (an iterator is read to its end).
+        reference = _stream_increments(
+            stream, n_ref, np.sqrt(grid_ref.step_h),
+            [(M ** (ref_level - lv), sums[lv]) for lv in levels])
         psi_ref = terminal_payoff(
             f"rates-strong reference level {ref_level} (eps {eps:g}), "
-            f"paths [{a}, {b})", grid_ref, reference_increments())
+            f"paths [{a}, {b})", grid_ref, reference if eps else stream)
         errors_sq = []
         for lv in levels:
             psi_lv = terminal_payoff(

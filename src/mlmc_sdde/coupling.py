@@ -9,10 +9,10 @@ steps, added left to right,
     dW_coarse(n) = sqrt(h_l) * (xi(nM) + xi(nM + 1) + ... + xi(nM + M - 1)),
 
 so both paths see the same underlying Brownian motion and their payoff
-difference telescopes across levels.  The stream's draws of the fine grid
-are read once; the members then run one after the other through the
-scheme's single step loop, each fed its increment step by step, so the
-fine member is the single-level path of level ``l`` on the same stream.
+difference telescopes across levels.  The members run one after the other
+through the scheme's single step loop: the fine member reads the stream a
+block at a time, bit for bit the single-level path of level ``l``, and
+adds each draw into its coarse step's sum, on which the coarse member runs.
 Delay alignment requires the fine delay offset ``m_l`` to be divisible by
 ``M``; with ``tau = 0.25`` and ``T = 1`` at ``M = 2`` that means fine
 levels of at least 3.
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -36,6 +35,8 @@ from .scheme import (
     DelayBuffer,
     GridSpec,
     _integrate,
+    _stream_increments,
+    _stream_paths,
     check_admissibility,
     taming_for_level,
 )
@@ -176,33 +177,20 @@ def simulate_coupled(
     gc.validate_against(problem)
     check_admissibility(problem, gf, tame_f)
     check_admissibility(problem, gc, tame_c)
-    if not isinstance(noise, NoiseStream):
-        raise TypeError("simulate_coupled requires a NoiseStream")
-    if noise.dim != problem.dim_noise:
-        raise ValueError(
-            f"noise stream dim {noise.dim} != problem dim_noise "
-            f"{problem.dim_noise}"
-        )
-    n_f, M = gf.total_steps_N, pair.M
-    if noise.n_steps is not None and noise.n_steps < n_f:
-        raise ValueError(
-            f"stream covers {noise.n_steps} fine steps, grid needs {n_f}"
-        )
+    n_f = gf.total_steps_N
+    n_paths = _stream_paths(noise, problem, n_f)
 
-    n_paths = None if np.ndim(noise.path_index) == 0 else noise.n_paths
     sqh = math.sqrt(gf.step_h)
-    # With eps = 0 the step loop reads no increment, so none is drawn.
-    xi = None if problem.noise_scale == 0.0 else noise.gaussian_increment(
-        range(n_f)).reshape(n_f, -1, problem.dim_noise)
+    # The coarse draws, summed as the fine member reads its own (none at
+    # eps = 0); map, unlike a generator expression, keeps no block alive.
+    sums = np.empty((gc.total_steps_N, noise.n_paths, problem.dim_noise))
     fine = _integrate(problem, gf, tame_f, n_paths,
-                      (sqh * xi[j] for j in range(n_f)), "fine member, ",
-                      full_path=full_path)
-    coarse = _integrate(
-        problem, gc, tame_c, n_paths,
-        # M draws added left to right (ndarray.sum may add them pairwise).
-        (sqh * reduce(np.add, xi[n * M:(n + 1) * M])
-         for n in range(gc.total_steps_N)),
-        "coarse member, ", full_path=full_path)
+                      map(lambda xi: sqh * xi, _stream_increments(
+                          noise, n_f, 1.0, [(pair.M, sums)])),
+                      "fine member, ", full_path=full_path)
+    coarse = _integrate(problem, gc, tame_c, n_paths,
+                        (sqh * xi for xi in sums), "coarse member, ",
+                        full_path=full_path)
     return CoupledPair(pair=pair, fine=fine, coarse=coarse)
 
 

@@ -8,8 +8,8 @@ advances
 
 with ``xi_n`` i.i.d. standard normal vectors.  ``theta = 0`` is the
 explicit Euler-Maruyama scheme and is computed in exactly that closed
-form; ``theta > 0`` solves the implicit relation with a secant-accelerated
-(Anderson(1)) fixed-point iteration that falls back to a damped Newton
+form; ``theta > 0`` solves the implicit relation with a fixed-point (for
+one coordinate, secant) iteration that falls back to a damped Newton
 method.  Because ``m >= 1``, the delayed argument ``X_{n+1-m}`` of the
 implicit stage is always a value already computed, so the solve is a
 plain nonlinear equation in ``X_{n+1}`` only.  The solve returns the
@@ -317,20 +317,17 @@ def implicit_step_solve(
 ) -> np.ndarray:
     """Solve ``x - theta h f(x, delayed) = y_target`` for ``x``.
 
-    Iterates ``g(x) = y + theta h f(x, d)`` with a secant (Anderson(1))
-    acceleration while it contracts, and switches to a damped Newton
-    method with finite-difference Jacobians when it stalls or diverges.
-    The first iteration is the plain step ``x <- g(x)``; after it each row
-    takes ``x <- g_k - gamma (g_k - g_{k-1})`` with ``gamma = <r_k, dr> /
-    <dr, dr>``, ``r = x - theta h f - y`` and ``dr = r_k - r_{k-1}``; for
-    one state coordinate ``gamma = r_k / dr`` and this is the secant
-    method on ``r``.  A row whose residual rose since the last iterate, or
-    whose ``gamma`` is not finite, takes the plain step.  Should the
-    accelerated run miss the tolerance within ``max_iter`` iterations, the
-    solve starts again from ``x0`` (or ``y_target``) with plain steps
-    ``x <- g(x)`` and the same Newton fallback, and that run decides: it
-    converges on every input the plain iteration converges on, and its
-    :class:`NonConvergence` is the one raised.
+    Iterates ``g(x) = y + theta h f(x, d)`` while it contracts, and
+    switches to a damped Newton method with finite-difference Jacobians
+    when it stalls or diverges.  States of two or more coordinates take
+    the plain steps ``x <- g(x)``.  One coordinate takes, after a first
+    plain step, the secant steps ``x <- g_k - gamma (g_k - g_{k-1})`` on
+    ``r = x - theta h f - y``, ``gamma = r_k / (r_k - r_{k-1})``, in every
+    row whose residual changed without growing.  Should that run miss the
+    tolerance within ``max_iter`` iterations, the solve starts again from
+    ``x0`` (or ``y_target``) with plain steps and the same Newton fallback,
+    and that run decides: it converges wherever the plain iteration
+    converges, and its :class:`NonConvergence` is the one raised.
 
     The residual is measured as ``max_batch |(x - theta h f(x, d)) - y|``
     and must fall below ``tol_abs``; the step size is never adapted here.
@@ -345,6 +342,8 @@ def implicit_step_solve(
     if th == 0.0:
         return y.copy()
     x = np.array(y if x0 is None else x0, dtype=float)
+    if y.shape[-1] > 1:
+        return _iterate(y, d, drift, th, x, tol_abs, max_iter, secant=False)
     try:
         return _iterate(y, d, drift, th, x, tol_abs, max_iter, secant=True)
     except NonConvergence:
@@ -375,17 +374,14 @@ def _iterate(y, d, drift, th, x, tol_abs, max_iter, secant):
         if r_prev is None:
             x = g
         else:
+            # One coordinate, every r finite: a row whose residual rose or
+            # did not change gets dr = inf, so gamma = 0, the plain step.
             dr = r - r_prev
-            # With one coordinate gamma is the secant quotient r / dr;
-            # dividing directly saves two passes and never squares dr.
-            with np.errstate(divide="ignore", invalid="ignore",
-                             over="ignore"):
-                gamma = (r / dr if r.shape[-1] == 1 else
-                         _row_sum(r * dr) / _row_sum(dr * dr))
-            accelerate = np.isfinite(gamma)
-            accelerate &= sq <= sq_prev
+            plain = sq > sq_prev
+            plain |= dr == 0.0
+            np.copyto(dr, np.inf, where=plain)
             dg = g - g_prev
-            dg *= np.where(accelerate, gamma, 0.0)
+            dg *= r / dr
             x = g - dg
         if secant:
             g_prev, r_prev, sq_prev = g, r, sq
@@ -502,17 +498,45 @@ def _step(x, x_del, x_del_next, h, theta, drift, diffusion, eps, dw, fx):
 _BLOCK_DRAWS = 2**16
 
 
-def _stream_increments(noise: NoiseStream, n_steps: int,
-                       scale: float) -> Iterator[np.ndarray]:
+def _stream_paths(noise: NoiseStream, problem: SddeProblem,
+                  n_steps: int) -> int | None:
+    """The batch size of ``noise`` (``None`` for one path), checked to be a
+    stream of the problem's noise dimension covering ``n_steps`` steps."""
+    if not isinstance(noise, NoiseStream):
+        raise TypeError(f"expected a NoiseStream, got {type(noise).__name__}")
+    if noise.dim != problem.dim_noise:
+        raise ValueError(f"noise stream dim {noise.dim} != problem "
+                         f"dim_noise {problem.dim_noise}")
+    if noise.n_steps is not None and noise.n_steps < n_steps:
+        raise ValueError(f"stream covers {noise.n_steps} fine steps, "
+                         f"grid needs {n_steps}")
+    return None if np.ndim(noise.path_index) == 0 else noise.n_paths
+
+
+def _stream_increments(noise: NoiseStream, n_steps: int, scale: float,
+                       sums=()) -> Iterator[np.ndarray]:
     """``scale`` times the draws of steps ``0 .. n_steps - 1`` of ``noise``,
     one ``(P, d)`` array per step, drawn ``_BLOCK_DRAWS // (P d)`` steps
-    (at least one) at a time."""
+    (at least one) at a time.  For every ``(q, out)`` in ``sums`` the
+    increments of the grid ``q`` times coarser build up in ``out`` as they
+    pass: increment ``j`` starts ``out[j // q]`` when ``q`` divides ``j``
+    and is added into it otherwise, left to right."""
     block = max(1, _BLOCK_DRAWS // (noise.n_paths * noise.dim))
+    # Row views: ``+=`` on a row of the array would also copy it back.
+    rows = [(q, list(out)) for q, out in sums]
     for start in range(0, n_steps, block):
         draws = noise.gaussian_increment(
             range(start, min(start + block, n_steps)))
         draws *= scale
-        yield from draws.reshape(len(draws), -1, noise.dim)
+        for j, dw in enumerate(draws.reshape(len(draws), -1, noise.dim),
+                               start):
+            for q, out in rows:
+                if j % q:
+                    out[j // q] += dw
+                else:
+                    out[j // q][...] = dw
+            yield dw
+        del draws, dw  # hold no view of this block while drawing the next
 
 
 def _integrate(
@@ -631,17 +655,10 @@ def theta_em_path(
         return _integrate(problem, grid, taming, None, None,
                           full_path=full_path)
     if isinstance(noise, NoiseStream):
-        if noise.dim != dnoise:
-            raise ValueError(
-                f"noise stream dim {noise.dim} != problem dim_noise {dnoise}"
-            )
-        if noise.n_steps is not None and noise.n_steps < N:
-            raise ValueError(
-                f"stream covers {noise.n_steps} steps, grid needs {N}"
-            )
-        n_paths = None if np.ndim(noise.path_index) == 0 else noise.n_paths
-        return _integrate(problem, grid, taming, n_paths, _stream_increments(
-            noise, N, math.sqrt(grid.step_h)), full_path=full_path)
+        return _integrate(problem, grid, taming,
+                          _stream_paths(noise, problem, N),
+                          _stream_increments(noise, N, math.sqrt(grid.step_h)),
+                          full_path=full_path)
     single = not isinstance(noise, Iterator) and np.ndim(noise) == 2
     if not isinstance(noise, Iterator):  # all N increments in one array
         arr = np.asarray(noise, dtype=float)

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mlmc_sdde import analysis, cli
+from mlmc_sdde import analysis, cli, scheme
 from mlmc_sdde.analysis import (
     EnvelopeFit,
     RateFit,
@@ -405,11 +405,18 @@ def test_cell_chunks_bound_memory_and_keep_values(monkeypatch):
     # the 4000 paths of a cell in chunks of 1024.
     problem = _strong_noise_problem(eps=0.1)
     psi = builtin_payoff("tanh")
+    # A 1024-path chunk of the terminal-only coupled cell holds, in float64
+    # rows of 1024 paths, the 64 coarse increments, the delay windows of
+    # both members (m + 1 = 65 and 17 rows) and 16 rows of one step's
+    # temporaries, plus the one draw block the fine member reads.
+    pair_chunk = 8 * (1024 * (64 + 65 + 17 + 16) + scheme._BLOCK_DRAWS)
     cells = [
         (analysis._coupled_payoff_var,
-         (problem, psi, 4, 4, 0.0, None, 4000, 5), 3.0),
+         (problem, psi, 4, 4, 0.0, None, 4000, 5),
+         lambda whole_peak: pair_chunk),
         (analysis._pair_sq_moments,
-         (problem, 4, 4, 0.0, None, 4000, 5), 2.5),
+         (problem, 4, 4, 0.0, None, 4000, 5),
+         lambda whole_peak: whole_peak / 2.5),
     ]
 
     def traced(fn, args):
@@ -420,7 +427,7 @@ def test_cell_chunks_bound_memory_and_keep_values(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    for fn, args, factor in cells:
+    for fn, args, bound in cells:
         whole, whole_peak = traced(fn, args)
         seen = _record_chunking(monkeypatch)
         monkeypatch.setattr(analysis, "_CHUNK_DRAWS", 2**18)
@@ -428,7 +435,7 @@ def test_cell_chunks_bound_memory_and_keep_values(monkeypatch):
         monkeypatch.undo()
         assert [size for _, _, size in seen] == [1024]
         assert chunked == whole
-        assert chunked_peak * factor <= whole_peak, (
+        assert chunked_peak <= bound(whole_peak), (
             fn.__name__, chunked_peak, whole_peak)
 
 

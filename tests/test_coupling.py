@@ -8,10 +8,12 @@ what makes multilevel differences telescope.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mlmc_sdde.analysis import strong_error_rate
 from mlmc_sdde.coupling import (
     CoupledPair,
     LevelPair,
@@ -102,7 +104,11 @@ def test_zero_drift_additive_pair_agrees_at_coarse_nodes(M, theta):
     ("linear_scalar", 4, 3, 0.5, None, np.arange(8)),
     ("cubic_onesided", 2, 4, 0.5, 0.5, np.arange(8)),
     ("linear_scalar", 2, 4, 0.5, None, 5),
-], ids=["0.0", "0.5", "M4-0.0", "M4-0.5", "tamed-0.5", "scalar-path"])
+    # 3000 paths are drawn 21 steps at a time, so the draw blocks end
+    # inside the 4-step blocks of the coarse increments.
+    ("linear_scalar", 4, 3, 0.0, None, np.arange(3000)),
+], ids=["0.0", "0.5", "M4-0.0", "M4-0.5", "tamed-0.5", "scalar-path",
+        "M4-block-edge"])
 def test_pair_members_match_standalone_paths_bitwise(name, M, level, theta,
                                                      delta, paths):
     p = builtin_problem(name, eps=0.3)
@@ -127,7 +133,7 @@ def test_pair_members_match_standalone_paths_bitwise(name, M, level, theta,
         taming=taming_for_level(p, level - 1, M, delta))
     np.testing.assert_array_equal(out.coarse.values, coarse_alone.values)
     assert out.fine.values.shape[1:] == ((1,) if np.ndim(paths) == 0
-                                         else (8, 1))
+                                         else (len(paths), 1))
 
 
 def test_pair_skeleton_matches_single_grid_skeletons():
@@ -344,7 +350,38 @@ def test_window_pair_is_tail_of_full_pair_bitwise(name, M, level, theta,
             window.state_difference()
 
 
-def test_drift_only_pair_draws_nothing(monkeypatch):
+def test_window_pair_holds_less_than_the_fine_draws():
+    # The coarse increments are summed as the fine member reads its draws,
+    # so a pair never holds the whole fine-grid draw array: its traced peak
+    # stays below that array and both members' delay windows together.
+    p = builtin_problem("linear_scalar")
+    pair = LevelPair.for_problem(p, level=7, M=2)
+    stream = _stream_for(pair, p, paths=np.arange(4096))
+    tracemalloc.start()
+    try:
+        simulate_coupled(p, pair, stream, full_path=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    gf, gc = pair.grid_fine, pair.grid_coarse
+    rows = (gf.total_steps_N + gf.steps_per_delay_m + 1
+            + gc.steps_per_delay_m + 1)
+    assert peak < rows * 4096 * 8, (peak, rows * 4096 * 8)
+
+
+def _drift_only_pair(p):
+    pair = LevelPair.for_problem(p, level=5, M=2, theta=0.5)
+    simulate_coupled(p, pair, _stream_for(pair, p))
+
+
+def _drift_only_strong_sweep(p):
+    strong_error_rate(p, builtin_payoff("identity"), level_sweep=[3, 4, 5],
+                      n_paths=1000)
+
+
+@pytest.mark.parametrize("run", [_drift_only_pair, _drift_only_strong_sweep],
+                         ids=["pair", "strong-sweep"])
+def test_drift_only_runs_draw_nothing(monkeypatch, run):
     calls = []
     original = NoiseStream.gaussian_increment
 
@@ -353,7 +390,5 @@ def test_drift_only_pair_draws_nothing(monkeypatch):
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(NoiseStream, "gaussian_increment", counting)
-    p = builtin_problem("linear_scalar", eps=0.0)
-    pair = LevelPair.for_problem(p, level=5, M=2, theta=0.5)
-    simulate_coupled(p, pair, _stream_for(pair, p))
+    run(builtin_problem("linear_scalar", eps=0.0))
     assert calls == []
