@@ -63,6 +63,11 @@ _LANE_STRIDE = 1_000_003
 # of one batch; at theta > 0 the implicit solve iterates per chunk.
 _CHUNK_DRAWS = 2**24
 
+# The strong-error reference runs this many levels finer than the finest
+# level of the sweep, and its paths run in chunks of this many.
+_REF_OFFSET = 3
+_STRONG_CHUNK_PATHS = 2500
+
 
 def _cell_seed(seed: int, lane: int, index: int = 0) -> int:
     return int(seed) + _LANE_STRIDE * lane + index
@@ -212,20 +217,14 @@ def envelope_fit(columns: Sequence[Sequence[float]],
     )
 
 
-def _record(experiment, level, h, eps, theta, delta, statistic, value,
-            samples, seed):
-    return {
-        "experiment": experiment,
-        "level": level,
-        "h": h,
-        "eps": eps,
-        "theta": theta,
-        "delta": delta,
-        "statistic": statistic,
-        "value": value,
-        "samples": samples,
-        "seed": seed,
-    }
+# The columns of every result table, in order.
+_COLUMNS = ("experiment", "level", "h", "eps", "theta", "delta",
+            "statistic", "value", "samples", "seed")
+
+
+def _record(*values) -> dict:
+    """One table row: ``values`` in the order of ``_COLUMNS``."""
+    return dict(zip(_COLUMNS, values, strict=True))
 
 
 # ---------------------------------------------------------------------------
@@ -576,13 +575,11 @@ def strong_error_rate(
     n_paths: int = 1000,
     seed: int = 0,
     M: int = 2,
-    ref_offset: int = 3,
-    chunk_paths: int = 2500,
     jobs: int | None = None,
 ) -> StrongErrorResult:
     """Pathwise strong error of each level against a refined reference.
 
-    The reference runs the same scheme ``ref_offset`` levels finer; each
+    The reference runs the same scheme ``_REF_OFFSET`` levels finer; each
     coarser level is driven by block sums of the reference increments,
     added up as the reference run reads them, so all paths share one
     Brownian skeleton and the measured error is pathwise.  Fits
@@ -591,7 +588,7 @@ def strong_error_rate(
     levels = sorted(int(lv) for lv in level_sweep)
     if len(levels) < 3:
         raise ValueError("level_sweep needs >= 3 levels")
-    ref_level = levels[-1] + int(ref_offset)
+    ref_level = levels[-1] + _REF_OFFSET
     grid_ref = GridSpec.for_problem(problem, theta=theta, level=ref_level, M=M)
     n_ref = grid_ref.total_steps_N
     grids = {
@@ -644,7 +641,7 @@ def strong_error_rate(
 
     chunks = _run_chunks(
         chunk, f"rates-strong levels {levels[0]}..{ref_level} (eps {eps:g})",
-        0, n_paths, chunk_paths, jobs)
+        0, n_paths, _STRONG_CHUNK_PATHS, jobs)
     h_values = [grids[lv].step_h for lv in levels]
     # Each level's per-chunk sums, added in chunk order.
     errors = [sum(float(np.sum(part)) for part in parts) / n_paths

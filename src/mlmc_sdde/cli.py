@@ -8,16 +8,24 @@ CSV regardless of ``--jobs``.  Only the rates and deviation sweeps use
 threads, over cells with per-cell substreams (rates-strong over its path
 chunks); path, coupled and mlmc run on one thread.  Path batches run in
 chunks: MLMC levels fold chunks of 4096 paths, rates-strong sums chunks
-of ``chunk_paths``, and every other batch (the path and coupled runs
-reuse the cells of the deviation and rates-moment sweeps) keeps a chunk
-within 2**24 draws.
+of 2500 paths, and every other batch (the path and coupled runs reuse the
+cells of the deviation and rates-moment sweeps) keeps a chunk within
+2**24 draws.
 
-Configuration is layered: per-experiment defaults, then a ``--config``
-file of flat ``key=value`` lines, then command-line flags.  The config
-file additionally accepts problem coefficient overrides (``a1``, ``a2``,
-``b1``, ``b2``, ``g0``, ``c``, ``sigma``, ``x0``, ``tau``, ``horizon``),
-``payoff``, and ``eps0`` (the fixed noise scale of the level sweep in
-rates-moment / rates-variance), which have no dedicated flags.
+Configuration is layered: per-experiment defaults (``DEFAULTS``), then a
+``--config`` file of flat ``key=value`` lines, then command-line flags.
+Every setting is declared once, in the ``_SETTINGS`` table: its value
+parser and, if it has a flag, the flag's metavar and help.  The flags,
+the config-file keys and the ``[config]`` echo of the summary all follow
+from that table and ``RunConfig``, so a new setting goes into the table,
+into ``RunConfig`` and, with its default, into ``_COMMON_DEFAULTS``.
+The config file additionally accepts problem coefficient overrides
+(``a1``, ``a2``, ``b1``, ``b2``, ``g0``, ``c``, ``sigma``, ``x0``,
+``tau``, ``horizon``), ``payoff``, and ``eps0`` (the fixed noise scale of
+the level sweep in rates-moment / rates-variance), which have no flags.
+An experiment is declared by its ``DEFAULTS`` entry and its runner in
+``_RUNNERS``: a default ``eps`` list makes it a noise sweep, and a
+default ``max_level`` makes it run ``base_level..max_level``.
 
 Exit codes: 0 success; 2 configuration or admissibility error (the
 violated constraint is printed); 3 implicit-solver non-convergence;
@@ -31,11 +39,12 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .analysis import (
+    _COLUMNS as CSV_COLUMNS,
     _pair_samples,
     _path_samples,
     _record,
@@ -49,12 +58,6 @@ from .model import SddeProblem, builtin_payoff, builtin_problem
 from .scheme import AdmissibilityError, NonConvergence
 
 __all__ = ["RunConfig", "main", "run"]
-
-EXPERIMENTS = ("path", "coupled", "mlmc", "rates-strong", "rates-moment",
-               "rates-variance", "deviation")
-
-CSV_COLUMNS = ("experiment", "level", "h", "eps", "theta", "delta",
-               "statistic", "value", "samples", "seed")
 
 SEED_ENV_VAR = "MLMC_SDDE_SEED"
 
@@ -73,9 +76,11 @@ _STRONG_NOISE = {"a1": -0.25, "a2": 0.125, "b1": 1.0, "b2": 0.25}
 _COMMON_DEFAULTS = dict(
     problem="linear_scalar", payoff="identity", theta=0.0, delta=None,
     M=2, base_level=5, max_level=None, eps=None, eps0=None,
-    samples=1000, target_se=None, problem_overrides={},
+    samples=1000, target_se=None, seed=None, jobs=None, out=None,
+    problem_overrides={},
 )
 
+# The experiments, in --help order.
 DEFAULTS: dict[str, dict] = {
     "path": dict(_COMMON_DEFAULTS),
     "coupled": dict(_COMMON_DEFAULTS, payoff="tanh"),
@@ -94,11 +99,65 @@ DEFAULTS: dict[str, dict] = {
                       eps=(0.002, 0.005, 0.01, 0.02, 0.05)),
 }
 
-_SWEEP_EXPERIMENTS = ("rates-moment", "rates-variance", "deviation")
+EXPERIMENTS = tuple(DEFAULTS)
 
 
 class ConfigError(ValueError):
     """A configuration value is missing, malformed, or inconsistent."""
+
+
+def _parse_eps(text: str) -> float | tuple[float, ...]:
+    try:
+        values = tuple(float(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"eps must be a comma-separated float list, got {text!r}"
+        ) from None
+    return values[0] if len(values) == 1 else values
+
+
+# Every setting, in --help order: the parser of its value and, for a
+# setting with a flag, the flag's add_argument keywords; the others are
+# config-file keys only (see the module docstring).
+_SETTINGS: dict[str, tuple] = {
+    "experiment": (str, dict(choices=EXPERIMENTS,
+                             help="what to run (default: mlmc)")),
+    "problem": (str, dict(metavar="NAME", help="builtin problem name "
+                          "(default: per experiment)")),
+    "payoff": (str, None),
+    "theta": (float, dict(metavar="X", help="implicitness parameter in "
+                          "[0, 1] (default: 0.0)")),
+    "delta": (float, dict(metavar="X", help="drift-taming exponent in "
+                          "(0, 0.5]; omit to run untamed (default: "
+                          "untamed)")),
+    "M": (int, dict(metavar="N", help="level refinement factor (default: "
+                    "2)")),
+    "base_level": (int, dict(metavar="L", help="coarsest level; the only "
+                             "level for path/coupled/deviation (default: "
+                             "per experiment)")),
+    "max_level": (int, dict(metavar="L", help="finest level for mlmc and "
+                            "rates sweeps (default: per experiment)")),
+    "eps": (_parse_eps, dict(metavar="X[,X...]", help="noise scale; a "
+                             "comma list is the sweep for deviation/"
+                             "rates-moment/rates-variance (default: per "
+                             "experiment)")),
+    "eps0": (float, None),
+    "samples": (int, dict(metavar="N", help="paths per level/cell; for "
+                          "mlmc, explicit samples per level (default: per "
+                          "experiment)")),
+    "target_se": (float, dict(metavar="X", help="mlmc only: auto-allocate "
+                              "samples for this standard error (default: "
+                              "0.002 for mlmc)")),
+    "seed": (int, dict(metavar="N", help="master seed (default: "
+                       f"${SEED_ENV_VAR} or 0)")),
+    "out": (str, dict(metavar="PATH", help="CSV output path (default: "
+                      "mlmc-sdde-<experiment>.csv)")),
+    "jobs": (int, dict(metavar="N", help="worker threads for the rates-* "
+                       "and deviation sweeps; path, coupled and mlmc run on "
+                       "one thread; never changes results (default: "
+                       "hardware parallelism)")),
+    **{key: (float, None) for key in _COEFFICIENT_KEYS},
+}
 
 
 @dataclass
@@ -107,60 +166,42 @@ class RunConfig:
 
     experiment: str
     problem: str
-    problem_overrides: dict = field(default_factory=dict)
-    payoff: str = "identity"
-    theta: float = 0.0
-    delta: float | None = None
-    M: int = 2
-    base_level: int = 3
-    max_level: int | None = None
-    eps: float | tuple[float, ...] | None = None
-    eps0: float | None = None
-    samples: int | None = None
-    target_se: float | None = None
-    seed: int = 0
-    out: str = "mlmc_sdde.csv"
-    jobs: int | None = None
+    problem_overrides: dict
+    payoff: str
+    theta: float
+    delta: float | None
+    M: int
+    base_level: int
+    max_level: int | None
+    eps: float | tuple[float, ...] | None
+    eps0: float | None
+    samples: int | None
+    target_se: float | None
+    seed: int
+    jobs: int
+    out: str
 
     def echo_lines(self) -> list[str]:
+        """``key = value`` per field, in field order, and one line per
+        problem override in place of ``problem_overrides``."""
         def show(v):
-            if v is None:
-                return "none"
             if isinstance(v, tuple):
-                return ",".join(repr(float(x)) for x in v)
+                return ",".join(map(show, v))
             if isinstance(v, float):
                 return repr(v)
-            return str(v)
+            return "none" if v is None else str(v)
 
-        lines = [f"experiment = {self.experiment}",
-                 f"problem = {self.problem}"]
-        for key in sorted(self.problem_overrides):
-            lines.append(f"{key} = {show(float(self.problem_overrides[key]))}")
-        for key in ("payoff", "theta", "delta", "M", "base_level",
-                    "max_level", "eps", "eps0", "samples", "target_se",
-                    "seed", "jobs", "out"):
-            lines.append(f"{key} = {show(getattr(self, key))}")
-        return lines
+        items = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            items += (sorted(value.items()) if isinstance(value, dict)
+                      else [(f.name, value)])
+        return [f"{key} = {show(value)}" for key, value in items]
 
 
 # ---------------------------------------------------------------------------
 # Configuration layering
 # ---------------------------------------------------------------------------
-
-_INT_KEYS = ("M", "base_level", "max_level", "samples", "seed", "jobs")
-_FLOAT_KEYS = ("theta", "delta", "eps0", "target_se") + _COEFFICIENT_KEYS
-_STR_KEYS = ("experiment", "problem", "payoff", "out")
-_CONFIG_KEYS = _INT_KEYS + _FLOAT_KEYS + _STR_KEYS + ("eps",)
-
-
-def _parse_eps(text: str) -> float | tuple[float, ...]:
-    try:
-        values = tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise ConfigError(f"eps must be a comma-separated float list, "
-                          f"got {text!r}") from None
-    return values[0] if len(values) == 1 else values
-
 
 def parse_config_file(path: str) -> dict:
     """Read flat ``key=value`` lines; '#' lines and blanks are skipped."""
@@ -179,20 +220,13 @@ def parse_config_file(path: str) -> dict:
                 f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, text = line.partition("=")
         key, text = key.strip(), text.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise ConfigError(
                 f"{path}:{lineno}: unknown config key {key!r} "
-                f"(known keys: {', '.join(sorted(_CONFIG_KEYS))})")
+                f"(known keys: {', '.join(sorted(_SETTINGS))})")
         try:
-            if key == "eps":
-                values[key] = _parse_eps(text)
-            elif key in _INT_KEYS:
-                values[key] = int(text)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(text)
-            else:
-                values[key] = text
-        except ValueError:
+            values[key] = _SETTINGS[key][0](text)
+        except (ValueError, argparse.ArgumentTypeError):
             raise ConfigError(
                 f"{path}:{lineno}: bad value {text!r} for {key}") from None
     return values
@@ -217,11 +251,13 @@ def _build_parser() -> argparse.ArgumentParser:
                      f"M={d['M']} eps={eps_text}"
                      + (f" eps0={d['eps0']:g}" if d["eps0"] else "")
                      + f" {n_text}")
+    file_only = [key for key, (_, flag) in _SETTINGS.items()
+                 if flag is None and key not in _COEFFICIENT_KEYS]
     lines += [
         "",
         "config file: flat key=value lines; flags override file values.",
-        "config-only keys: payoff, eps0, and problem coefficients "
-        + ", ".join(_COEFFICIENT_KEYS) + ".",
+        f"config-only keys: {', '.join(file_only)}, and problem "
+        "coefficients " + ", ".join(_COEFFICIENT_KEYS) + ".",
         f"environment: {SEED_ENV_VAR} supplies the seed when neither flag "
         "nor config does.",
         "exit codes: 0 ok, 2 config/admissibility, 3 solver "
@@ -235,60 +271,23 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog="\n".join(lines),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    add = parser.add_argument
-    add("--experiment", choices=EXPERIMENTS,
-        help="what to run (default: mlmc)")
-    add("--problem", metavar="NAME",
-        help="builtin problem name (default: per experiment)")
-    add("--theta", type=float, metavar="X",
-        help="implicitness parameter in [0, 1] (default: 0.0)")
-    add("--delta", type=float, metavar="X",
-        help="drift-taming exponent in (0, 0.5]; omit to run untamed "
-            "(default: untamed)")
-    add("--M", type=int, metavar="N",
-        help="level refinement factor (default: 2)")
-    add("--base-level", type=int, metavar="L",
-        help="coarsest level; the only level for path/coupled/deviation "
-            "(default: per experiment)")
-    add("--max-level", type=int, metavar="L",
-        help="finest level for mlmc and rates sweeps (default: per "
-            "experiment)")
-    add("--eps", metavar="X[,X...]",
-        help="noise scale; a comma list is the sweep for deviation/"
-            "rates-moment/rates-variance (default: per experiment)")
-    add("--samples", type=int, metavar="N",
-        help="paths per level/cell; for mlmc, explicit samples per level "
-            "(default: per experiment)")
-    add("--target-se", type=float, metavar="X",
-        help="mlmc only: auto-allocate samples for this standard error "
-            "(default: 0.002 for mlmc)")
-    add("--seed", type=int, metavar="N",
-        help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
-    add("--out", metavar="PATH",
-        help="CSV output path (default: mlmc-sdde-<experiment>.csv)")
-    add("--jobs", type=int, metavar="N",
-        help="worker threads for the rates-* and deviation sweeps; path, "
-            "coupled and mlmc run on one thread; never changes results "
-            "(default: hardware parallelism)")
-    add("--config", metavar="PATH",
+    for key, (parse, flag) in _SETTINGS.items():
+        if flag is not None:
+            parser.add_argument("--" + key.replace("_", "-"), type=parse,
+                                **flag)
+    parser.add_argument(
+        "--config", metavar="PATH",
         help="key=value config file, overridden by flags (default: none)")
     return parser
 
 
 def build_config(argv: list[str] | None = None) -> RunConfig:
     """Parse flags + optional config file into a resolved RunConfig."""
-    args = _build_parser().parse_args(argv)
-    file_values = parse_config_file(args.config) if args.config else {}
-
-    flag_values = {
-        key: getattr(args, key)
-        for key in ("experiment", "problem", "theta", "delta", "M",
-                    "base_level", "max_level", "samples", "target_se",
-                    "seed", "out", "jobs")
-        if getattr(args, key) is not None
-    }
-    if args.eps is not None:
-        flag_values["eps"] = _parse_eps(args.eps)
+    flag_values = {key: value for key, value
+                   in vars(_build_parser().parse_args(argv)).items()
+                   if value is not None}
+    config = flag_values.pop("config", None)
+    file_values = parse_config_file(config) if config else {}
 
     experiment = flag_values.get("experiment",
                                  file_values.get("experiment", "mlmc"))
@@ -297,7 +296,7 @@ def build_config(argv: list[str] | None = None) -> RunConfig:
                           f"(choose from {', '.join(EXPERIMENTS)})")
     defaults = DEFAULTS[experiment]
 
-    merged = {k: v for k, v in defaults.items() if k != "problem_overrides"}
+    merged = dict(defaults)
     merged.update({k: v for k, v in file_values.items()
                    if k not in _COEFFICIENT_KEYS})
     merged.update(flag_values)
@@ -312,32 +311,28 @@ def build_config(argv: list[str] | None = None) -> RunConfig:
                       if k in _COEFFICIENT_KEYS})
     merged["problem_overrides"] = overrides
 
-    # samples and target-se are alternatives for mlmc: a user-provided one
-    # displaces the other's default rather than colliding with it.
+    # samples and target-se are alternatives where a target-se default is
+    # set (mlmc): a user-provided one displaces the other's default rather
+    # than colliding with it.
     explicit = set(file_values) | set(flag_values)
-    if "target_se" in explicit and experiment != "mlmc":
+    takes_target = defaults["target_se"] is not None
+    if "target_se" in explicit and not takes_target:
         raise ConfigError("target-se applies to the mlmc experiment only")
-    if experiment == "mlmc":
+    if takes_target:
         if "samples" in explicit and "target_se" not in explicit:
             merged["target_se"] = None
         if "target_se" in explicit and "samples" not in explicit:
             merged["samples"] = None
 
-    if "seed" not in merged or merged.get("seed") is None:
-        env_seed = os.environ.get(SEED_ENV_VAR)
-        if env_seed is not None:
-            try:
-                merged["seed"] = int(env_seed)
-            except ValueError:
-                raise ConfigError(
-                    f"{SEED_ENV_VAR}={env_seed!r} is not an integer"
-                ) from None
-        else:
-            merged["seed"] = 0
-    merged.setdefault("out", None)
+    if merged["seed"] is None:
+        env_seed = os.environ.get(SEED_ENV_VAR, "0")
+        try:
+            merged["seed"] = int(env_seed)
+        except ValueError:
+            raise ConfigError(
+                f"{SEED_ENV_VAR}={env_seed!r} is not an integer") from None
     if merged["out"] is None:
         merged["out"] = f"mlmc-sdde-{experiment}.csv"
-    merged.setdefault("jobs", None)
     if merged["jobs"] is None:
         merged["jobs"] = os.cpu_count() or 1
 
@@ -347,11 +342,12 @@ def build_config(argv: list[str] | None = None) -> RunConfig:
 
 
 def _validate_config(cfg: RunConfig) -> None:
+    defaults = DEFAULTS[cfg.experiment]
     if cfg.samples is not None and cfg.samples < 2:
         raise ConfigError(f"samples must be >= 2, got {cfg.samples}")
-    if cfg.jobs is not None and cfg.jobs < 1:
+    if cfg.jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {cfg.jobs}")
-    if cfg.experiment in _SWEEP_EXPERIMENTS:
+    if isinstance(defaults["eps"], tuple):
         if not isinstance(cfg.eps, tuple):
             raise ConfigError(
                 f"{cfg.experiment} needs an eps sweep (comma list of >= 3 "
@@ -359,13 +355,12 @@ def _validate_config(cfg: RunConfig) -> None:
     elif isinstance(cfg.eps, tuple):
         raise ConfigError(
             f"{cfg.experiment} takes a single eps value, got a list")
-    if cfg.experiment == "mlmc":
+    if defaults["target_se"] is not None:
         if (cfg.samples is None) == (cfg.target_se is None):
             raise ConfigError(
-                "mlmc needs exactly one of samples and target-se")
-    needs_max = cfg.experiment in ("mlmc", "rates-strong", "rates-moment",
-                                   "rates-variance")
-    if needs_max:
+                f"{cfg.experiment} needs exactly one of samples and "
+                "target-se")
+    if defaults["max_level"] is not None:
         if cfg.max_level is None:
             raise ConfigError(f"{cfg.experiment} requires max_level")
         if cfg.max_level < cfg.base_level:
@@ -403,21 +398,21 @@ def _build_payoff(cfg: RunConfig):
 def _run_path(cfg: RunConfig, problem: SddeProblem):
     terminal, sup_sq = _path_samples(problem, cfg.base_level, cfg.M,
                                      cfg.theta, cfg.delta, cfg.seed,
-                                     cfg.samples, "path")
+                                     cfg.samples, cfg.experiment)
     stats = (
         ("terminal_mean", float(terminal[0].mean())),
         ("terminal_variance", float(np.var(terminal[0], ddof=1))),
         ("terminal_second_moment", float(np.sum(terminal**2, axis=0).mean())),
         ("sup_second_moment", float(sup_sq.mean())),
     )
-    return _cell_output(cfg, problem, "path", stats)
+    return _cell_output(cfg, problem, stats)
 
 
 def _run_coupled(cfg: RunConfig, problem: SddeProblem):
     psi = _build_payoff(cfg)
     sq, deltas = _pair_samples(problem, cfg.base_level, cfg.M, cfg.theta,
-                               cfg.delta, cfg.seed, cfg.samples, "coupled",
-                               psi)
+                               cfg.delta, cfg.seed, cfg.samples,
+                               cfg.experiment, psi)
     per_node = sq.mean(axis=-1)
     stats = (
         ("coupled_sup_sq_moment", float(per_node.max())),
@@ -425,15 +420,15 @@ def _run_coupled(cfg: RunConfig, problem: SddeProblem):
         ("mean_delta", float(deltas.mean())),
         ("var_delta", float(np.var(deltas, ddof=1))),
     )
-    records, summary = _cell_output(cfg, problem, "coupled", stats)
+    records, summary = _cell_output(cfg, problem, stats)
     return records, [f"payoff = {psi.name}"] + summary
 
 
-def _cell_output(cfg: RunConfig, problem: SddeProblem, experiment, stats):
+def _cell_output(cfg: RunConfig, problem: SddeProblem, stats):
     """Records and summary lines of a one-cell run at ``base_level``."""
     h = problem.horizon * float(cfg.M) ** (-cfg.base_level)
     records = [
-        _record(experiment, cfg.base_level, h, problem.noise_scale,
+        _record(cfg.experiment, cfg.base_level, h, problem.noise_scale,
                 cfg.theta, cfg.delta, name, value, cfg.samples, cfg.seed)
         for name, value in stats
     ]
@@ -456,7 +451,7 @@ def _run_mlmc(cfg: RunConfig, problem: SddeProblem):
         h = problem.horizon * float(cfg.M) ** (-stats.level)
         for name in ("mean_delta", "var_delta", "mean_fine", "cost_units"):
             records.append(_record(
-                "mlmc", stats.level, h, problem.noise_scale, cfg.theta,
+                cfg.experiment, stats.level, h, problem.noise_scale, cfg.theta,
                 cfg.delta, name, float(getattr(stats, name)),
                 stats.samples, cfg.seed))
     summary = [
@@ -556,20 +551,18 @@ _RUNNERS = {
 # Output
 # ---------------------------------------------------------------------------
 
-def _csv_cell(key: str, value) -> str:
+def _csv_cell(value) -> str:
+    # numpy's float64 is a float too: every float prints as its shortest
+    # round-trip repr.
     if value is None:
         return ""
-    if key in ("level", "samples", "seed"):
-        return str(int(value))
-    if key in ("h", "eps", "theta", "delta", "value"):
-        return repr(float(value))
-    return str(value)
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
 def records_to_csv(records) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for rec in records:
-        lines.append(",".join(_csv_cell(k, rec[k]) for k in CSV_COLUMNS))
+        lines.append(",".join(_csv_cell(rec[k]) for k in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 

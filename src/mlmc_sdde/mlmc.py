@@ -48,7 +48,7 @@ __all__ = [
 
 # Paths are always processed in fixed chunks of this many indices and the
 # per-chunk statistics merged in chunk order, so the result is a pure
-# function of (seed, sample count).
+# function of (seed, sample count).  Read at call time.
 CHUNK_SIZE = 4096
 
 
@@ -237,12 +237,13 @@ def _level_paths(problem: SddeProblem, level: int, M: int, theta: float,
 
 
 def _fold(chunk_fn: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
-          level: int, cost: float, start: int, n_samples: int,
-          chunk_size: int) -> LevelStats:
+          level: int, cost: float, start: int,
+          n_samples: int) -> LevelStats:
     """The statistics of the ``(deltas, fines)`` chunks of the paths
-    ``[start, start + n_samples)``, merged in chunk order."""
+    ``[start, start + n_samples)``, in chunks of ``CHUNK_SIZE``, merged in
+    chunk order."""
     chunks = _run_chunks(chunk_fn, f"level {level}", start,
-                         start + n_samples, chunk_size)
+                         start + n_samples, CHUNK_SIZE)
     return reduce(LevelStats.merge, [
         LevelStats.from_samples(level, deltas, fines, cost)
         for deltas, fines in chunks])
@@ -258,7 +259,6 @@ def estimate_level(
     n_samples: int = 2,
     seed: int = 0,
     *,
-    chunk_size: int = CHUNK_SIZE,
     sample_offset: int = 0,
 ) -> LevelStats:
     """Statistics of ``psi(fine(T)) - psi(coarse(T))`` over coupled pairs.
@@ -279,7 +279,7 @@ def estimate_level(
             simulate_coupled(problem, pair, stream, full_path=False), psi)
 
     return _fold(chunk_fn, level, pair.cost_per_path, sample_offset,
-                 n_samples, chunk_size)
+                 n_samples)
 
 
 def single_level_estimate(
@@ -292,7 +292,6 @@ def single_level_estimate(
     n_samples: int = 2,
     seed: int = 0,
     *,
-    chunk_size: int = CHUNK_SIZE,
     sample_offset: int = 0,
 ) -> LevelStats:
     """Plain theta-EM Monte Carlo of ``psi`` at one level.
@@ -312,7 +311,7 @@ def single_level_estimate(
 
     # A path costs the M**level steps of its grid.
     return _fold(chunk_fn, level, float(M ** level), sample_offset,
-                 n_samples, chunk_size)
+                 n_samples)
 
 
 def mlmc_estimate(
@@ -329,7 +328,6 @@ def mlmc_estimate(
     *,
     n_pilot: int = 100,
     sample_cap: int = 2_000_000,
-    chunk_size: int = CHUNK_SIZE,
 ) -> MlmcEstimate:
     """Telescoping MLMC estimate of ``E[psi(X(T))]``.
 
@@ -365,8 +363,7 @@ def mlmc_estimate(
         fn = single_level_estimate if level == base_level else estimate_level
         return fn(
             problem, psi, level, M=M, theta=theta, delta=delta,
-            n_samples=n, seed=seed, chunk_size=chunk_size,
-            sample_offset=offset,
+            n_samples=n, seed=seed, sample_offset=offset,
         )
 
     warnings: list[str] = []

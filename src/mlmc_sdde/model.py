@@ -232,6 +232,24 @@ def _constant_segment(x0: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return xi
 
 
+def _builtin(name: str, drift, diffusion, regularity: Regularity, x0, tau,
+             horizon, eps) -> SddeProblem:
+    """A builtin problem: one state and one noise coordinate, started
+    from the constant segment ``x0``."""
+    return SddeProblem(
+        dim_state=1,
+        dim_noise=1,
+        drift=drift,
+        diffusion=diffusion,
+        delay=float(tau),
+        horizon=float(horizon),
+        noise_scale=float(eps),
+        initial_segment=_constant_segment(np.asarray([x0])),
+        regularity=regularity,
+        name=name,
+    )
+
+
 def _linear_scalar(*, a1=-1.0, a2=0.5, b1=0.1, b2=0.1, x0=1.0,
                    tau=0.25, horizon=1.0, eps=0.1) -> SddeProblem:
     """Scalar linear drift and linear diffusion.
@@ -248,18 +266,9 @@ def _linear_scalar(*, a1=-1.0, a2=0.5, b1=0.1, b2=0.1, x0=1.0,
         return (b1 * x + b2 * y)[..., None]
 
     alpha = max(abs(a1), abs(a2)) + max(abs(b1), abs(b2))
-    return SddeProblem(
-        dim_state=1,
-        dim_noise=1,
-        drift=drift,
-        diffusion=diffusion,
-        delay=float(tau),
-        horizon=float(horizon),
-        noise_scale=float(eps),
-        initial_segment=_constant_segment(np.asarray([x0])),
-        regularity=GlobalLipschitz(alpha=max(alpha, 1.0 + 1e-9)),
-        name="linear_scalar",
-    )
+    return _builtin("linear_scalar", drift, diffusion,
+                    GlobalLipschitz(alpha=max(alpha, 1.0 + 1e-9)),
+                    x0, tau, horizon, eps)
 
 
 def _additive_noise(*, a1=-1.0, a2=0.5, g0=1.0, x0=1.0,
@@ -277,18 +286,9 @@ def _additive_noise(*, a1=-1.0, a2=0.5, g0=1.0, x0=1.0,
         return out
 
     alpha = max(abs(a1), abs(a2))
-    return SddeProblem(
-        dim_state=1,
-        dim_noise=1,
-        drift=drift,
-        diffusion=diffusion,
-        delay=float(tau),
-        horizon=float(horizon),
-        noise_scale=float(eps),
-        initial_segment=_constant_segment(np.asarray([x0])),
-        regularity=GlobalLipschitz(alpha=max(alpha, 1.0 + 1e-9)),
-        name="additive_noise",
-    )
+    return _builtin("additive_noise", drift, diffusion,
+                    GlobalLipschitz(alpha=max(alpha, 1.0 + 1e-9)),
+                    x0, tau, horizon, eps)
 
 
 def _cubic_onesided(*, c=0.5, sigma=0.5, x0=5.0,
@@ -319,20 +319,9 @@ def _cubic_onesided(*, c=0.5, sigma=0.5, x0=5.0,
         del y
         return (sigma * np.sqrt(1.0 + x**2))[..., None]
 
-    return SddeProblem(
-        dim_state=1,
-        dim_noise=1,
-        drift=drift,
-        diffusion=diffusion,
-        delay=float(tau),
-        horizon=float(horizon),
-        noise_scale=float(eps),
-        initial_segment=_constant_segment(np.asarray([x0])),
-        regularity=OneSidedLipschitz(
-            alpha1=1.5, alpha2=1.5, alpha3=sigma**2, growth_r=2.0, p=2.0
-        ),
-        name="cubic_onesided",
-    )
+    return _builtin("cubic_onesided", drift, diffusion, OneSidedLipschitz(
+        alpha1=1.5, alpha2=1.5, alpha3=sigma**2, growth_r=2.0, p=2.0
+    ), x0, tau, horizon, eps)
 
 
 def _zero_dynamics(*, x0=1.0, tau=0.25, horizon=1.0, eps=0.1) -> SddeProblem:
@@ -344,18 +333,8 @@ def _zero_dynamics(*, x0=1.0, tau=0.25, horizon=1.0, eps=0.1) -> SddeProblem:
     def diffusion(x, y):
         return np.zeros(np.broadcast_shapes(x.shape, y.shape) + (1,), dtype=float)
 
-    return SddeProblem(
-        dim_state=1,
-        dim_noise=1,
-        drift=drift,
-        diffusion=diffusion,
-        delay=float(tau),
-        horizon=float(horizon),
-        noise_scale=float(eps),
-        initial_segment=_constant_segment(np.asarray([x0])),
-        regularity=GlobalLipschitz(alpha=1.0 + 1e-9),
-        name="zero_dynamics",
-    )
+    return _builtin("zero_dynamics", drift, diffusion,
+                    GlobalLipschitz(alpha=1.0 + 1e-9), x0, tau, horizon, eps)
 
 
 BUILTIN_PROBLEMS: dict[str, Callable[..., SddeProblem]] = {

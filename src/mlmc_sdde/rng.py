@@ -37,7 +37,7 @@ No estimator combines the two, so they need no separate counter space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -55,20 +55,6 @@ def uniforms_from_words(words: np.ndarray) -> np.ndarray:
     """Map uint64 words to floats strictly inside (0, 1)."""
     w = np.asarray(words, dtype=np.uint64)
     return ((w >> np.uint64(12)).astype(np.float64) + 0.5) * _INV52
-
-
-def _as_path_array(path_index) -> tuple[np.ndarray, bool]:
-    scalar = np.isscalar(path_index) or np.ndim(path_index) == 0
-    arr = np.atleast_1d(np.asarray(path_index))
-    if arr.ndim != 1:
-        raise ValueError("path_index must be a scalar or a 1-d array")
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise TypeError("path_index must be integer-valued")
-    if arr.size and int(arr.min()) < 0:
-        raise ValueError("path_index must be non-negative")
-    if arr.size > 1 and np.any(np.diff(arr) != 1):
-        raise ValueError("path_index must be a run of consecutive paths")
-    return arr, scalar
 
 
 def _normals_in_place(words: np.ndarray) -> np.ndarray:
@@ -145,6 +131,11 @@ class NoiseStream:
     path_index: Union[int, np.ndarray]
     dim: int
     n_steps: int | None = None
+    # The batch's first path, its path count and whether it is one scalar
+    # path, checked and set once by __post_init__.
+    _first: int = field(init=False, repr=False, compare=False)
+    _count: int = field(init=False, repr=False, compare=False)
+    _scalar: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 <= int(self.master_seed) <= _MASK64:
@@ -155,11 +146,22 @@ class NoiseStream:
             raise ValueError("dim must be >= 1")
         if self.n_steps is not None and int(self.n_steps) < 1:
             raise ValueError("n_steps must be >= 1 when given")
-        paths, _ = _as_path_array(self.path_index)
+        paths = np.atleast_1d(np.asarray(self.path_index))
+        if paths.ndim != 1:
+            raise ValueError("path_index must be a scalar or a 1-d array")
+        if not np.issubdtype(paths.dtype, np.integer):
+            raise TypeError("path_index must be integer-valued")
+        if paths.size and int(paths.min()) < 0:
+            raise ValueError("path_index must be non-negative")
+        if paths.size > 1 and np.any(np.diff(paths) != 1):
+            raise ValueError("path_index must be a run of consecutive paths")
         if paths.size and (int(paths[-1]) + 1) * int(self.dim) > 4 << 64:
             raise ValueError(
                 f"paths up to {int(paths[-1])} at dim {self.dim} overflow "
                 "the 64-bit block counter")
+        object.__setattr__(self, "_first", int(paths[0]) if paths.size else 0)
+        object.__setattr__(self, "_count", paths.size)
+        object.__setattr__(self, "_scalar", np.ndim(self.path_index) == 0)
 
     def _check(self, j: int) -> None:
         if not 0 <= j <= _MASK64 or (
@@ -175,21 +177,18 @@ class NoiseStream:
         then the per-step draws stacked along a new leading axis, equal
         bit for bit to ``np.stack([gaussian_increment(i) for i in j])``.
         """
-        paths, scalar = _as_path_array(self.path_index)
         steps = j if isinstance(j, range) else range(int(j), int(j) + 1)
         if steps.step != 1:
             raise ValueError(f"step range {steps} must have step 1")
         if steps:
             self._check(steps.start)
             self._check(steps[-1])
-        first = int(paths[0]) if paths.size else 0
-        z = _draws((int(self.master_seed), int(self.level)), steps, first,
-                   paths.size, int(self.dim))
-        if scalar:
+        z = _draws((int(self.master_seed), int(self.level)), steps,
+                   self._first, self._count, int(self.dim))
+        if self._scalar:
             z = z[:, 0]
         return z if isinstance(j, range) else z[0]
 
     @property
     def n_paths(self) -> int:
-        arr, scalar = _as_path_array(self.path_index)
-        return 1 if scalar else arr.size
+        return self._count

@@ -270,12 +270,13 @@ def test_variance_rates_validation():
 # Strong error against the refined reference
 # ---------------------------------------------------------------------------
 
-def test_strong_error_slope_and_reference_level():
+def test_strong_error_slope_and_reference_level(monkeypatch):
     problem = builtin_problem("linear_scalar", eps=1e-4)
     psi = builtin_payoff("identity")
+    monkeypatch.setattr(analysis, "_STRONG_CHUNK_PATHS", 256)
     result = strong_error_rate(
         problem, psi, theta=0.0, level_sweep=[3, 4, 5],
-        n_paths=600, seed=13, chunk_paths=256,
+        n_paths=600, seed=13,
     )
     assert result.ref_level == 8
     assert abs(result.fit.slope - 2.0) <= 0.5
@@ -285,12 +286,14 @@ def test_strong_error_slope_and_reference_level():
     assert [r["statistic"] for r in result.records] == ["strong_error_sq"] * 3
 
 
-def test_strong_error_chunking_does_not_change_results():
+def test_strong_error_chunking_does_not_change_results(monkeypatch):
     problem = builtin_problem("linear_scalar", eps=1e-4)
     psi = builtin_payoff("identity")
     kwargs = dict(theta=0.0, level_sweep=[3, 4, 5], n_paths=300, seed=13)
-    small = strong_error_rate(problem, psi, chunk_paths=97, **kwargs)
-    big = strong_error_rate(problem, psi, chunk_paths=10_000, **kwargs)
+    monkeypatch.setattr(analysis, "_STRONG_CHUNK_PATHS", 97)
+    small = strong_error_rate(problem, psi, **kwargs)
+    monkeypatch.setattr(analysis, "_STRONG_CHUNK_PATHS", 10_000)
+    big = strong_error_rate(problem, psi, **kwargs)
     for a, b in zip(small.errors_sq, big.errors_sq):
         assert a == pytest.approx(b, rel=1e-10)
 
@@ -314,8 +317,9 @@ def test_strong_error_increments_do_not_depend_on_chunk_size(monkeypatch):
     runs = []
     for size in (1, 2, 5):
         per_grid.clear()
+        monkeypatch.setattr(analysis, "_STRONG_CHUNK_PATHS", size)
         strong_error_rate(problem, psi, level_sweep=[3, 4, 5], n_paths=5,
-                          seed=13, chunk_paths=size, jobs=1)
+                          seed=13, jobs=1)
         runs.append({n: np.concatenate(arrs, axis=1)
                      for n, arrs in per_grid.items()})
     assert sorted(runs[0]) == [8, 16, 32, 256]
@@ -326,18 +330,19 @@ def test_strong_error_increments_do_not_depend_on_chunk_size(monkeypatch):
             np.testing.assert_array_equal(other[n], dw)
 
 
-def test_strong_error_chunk_holds_less_than_the_reference_increments():
+def test_strong_error_chunk_holds_less_than_the_reference_increments(
+        monkeypatch):
     # One 2500-path chunk of levels 3..5 against reference level 8: the
     # reference increments stream through the step loop, so the chunk
     # never holds all n_ref x P of them at once.
     problem = builtin_problem("linear_scalar", eps=1e-4)
     psi = builtin_payoff("identity")
     n_ref, n_paths = 2**8, 2500
+    monkeypatch.setattr(analysis, "_STRONG_CHUNK_PATHS", n_paths)
     tracemalloc.start()
     try:
         strong_error_rate(problem, psi, level_sweep=[3, 4, 5],
-                          n_paths=n_paths, seed=13, chunk_paths=n_paths,
-                          jobs=1)
+                          n_paths=n_paths, seed=13, jobs=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -355,7 +360,7 @@ def test_strong_error_validation():
 # Worker-count invariance and record schema
 # ---------------------------------------------------------------------------
 
-def test_sweeps_are_invariant_under_jobs():
+def test_sweeps_are_invariant_under_jobs(monkeypatch):
     problem = _strong_noise_problem(eps=0.05)
     psi = builtin_payoff("tanh")
     mom = dict(theta=0.0, level_sweep=[3, 4, 5],
@@ -375,8 +380,8 @@ def test_sweeps_are_invariant_under_jobs():
     d2 = small_noise_deviation(problem, jobs=4, **dev_kw)
     assert d1.deviation_sq == d2.deviation_sq
 
-    se_kw = dict(theta=0.0, level_sweep=[3, 4, 5], n_paths=200, seed=1,
-                 chunk_paths=64)
+    monkeypatch.setattr(analysis, "_STRONG_CHUNK_PATHS", 64)
+    se_kw = dict(theta=0.0, level_sweep=[3, 4, 5], n_paths=200, seed=1)
     s1 = strong_error_rate(problem, psi, **se_kw)
     s2 = strong_error_rate(problem, psi, jobs=4, **se_kw)
     assert s1.errors_sq == s2.errors_sq

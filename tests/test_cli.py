@@ -18,6 +18,7 @@ import pytest
 import mlmc_sdde
 from mlmc_sdde import scheme
 from mlmc_sdde.cli import (
+    _SETTINGS,
     CSV_COLUMNS,
     DEFAULTS,
     EXPERIMENTS,
@@ -111,6 +112,44 @@ def test_config_file_layering_and_flag_override(tmp_path):
     assert cfg.samples == 80  # flag beats file
     assert cfg.seed == 9  # file beats default
     assert cfg.problem_overrides == {"a1": -0.5}
+
+
+# A value for every setting with a flag, valid for the default experiment
+# (mlmc) unless the value is the experiment itself.
+_FLAG_SAMPLES = {
+    "experiment": "path", "problem": "additive_noise", "theta": "0.5",
+    "delta": "0.25", "M": "4", "base_level": "4", "max_level": "6",
+    "eps": "0.05", "samples": "64", "target_se": "0.01", "seed": "9",
+    "out": "x.csv", "jobs": "3",
+}
+_FLAGGED = [key for key, (_, flag) in _SETTINGS.items() if flag is not None]
+
+
+@pytest.mark.parametrize("key", _FLAGGED)
+def test_flag_and_config_key_resolve_alike(key, tmp_path):
+    value = _FLAG_SAMPLES[key]
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{key} = {value}\n", encoding="utf-8")
+    from_flag = build_config(["--" + key.replace("_", "-"), value])
+    from_file = build_config(["--config", str(cfg_file)])
+    assert from_flag == from_file
+    assert getattr(from_flag, key) == _SETTINGS[key][0](value)
+
+
+@pytest.mark.parametrize(
+    "key", [key for key in _SETTINGS if key not in _FLAGGED])
+def test_config_only_key_given_as_flag_exits_two(key, capsys, tmp_path,
+                                                 monkeypatch):
+    # argparse rejects the flag (exit 2 by SystemExit), except that it
+    # reads "--c" as an abbreviation of "--config", whose file "1" does not
+    # exist (exit 2 by ConfigError).
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main(["--" + key.replace("_", "-"), "1"])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlmc_sdde import mlmc
 from mlmc_sdde.coupling import LevelPair, coupled_payoff_delta, simulate_coupled
 from mlmc_sdde.mlmc import (
     LevelStats,
@@ -124,11 +125,11 @@ def test_zero_dynamics_level_is_exactly_zero():
     assert s.cost_units == 16 * (8 + 4)
 
 
-def test_streaming_matches_two_pass_oracle():
+def test_streaming_matches_two_pass_oracle(monkeypatch):
     prob = builtin_problem("linear_scalar", eps=0.4)
     n = 1337  # not a multiple of the chunk size
-    s = estimate_level(prob, TANH, level=4, theta=0.0, n_samples=n, seed=9,
-                       chunk_size=256)
+    monkeypatch.setattr(mlmc, "CHUNK_SIZE", 256)
+    s = estimate_level(prob, TANH, level=4, theta=0.0, n_samples=n, seed=9)
     pair = LevelPair.for_problem(prob, 4, theta=0.0)
     coupled = simulate_coupled(
         prob, pair, pair.noise_stream(9, np.arange(n), 1))
@@ -140,14 +141,13 @@ def test_streaming_matches_two_pass_oracle():
     assert math.isclose(s.mean_fine, float(np.mean(fines)), rel_tol=1e-12)
 
 
-def test_sample_offset_continues_the_stream():
+def test_sample_offset_continues_the_stream(monkeypatch):
     prob = builtin_problem("linear_scalar", eps=0.3)
-    whole = estimate_level(prob, TANH, level=3, n_samples=300, seed=2,
-                           chunk_size=100)
-    first = estimate_level(prob, TANH, level=3, n_samples=100, seed=2,
-                           chunk_size=100)
+    monkeypatch.setattr(mlmc, "CHUNK_SIZE", 100)
+    whole = estimate_level(prob, TANH, level=3, n_samples=300, seed=2)
+    first = estimate_level(prob, TANH, level=3, n_samples=100, seed=2)
     rest = estimate_level(prob, TANH, level=3, n_samples=200, seed=2,
-                          chunk_size=100, sample_offset=100)
+                          sample_offset=100)
     merged = first.merge(rest)
     assert merged.samples == whole.samples
     assert math.isclose(merged.mean_delta, whole.mean_delta, rel_tol=1e-12)
@@ -176,11 +176,12 @@ def test_small_sample_count_rejected():
 # single_level_estimate
 # ---------------------------------------------------------------------------
 
-def test_single_level_matches_direct_monte_carlo():
+def test_single_level_matches_direct_monte_carlo(monkeypatch):
     prob = builtin_problem("linear_scalar", eps=0.2)
     n = 700
+    monkeypatch.setattr(mlmc, "CHUNK_SIZE", 128)
     s = single_level_estimate(prob, TANH, level=5, theta=0.5, n_samples=n,
-                              seed=21, chunk_size=128)
+                              seed=21)
     grid = GridSpec.for_problem(prob, theta=0.5, level=5)
     stream = NoiseStream(master_seed=21, level=5, path_index=np.arange(n),
                          dim=1, n_steps=grid.total_steps_N)

@@ -13,6 +13,7 @@ import pytest
 from numpy.random import Philox
 from scipy.special import ndtri
 
+from mlmc_sdde import mlmc
 from mlmc_sdde.analysis import strong_error_rate
 from mlmc_sdde.coupling import LevelPair, simulate_coupled
 from mlmc_sdde.mlmc import estimate_level
@@ -247,8 +248,9 @@ def test_estimate_level_draws_do_not_depend_on_chunk_size(monkeypatch):
     draws = []
     for size in (1, 3, 4096):
         per_path.clear()
+        monkeypatch.setattr(mlmc, "CHUNK_SIZE", size)
         estimate_level(problem, psi, 4, n_samples=10, seed=3,
-                       chunk_size=size, sample_offset=5)
+                       sample_offset=5)
         assert sorted(per_path) == list(range(5, 15))
         draws.append({p: np.concatenate(d) for p, d in per_path.items()})
     for other in draws[1:]:
