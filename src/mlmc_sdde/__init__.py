@@ -12,93 +12,17 @@ analysis  empirical convergence-rate experiments
 cli       command-line entry point writing CSV tables
 """
 
-from .analysis import (
-    EnvelopeFit,
-    RateFit,
-    coupled_moment_rates,
-    coupled_variance_rates,
-    deterministic_skeleton,
-    envelope_fit,
-    small_noise_deviation,
-    strong_error_rate,
-)
-from .coupling import (
-    CoupledPair,
-    LevelPair,
-    coupled_payoff_delta,
-    simulate_coupled,
-)
-from .mlmc import (
-    LevelStats,
-    MlmcEstimate,
-    estimate_level,
-    mlmc_estimate,
-    single_level_estimate,
-)
-from .model import (
-    BUILTIN_PAYOFFS,
-    BUILTIN_PROBLEMS,
-    GlobalLipschitz,
-    OneSidedLipschitz,
-    Payoff,
-    SddeProblem,
-    builtin_payoff,
-    builtin_problem,
-    derived_constants,
-)
-from .rng import NoiseStream
-from .scheme import (
-    AdmissibilityError,
-    DelayBuffer,
-    GridSpec,
-    NonConvergence,
-    TamedDrift,
-    check_admissibility,
-    implicit_step_solve,
-    tame_drift,
-    taming_for_level,
-    theta_em_path,
-)
+# Each submodule's ``__all__`` is the one list of its public names; the
+# package republishes them.
+from . import analysis, coupling, mlmc, model, rng, scheme
+from .analysis import *  # noqa: F401,F403
+from .coupling import *  # noqa: F401,F403
+from .mlmc import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .rng import *  # noqa: F401,F403
+from .scheme import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BUILTIN_PAYOFFS",
-    "BUILTIN_PROBLEMS",
-    "GlobalLipschitz",
-    "OneSidedLipschitz",
-    "Payoff",
-    "SddeProblem",
-    "builtin_payoff",
-    "builtin_problem",
-    "derived_constants",
-    "NoiseStream",
-    "AdmissibilityError",
-    "DelayBuffer",
-    "GridSpec",
-    "NonConvergence",
-    "TamedDrift",
-    "check_admissibility",
-    "implicit_step_solve",
-    "tame_drift",
-    "taming_for_level",
-    "theta_em_path",
-    "CoupledPair",
-    "LevelPair",
-    "coupled_payoff_delta",
-    "simulate_coupled",
-    "LevelStats",
-    "MlmcEstimate",
-    "estimate_level",
-    "mlmc_estimate",
-    "single_level_estimate",
-    "EnvelopeFit",
-    "RateFit",
-    "coupled_moment_rates",
-    "coupled_variance_rates",
-    "deterministic_skeleton",
-    "envelope_fit",
-    "small_noise_deviation",
-    "strong_error_rate",
-    "__version__",
-]
+__all__ = [name for module in (model, rng, scheme, coupling, mlmc, analysis)
+           for name in module.__all__] + ["__version__"]

@@ -270,6 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "with scaled noise.",
         epilog="\n".join(lines),
         formatter_class=argparse.RawDescriptionHelpFormatter,
+        allow_abbrev=False,
     )
     for key, (parse, flag) in _SETTINGS.items():
         if flag is not None:

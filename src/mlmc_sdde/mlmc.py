@@ -37,19 +37,18 @@ from .scheme import (
     theta_em_path,
 )
 
-__all__ = [
-    "LevelStats",
-    "MlmcEstimate",
-    "estimate_level",
-    "single_level_estimate",
-    "mlmc_estimate",
-    "CHUNK_SIZE",
-]
+__all__ = ["LevelStats", "MlmcEstimate", "estimate_level",
+           "single_level_estimate", "mlmc_estimate"]
 
 # Paths are always processed in fixed chunks of this many indices and the
 # per-chunk statistics merged in chunk order, so the result is a pure
 # function of (seed, sample count).  Read at call time.
 CHUNK_SIZE = 4096
+
+# The pilot samples per level and the per-level sample cap of a target-SE
+# estimate.  Read at call time.
+PILOT_SAMPLES = 100
+SAMPLE_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -123,10 +122,8 @@ class LevelStats:
         rounding (exercised by the tests at 1e-12 relative).
         """
         if other.level != self.level:
-            raise ValueError(
-                f"cannot merge stats for level {self.level} with level "
-                f"{other.level}"
-            )
+            raise ValueError(f"cannot merge stats for level {self.level} "
+                             f"with level {other.level}")
         na, nb = self.samples, other.samples
         if nb == 0:
             return self
@@ -150,21 +147,40 @@ class LevelStats:
 
 @dataclass(frozen=True)
 class MlmcEstimate:
-    """Assembled telescoping estimate.
+    """Assembled telescoping estimate, with its totals derived from
+    ``levels``.
 
     ``levels[0]`` holds the base-level plain Monte Carlo statistics (its
     delta is the payoff itself); subsequent entries hold the coupled
     difference statistics.  ``value = base_level_mean + sum of the
-    difference means`` and ``std_error**2 = sum over all levels (base
-    included) of var_delta / samples``.
+    difference means``, ``variance = std_error**2 = sum over all levels
+    (base included) of var_delta / samples`` and ``total_cost`` sums the
+    levels' ``cost_units``.
     """
 
-    value: float
     levels: tuple[LevelStats, ...]
-    base_level_mean: float
-    total_cost: float
-    std_error: float
     warnings: tuple[str, ...] = ()
+
+    @property
+    def base_level_mean(self) -> float:
+        return self.levels[0].mean_delta
+
+    @property
+    def value(self) -> float:
+        return self.base_level_mean + sum(s.mean_delta
+                                          for s in self.levels[1:])
+
+    @property
+    def variance(self) -> float:
+        return sum(s.var_delta / s.samples for s in self.levels)
+
+    @property
+    def std_error(self) -> float:
+        return math.sqrt(self.variance)
+
+    @property
+    def total_cost(self) -> float:
+        return sum(s.cost_units for s in self.levels)
 
 
 def _refuse_blown_up(where: str, *samples: np.ndarray) -> None:
@@ -325,103 +341,81 @@ def mlmc_estimate(
     samples_per_level: Sequence[int] | None = None,
     target_se: float | None = None,
     seed: int = 0,
-    *,
-    n_pilot: int = 100,
-    sample_cap: int = 2_000_000,
 ) -> MlmcEstimate:
     """Telescoping MLMC estimate of ``E[psi(X(T))]``.
 
     Exactly one of ``samples_per_level`` (explicit counts, base level
-    first) and ``target_se`` must be given.  With ``target_se``, a pilot of
-    ``n_pilot`` samples per level measures variances and samples are
-    allocated proportionally to ``sqrt(var/cost)`` (the classic
-    cost-weighted rule), capped at ``sample_cap`` samples per level.  The
-    allocation is repeated from the merged statistics, topping levels up,
-    until the target is met or no level below the cap wants more; a cap
-    that leaves the target unmet is reported in ``warnings`` rather than
-    raised.
+    first) and ``target_se`` must be given.  One loop runs the levels in
+    rounds.  The first round runs every level once, with the given counts
+    or with a pilot of ``PILOT_SAMPLES`` samples.  With ``target_se``, each
+    later round allocates samples proportionally to ``sqrt(var/cost)``
+    (the classic cost-weighted rule) from the merged statistics, capped at
+    ``SAMPLE_CAP`` samples per level, and tops up the levels that want
+    more.  The rounds stop once a top-up round meets the target or no
+    level below the cap wants more; a cap that leaves the target unmet is
+    reported in ``warnings`` rather than raised.  Both constants are read
+    at call time.
     """
     if base_level > max_level:
         raise ValueError(
-            f"base_level {base_level} exceeds max_level {max_level}"
-        )
+            f"base_level {base_level} exceeds max_level {max_level}")
     if delta is not None and base_level < 2:
         raise AdmissibilityError(
             f"tamed estimates need base_level >= 2, got {base_level} "
             "(the coarse member of the first coupled pair tames with the "
-            "two-coarser step, which must exist)"
-        )
+            "two-coarser step, which must exist)")
     if (samples_per_level is None) == (target_se is None):
         raise ValueError(
-            "exactly one of samples_per_level and target_se is required"
-        )
+            "exactly one of samples_per_level and target_se is required")
 
     levels = list(range(base_level, max_level + 1))
-
-    def run(level: int, n: int, offset: int) -> LevelStats:
-        # Looked up at call time, so a rebound module global is seen.
-        fn = single_level_estimate if level == base_level else estimate_level
-        return fn(
-            problem, psi, level, M=M, theta=theta, delta=delta,
-            n_samples=n, seed=seed, sample_offset=offset,
-        )
-
-    warnings: list[str] = []
-
-    if samples_per_level is not None:
+    if target_se is None:
         counts = [int(n) for n in samples_per_level]
         if len(counts) != len(levels):
-            raise ValueError(
-                f"samples_per_level has {len(counts)} entries for "
-                f"{len(levels)} levels"
-            )
+            raise ValueError(f"samples_per_level has {len(counts)} entries "
+                             f"for {len(levels)} levels")
         if any(n < 2 for n in counts):
             raise ValueError("every level needs at least 2 samples")
-        stats = [run(lv, n, 0) for lv, n in zip(levels, counts)]
     else:
         if not target_se > 0.0:
             raise ValueError(f"target_se must be > 0, got {target_se}")
-        pilot_n = max(int(n_pilot), 2)
-        cap = int(sample_cap)
-        stats = [run(lv, pilot_n, 0) for lv in levels]
-        cost_per = [s.cost_units / s.samples for s in stats]
+        counts = [PILOT_SAMPLES] * len(levels)
         target_var = target_se * target_se
-        while True:
-            weight_sum = sum(
-                math.sqrt(s.var_delta * c) for s, c in zip(stats, cost_per)
-            )
-            grew = False
-            for i, lv in enumerate(levels):
-                v = stats[i].var_delta
-                want = 2 if v == 0.0 else math.ceil(
-                    math.sqrt(v / cost_per[i]) * weight_sum / target_var
-                )
-                want = min(max(want, 2), cap)
-                have = stats[i].samples
-                if want > have:
-                    extra = run(lv, want - have, have)
-                    stats[i] = stats[i].merge(extra)
-                    grew = True
-            achieved_var = sum(s.var_delta / s.samples for s in stats)
-            if achieved_var <= target_var * (1.0 + 1e-9) or not grew:
-                break
-        if achieved_var > target_var * (1.0 + 1e-9):
-            capped = [str(s.level) for s in stats if s.samples >= cap]
-            where = (f" at the per-level sample cap {sample_cap} (level "
-                     f"{', '.join(capped)})" if capped else "")
-            warnings.append(
-                f"target standard error {target_se:g} not met: achieved "
-                f"{math.sqrt(achieved_var):g}{where}"
-            )
 
-    base = stats[0]
-    value = base.mean_delta + sum(s.mean_delta for s in stats[1:])
-    variance = sum(s.var_delta / s.samples for s in stats)
-    return MlmcEstimate(
-        value=value,
-        levels=tuple(stats),
-        base_level_mean=base.mean_delta,
-        total_cost=sum(s.cost_units for s in stats),
-        std_error=math.sqrt(variance),
-        warnings=tuple(warnings),
-    )
+    stats: list[LevelStats | None] = [None] * len(levels)
+    allocated = False
+    while True:
+        grew = False
+        for i, (level, n) in enumerate(zip(levels, counts)):
+            have = 0 if stats[i] is None else stats[i].samples
+            if n > have:
+                # Looked up at call time, so a rebound module global is seen.
+                fn = single_level_estimate if i == 0 else estimate_level
+                extra = fn(problem, psi, level, M=M, theta=theta,
+                           delta=delta, n_samples=n - have, seed=seed,
+                           sample_offset=have)
+                stats[i] = extra if have == 0 else stats[i].merge(extra)
+                grew = True
+        estimate = MlmcEstimate(tuple(stats))
+        # The pilot is always followed by one allocation by the rule.
+        met = target_se is None or (
+            allocated and estimate.variance <= target_var * (1.0 + 1e-9))
+        if met or not grew:
+            break
+        cost = [s.cost_units / s.samples for s in stats]
+        weight_sum = sum(math.sqrt(s.var_delta * c)
+                         for s, c in zip(stats, cost))
+        counts = [2 if s.var_delta == 0.0 else math.ceil(
+            math.sqrt(s.var_delta / c) * weight_sum / target_var)
+            for s, c in zip(stats, cost)]
+        counts = [min(max(n, 2), SAMPLE_CAP) for n in counts]
+        allocated = True
+
+    if met:
+        return estimate
+    capped = [str(s.level) for s in stats if s.samples >= SAMPLE_CAP]
+    where = (f" at the per-level sample cap {SAMPLE_CAP} (level "
+             f"{', '.join(capped)})" if capped else "")
+    return MlmcEstimate(estimate.levels, (
+        f"target standard error {target_se:g} not met: achieved "
+        f"{estimate.std_error:g}{where}",))

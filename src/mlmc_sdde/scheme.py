@@ -400,13 +400,6 @@ def _row_sum(v: np.ndarray) -> np.ndarray:
     return np.add.reduce(v, axis=-1, keepdims=True) if v.shape[-1] > 1 else v
 
 
-def _row_norms(r: np.ndarray) -> np.ndarray:
-    """Euclidean norms over the last axis, bit for bit ``np.linalg.norm``."""
-    sq = r * r
-    return np.sqrt(np.add.reduce(sq, axis=-1) if r.shape[-1] > 1
-                   else sq[..., 0])
-
-
 def _newton_solve(y, d, drift, th, x, tol_abs, budget, used):
     # Damped Newton on r(x) = x - th*f(x, d) - y with FD Jacobians,
     # vectorised over the batch.
@@ -418,7 +411,7 @@ def _newton_solve(y, d, drift, th, x, tol_abs, budget, used):
         fx = drift(x, d)
         r = x - th * fx
         r -= y
-        rn = _row_norms(r)
+        rn = np.sqrt(_row_sum(r * r))
         res = float(np.max(rn, initial=0.0))
         used += 1
         if res <= tol_abs:
@@ -441,13 +434,13 @@ def _newton_solve(y, d, drift, th, x, tol_abs, budget, used):
         for _ in range(25):
             r_new = x_new - th * drift(x_new, d)
             r_new -= y
-            rn_new = _row_norms(r_new)
+            rn_new = np.sqrt(_row_sum(r_new * r_new))
             bad = ~(rn_new <= np.maximum(1.0 - 0.25 * lam, 0.0) * rn + tol_abs)
             bad &= rn > tol_abs
             if not np.any(bad & (lam > 1e-6)):
                 break
             lam = np.where(bad, 0.5 * lam, lam)
-            x_new = x + lam[..., None] * step
+            x_new = x + lam * step
         x = x_new
     raise NonConvergence(
         f"implicit stage stalled at residual {res:.3e} after {used} "

@@ -140,16 +140,24 @@ def test_flag_and_config_key_resolve_alike(key, tmp_path):
     "key", [key for key in _SETTINGS if key not in _FLAGGED])
 def test_config_only_key_given_as_flag_exits_two(key, capsys, tmp_path,
                                                  monkeypatch):
-    # argparse rejects the flag (exit 2 by SystemExit), except that it
-    # reads "--c" as an abbreviation of "--config", whose file "1" does not
-    # exist (exit 2 by ConfigError).
     monkeypatch.chdir(tmp_path)
-    try:
-        code = main(["--" + key.replace("_", "-"), "1"])
-    except SystemExit as exc:
-        code = exc.code
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--" + key.replace("_", "-"), "1"])
+    assert excinfo.value.code == 2
+    assert "error: unrecognized arguments" in capsys.readouterr().err
+
+
+def test_abbreviated_flags_are_rejected(capsys, tmp_path, monkeypatch):
+    # With prefix matching, "--c 0.3" read a config file named "0.3" and
+    # "--sam 64" ran with 64 samples.
+    monkeypatch.chdir(tmp_path)
+    for argv in (["--c", "0.3"], ["--sam", "64"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: unrecognized arguments: {' '.join(argv)}" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):

@@ -276,10 +276,42 @@ def test_auto_allocation_tops_up_until_target_met():
     assert est.levels[0].samples > 272  # what the one-shot allocation took
 
 
-def test_auto_allocation_cap_warns():
+def test_target_se_estimate_is_pinned(monkeypatch):
+    # Sample counts and values of the target-SE loop, pinned bit for bit:
+    # a top-up round on the base level, then a cap that stops the rounds.
+    prob = builtin_problem("linear_scalar", eps=0.2)
+    est = mlmc_estimate(prob, TANH, base_level=3, max_level=5,
+                        target_se=1e-3, seed=13)
+    assert [s.samples for s in est.levels] == [382, 100, 100]
+    assert est.value == 0.5638227570297695
+    assert est.std_error == 0.0009310926782063493
+    monkeypatch.setattr(mlmc, "PILOT_SAMPLES", 50)
+    monkeypatch.setattr(mlmc, "SAMPLE_CAP", 200)
+    est = mlmc_estimate(prob, TANH, base_level=3, max_level=4,
+                        target_se=1e-6, seed=19)
+    assert [s.samples for s in est.levels] == [200, 200]
+    assert est.value == 0.5621830344867679
+
+
+def test_pilot_is_always_followed_by_one_allocation():
+    # A target equal to the pilot's own SE is met by the pilot, but the
+    # rule's counts still run: uniform counts are not the cost-weighted
+    # optimum, so the base level wants more than the pilot gave it.
+    prob = builtin_problem("linear_scalar", eps=0.2)
+    pilot = mlmc_estimate(prob, TANH, base_level=3, max_level=5,
+                          samples_per_level=[100, 100, 100], seed=13)
+    est = mlmc_estimate(prob, TANH, base_level=3, max_level=5,
+                        target_se=pilot.std_error, seed=13)
+    assert [s.samples for s in est.levels] == [108, 100, 100]
+    assert est.std_error < pilot.std_error
+
+
+def test_auto_allocation_cap_warns(monkeypatch):
+    monkeypatch.setattr(mlmc, "PILOT_SAMPLES", 50)
+    monkeypatch.setattr(mlmc, "SAMPLE_CAP", 200)
     prob = builtin_problem("linear_scalar", eps=0.2)
     est = mlmc_estimate(prob, TANH, base_level=3, max_level=4,
-                        target_se=1e-6, seed=19, n_pilot=50, sample_cap=200)
+                        target_se=1e-6, seed=19)
     assert est.std_error > 1e-6
     assert len(est.warnings) == 1
     assert "not met" in est.warnings[0]
