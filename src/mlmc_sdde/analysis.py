@@ -36,6 +36,7 @@ from .scheme import (
     NonConvergence,
     TamedDrift,
     _stream_increments,
+    level_step,
     taming_for_level,
     theta_em_path,
 )
@@ -292,8 +293,7 @@ def small_noise_deviation(
     grid = GridSpec.for_problem(problem, theta=theta, level=level, M=M)
     taming = taming_for_level(problem, level, M, delta)
     try:
-        skeleton = theta_em_path(
-            problem.with_noise_scale(0.0), grid, noise=None, taming=taming)
+        skeleton = deterministic_skeleton(problem, grid, taming)
     except NonConvergence as exc:
         raise NonConvergence(f"deviation level {level} skeleton: {exc}",
                              exc.iterations, exc.residual) from exc
@@ -374,15 +374,14 @@ def _two_sweeps(experiment, problem, theta, delta, M, level_sweep,
     results = _run_cells([lambda k=k, run=run: cell(*run, k)
                           for k, run in enumerate(runs)], jobs)
     records = tuple(
-        _record(experiment, lv, problem.horizon * float(M) ** (-lv),
+        _record(experiment, lv, level_step(problem, lv, M),
                 cell_problem.noise_scale, theta, delta, stat, value,
                 n_paths, seed)
         for (cell_problem, lv, _), stats in zip(runs, results)
         for stat, value in stats.items()
     )
     coarse = 0 if delta is None else 1  # see coupled_moment_rates
-    h_values = tuple(problem.horizon * float(M) ** (coarse - lv)
-                     for lv in levels)
+    h_values = tuple(level_step(problem, lv - coarse, M) for lv in levels)
 
     def columns(stats):
         return {key: tuple(s[key] for s in stats) for key in stats[0]}

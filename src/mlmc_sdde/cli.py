@@ -55,7 +55,7 @@ from .analysis import (
 )
 from .mlmc import mlmc_estimate
 from .model import SddeProblem, builtin_payoff, builtin_problem
-from .scheme import AdmissibilityError, NonConvergence
+from .scheme import AdmissibilityError, NonConvergence, level_step
 
 __all__ = ["RunConfig", "main", "run"]
 
@@ -427,7 +427,7 @@ def _run_coupled(cfg: RunConfig, problem: SddeProblem):
 
 def _cell_output(cfg: RunConfig, problem: SddeProblem, stats):
     """Records and summary lines of a one-cell run at ``base_level``."""
-    h = problem.horizon * float(cfg.M) ** (-cfg.base_level)
+    h = level_step(problem, cfg.base_level, cfg.M)
     records = [
         _record(cfg.experiment, cfg.base_level, h, problem.noise_scale,
                 cfg.theta, cfg.delta, name, value, cfg.samples, cfg.seed)
@@ -449,7 +449,7 @@ def _run_mlmc(cfg: RunConfig, problem: SddeProblem):
     )
     records = []
     for stats in estimate.levels:
-        h = problem.horizon * float(cfg.M) ** (-stats.level)
+        h = level_step(problem, stats.level, cfg.M)
         for name in ("mean_delta", "var_delta", "mean_fine", "cost_units"):
             records.append(_record(
                 cfg.experiment, stats.level, h, problem.noise_scale, cfg.theta,

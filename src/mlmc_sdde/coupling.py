@@ -37,7 +37,6 @@ from .scheme import (
     _integrate,
     _stream_increments,
     _stream_paths,
-    check_admissibility,
     taming_for_level,
 )
 
@@ -48,14 +47,14 @@ __all__ = ["LevelPair", "CoupledPair", "simulate_coupled", "coupled_payoff_delta
 class LevelPair:
     """Grid pair for one multilevel difference at fine level ``level``.
 
-    ``grid_fine`` has step ``h_level = T M^-level`` and ``grid_coarse``
-    has step ``M`` times larger.  ``delta`` switches on drift taming with
-    the given exponent; ``None`` runs the plain drift.
+    ``grid_fine`` is the grid of ``level`` and ``grid_coarse`` that of
+    ``level - 1``, with a step ``M`` times larger; both carry the pair's
+    theta.  ``delta`` switches on drift taming with the given exponent;
+    ``None`` runs the plain drift.
     """
 
     M: int
     level: int
-    theta: float
     grid_fine: GridSpec
     grid_coarse: GridSpec
     delta: float | None = None
@@ -69,8 +68,6 @@ class LevelPair:
         theta: float = 0.0,
         delta: float | None = None,
     ) -> "LevelPair":
-        if M < 2:
-            raise ValueError(f"M must be >= 2, got {M}")
         if level < 1:
             raise ValueError(f"a pair needs level >= 1, got {level}")
         if delta is not None and level < 2:
@@ -88,20 +85,8 @@ class LevelPair:
                 f"{level} is not divisible by M = {M}; the coarse grid "
                 "cannot align with the delay"
             )
-        return cls(M=M, level=level, theta=theta, grid_fine=grid_fine,
+        return cls(M=M, level=level, grid_fine=grid_fine,
                    grid_coarse=grid_coarse, delta=delta)
-
-    @property
-    def h_fine(self) -> float:
-        return self.grid_fine.step_h
-
-    @property
-    def h_coarse(self) -> float:
-        return self.grid_coarse.step_h
-
-    @property
-    def n_coarse(self) -> int:
-        return self.grid_coarse.total_steps_N
 
     @property
     def cost_per_path(self) -> int:
@@ -169,14 +154,13 @@ def simulate_coupled(
     delay window of each member (see :func:`mlmc_sdde.scheme.theta_em_path`),
     enough for the terminal states; the whole-path views of the pair then
     raise ``ValueError``.  When the problem's eps is 0 no draw is made.
+    The step loop checks each member's grid and admissibility before its
+    first step, so a coarse member that fails them is refused after the
+    fine member has run.
     """
     gf, gc = pair.grid_fine, pair.grid_coarse
     tame_f = taming_for_level(problem, pair.level, pair.M, pair.delta)
     tame_c = taming_for_level(problem, pair.level - 1, pair.M, pair.delta)
-    gf.validate_against(problem)
-    gc.validate_against(problem)
-    check_admissibility(problem, gf, tame_f)
-    check_admissibility(problem, gc, tame_c)
     n_f = gf.total_steps_N
     n_paths = _stream_paths(noise, problem, n_f)
 

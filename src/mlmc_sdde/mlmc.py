@@ -257,7 +257,9 @@ def _fold(chunk_fn: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
           n_samples: int) -> LevelStats:
     """The statistics of the ``(deltas, fines)`` chunks of the paths
     ``[start, start + n_samples)``, in chunks of ``CHUNK_SIZE``, merged in
-    chunk order."""
+    chunk order; at least 2 samples, else ``ValueError``."""
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     chunks = _run_chunks(chunk_fn, f"level {level}", start,
                          start + n_samples, CHUNK_SIZE)
     return reduce(LevelStats.merge, [
@@ -285,8 +287,6 @@ def estimate_level(
     with that exponent.  Failures are re-raised with the failing level and
     path range attached.
     """
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     pair = LevelPair.for_problem(problem, level, M=M, theta=theta, delta=delta)
 
     def chunk_fn(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -316,8 +316,6 @@ def single_level_estimate(
     serve as the base term of a telescoping estimate or as a brute-force
     oracle.  Substreams are ``(seed, level, path)`` with one draw per step.
     """
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
 
     def chunk_fn(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
         path = _level_paths(problem, level, M, theta, delta, seed, a, b,
@@ -351,10 +349,10 @@ def mlmc_estimate(
     later round allocates samples proportionally to ``sqrt(var/cost)``
     (the classic cost-weighted rule) from the merged statistics, capped at
     ``SAMPLE_CAP`` samples per level, and tops up the levels that want
-    more.  The rounds stop once a top-up round meets the target or no
-    level below the cap wants more; a cap that leaves the target unmet is
-    reported in ``warnings`` rather than raised.  Both constants are read
-    at call time.
+    more, by at least 2 samples.  The rounds stop once a top-up round
+    meets the target or no level below the cap wants more; a cap that
+    leaves the target unmet is reported in ``warnings`` rather than
+    raised.  Both constants are read at call time.
     """
     if base_level > max_level:
         raise ValueError(
@@ -390,10 +388,11 @@ def mlmc_estimate(
             have = 0 if stats[i] is None else stats[i].samples
             if n > have:
                 # Looked up at call time, so a rebound module global is seen.
+                # A top-up of one would be refused, so it draws two.
                 fn = single_level_estimate if i == 0 else estimate_level
                 extra = fn(problem, psi, level, M=M, theta=theta,
-                           delta=delta, n_samples=n - have, seed=seed,
-                           sample_offset=have)
+                           delta=delta, n_samples=max(n - have, 2),
+                           seed=seed, sample_offset=have)
                 stats[i] = extra if have == 0 else stats[i].merge(extra)
                 grew = True
         estimate = MlmcEstimate(tuple(stats))

@@ -123,7 +123,8 @@ class SddeProblem:
     regularity : GlobalLipschitz | OneSidedLipschitz
         Declared coefficient regularity.
     name : str
-        Optional label used in output tables.
+        Optional label; builtin problems carry their registry name.  No
+        computation or output reads it.
     """
 
     dim_state: int
@@ -167,17 +168,11 @@ class Payoff:
     """Scalar functional of the terminal state.
 
     ``eval`` maps states of shape ``(..., a)`` to values of shape
-    ``(...,)``; ``derivative_bound`` is a declared bound on its Lipschitz
-    constant, used only in reporting.
+    ``(...,)``; ``name`` labels the payoff in the run summary.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
-    derivative_bound: float
     name: str = "payoff"
-
-    def __post_init__(self):
-        if not self.derivative_bound > 0.0:
-            raise ValueError("derivative_bound must be > 0")
 
 
 def derived_constants(problem: SddeProblem) -> dict:
@@ -370,7 +365,7 @@ def _identity_payoff() -> Payoff:
     def ev(x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float)[..., 0]
 
-    return Payoff(eval=ev, derivative_bound=1.0, name="identity")
+    return Payoff(eval=ev, name="identity")
 
 
 def _smooth_bounded_payoff() -> Payoff:
@@ -378,7 +373,7 @@ def _smooth_bounded_payoff() -> Payoff:
     def ev(x: np.ndarray) -> np.ndarray:
         return np.tanh(np.asarray(x, dtype=float)[..., 0])
 
-    return Payoff(eval=ev, derivative_bound=1.0, name="tanh")
+    return Payoff(eval=ev, name="tanh")
 
 
 BUILTIN_PAYOFFS: dict[str, Callable[[], Payoff]] = {

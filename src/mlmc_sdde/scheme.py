@@ -43,6 +43,7 @@ __all__ = [
     "DelayBuffer",
     "TamedDrift",
     "tame_drift",
+    "level_step",
     "taming_for_level",
     "check_admissibility",
     "implicit_step_solve",
@@ -100,29 +101,19 @@ class GridSpec:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
 
     @classmethod
-    def for_problem(
-        cls,
-        problem: SddeProblem,
-        *,
-        theta: float,
-        level: int | None = None,
-        M: int = 2,
-        step_h: float | None = None,
-    ) -> "GridSpec":
-        """Build a delay-aligned grid for ``problem``.
+    def for_problem(cls, problem: SddeProblem, *, theta: float, level: int,
+                    M: int = 2) -> "GridSpec":
+        """The delay-aligned grid of ``level`` for ``problem``, with step
+        :func:`level_step`.
 
-        Either ``level`` (grid step ``h = T * M**-level``) or an explicit
-        ``step_h`` must be given.  Raises ``ValueError`` when the implied
-        step counts are not within one rounding unit of integers.
+        Raises ``ValueError`` when the implied step counts are not within
+        one rounding unit of integers.
         """
-        if (level is None) == (step_h is None):
-            raise ValueError("give exactly one of level or step_h")
-        if level is not None:
-            if level < 0:
-                raise ValueError("level must be >= 0")
-            if M < 2:
-                raise ValueError("M must be >= 2")
-            step_h = problem.horizon * float(M) ** (-level)
+        if level < 0:
+            raise ValueError("level must be >= 0")
+        if M < 2:
+            raise ValueError(f"M must be >= 2, got {M}")
+        step_h = level_step(problem, level, M)
         m = _near_int(problem.delay / step_h, "delay / step_h")
         N = _near_int(problem.horizon / step_h, "horizon / step_h")
         grid = cls(step_h=step_h, steps_per_delay_m=m, total_steps_N=N,
@@ -239,20 +230,25 @@ class TamedDrift:
         return self.h_coarse ** (-self.delta)
 
 
+def level_step(problem: SddeProblem, level: int, M: int) -> float:
+    """The grid step ``T M^-level`` of ``level``."""
+    return problem.horizon * float(M) ** (-level)
+
+
 def taming_for_level(
     problem: SddeProblem, level: int, M: int, delta: float | None
 ) -> TamedDrift | None:
     """The taming of the level-``level`` grid; ``None`` when ``delta`` is.
 
-    A grid with step ``T M^-level`` tames with the step of the level below,
-    ``h_coarse = T M^-(level-1)``.  So the fine member of a coupled pair at
-    level ``l`` tames with the pair's coarse step and the coarse member
-    with the step of level ``l - 2``.
+    A grid of ``level`` tames with the step of the level below,
+    ``h_coarse = level_step(problem, level - 1, M)``.  So the fine member
+    of a coupled pair at level ``l`` tames with the pair's coarse step and
+    the coarse member with the step of level ``l - 2``.
     """
     if delta is None:
         return None
-    h_coarse = problem.horizon * float(M) ** (-(level - 1))
-    return TamedDrift(base=problem.drift, h_coarse=h_coarse, delta=delta)
+    return TamedDrift(base=problem.drift, delta=delta,
+                      h_coarse=level_step(problem, level - 1, M))
 
 
 def check_admissibility(
@@ -545,16 +541,21 @@ def _integrate(
     """Run the ``N`` theta-steps of ``grid`` from the problem's history.
 
     The one step loop of the package: single paths and both members of a
-    coupled pair run through it.  Step ``n`` reads the ``n``-th Brownian
-    increment of ``increments``, shaped ``(n_paths, d)``; none is read
-    when ``increments`` is ``None`` or the problem's eps is 0, which runs
-    the drift-only scheme.  ``n_paths=None`` is one path stored without
-    the batch axis.  ``full_path=False`` keeps only a ring of the last
-    ``m + 1`` states, which ends ordered as grid indices ``N - m .. N``;
-    the arithmetic, and so every state, is that of the full path.  A
-    :class:`NonConvergence` is re-raised with ``where``, the step and its
-    time prefixed to the message.
+    coupled pair run through it.  Before the first step it refuses a grid
+    misaligned with the problem (``ValueError``) or one that breaks a
+    step-size restriction (:class:`AdmissibilityError`).  Step ``n`` reads
+    the ``n``-th Brownian increment of ``increments``, shaped
+    ``(n_paths, d)``; none is read when ``increments`` is ``None`` or the
+    problem's eps is 0, which runs the drift-only scheme.
+    ``n_paths=None`` is one path stored without the batch axis.
+    ``full_path=False`` keeps only a ring of the last ``m + 1`` states,
+    which ends ordered as grid indices ``N - m .. N``; the arithmetic, and
+    so every state, is that of the full path.  A :class:`NonConvergence`
+    is re-raised with ``where``, the step and its time prefixed to the
+    message.
     """
+    grid.validate_against(problem)
+    check_admissibility(problem, grid, taming)
     h, m, N = grid.step_h, grid.steps_per_delay_m, grid.total_steps_N
     a = problem.dim_state
     eps = problem.noise_scale
@@ -640,8 +641,6 @@ def theta_em_path(
         ``(N + m + 1, P, a)`` matching the noise batch; with
         ``full_path=False`` the first axis has length ``m + 1``.
     """
-    grid.validate_against(problem)
-    check_admissibility(problem, grid, taming)
     N, dnoise = grid.total_steps_N, problem.dim_noise
 
     if noise is None:

@@ -22,7 +22,12 @@ from mlmc_sdde.coupling import (
 )
 from mlmc_sdde.model import builtin_payoff, builtin_problem
 from mlmc_sdde.rng import NoiseStream
-from mlmc_sdde.scheme import GridSpec, taming_for_level, theta_em_path
+from mlmc_sdde.scheme import (
+    AdmissibilityError,
+    GridSpec,
+    taming_for_level,
+    theta_em_path,
+)
 
 
 def _stream_for(pair, problem, seed=0, paths=np.arange(16)):
@@ -36,11 +41,11 @@ def _stream_for(pair, problem, seed=0, paths=np.arange(16)):
 def test_level_pair_grids():
     p = builtin_problem("linear_scalar")  # tau=0.25, T=1
     pair = LevelPair.for_problem(p, level=4, M=2, theta=0.5)
-    assert pair.h_fine == 2.0**-4
-    assert pair.h_coarse == 2.0**-3
+    assert pair.grid_fine.step_h == 2.0**-4
+    assert pair.grid_coarse.step_h == 2.0**-3
     assert pair.grid_fine.steps_per_delay_m == 4
     assert pair.grid_coarse.steps_per_delay_m == 2
-    assert pair.n_coarse == 8
+    assert pair.grid_coarse.total_steps_N == 8
     assert pair.cost_per_path == 16 + 8
 
 
@@ -61,8 +66,8 @@ def test_level_pair_tamed_needs_level_two():
     # with the step of the level below it.
     t_f = taming_for_level(p, pair.level, pair.M, pair.delta)
     t_c = taming_for_level(p, pair.level - 1, pair.M, pair.delta)
-    assert t_f.h_coarse == pair.h_coarse
-    assert t_c.h_coarse == 2 * pair.h_coarse
+    assert t_f.h_coarse == pair.grid_coarse.step_h
+    assert t_c.h_coarse == 2 * pair.grid_coarse.step_h
     assert taming_for_level(builtin_problem("linear_scalar"), 2, 2,
                             0.25) is not None
     untamed = LevelPair.for_problem(p, level=2, M=2)
@@ -127,7 +132,7 @@ def test_pair_members_match_standalone_paths_bitwise(name, M, level, theta,
     csum = xi[0::M].copy()
     for k in range(1, M):
         csum = csum + xi[k::M]
-    dw = math.sqrt(pair.h_fine) * csum
+    dw = math.sqrt(pair.grid_fine.step_h) * csum
     coarse_alone = theta_em_path(
         p, pair.grid_coarse, noise=dw,
         taming=taming_for_level(p, level - 1, M, delta))
@@ -153,11 +158,12 @@ def test_fine_on_coarse_grid_alignment():
     stream = _stream_for(pair, p, seed=3, paths=np.arange(4))
     out = simulate_coupled(p, pair, stream)
     fg = out.fine_on_coarse_grid
-    assert fg.shape == out.coarse_on_grid.shape == (pair.n_coarse + 1, 4, 1)
+    n_coarse = pair.grid_coarse.total_steps_N
+    assert fg.shape == out.coarse_on_grid.shape == (n_coarse + 1, 4, 1)
     m = out.fine.m
     np.testing.assert_array_equal(fg[0], out.fine.values[m + 0])
     np.testing.assert_array_equal(fg[-1], out.fine.terminal)
-    for n in range(pair.n_coarse + 1):
+    for n in range(n_coarse + 1):
         np.testing.assert_array_equal(fg[n], out.fine.values[m + n * pair.M])
 
 
@@ -213,6 +219,34 @@ def test_simulate_coupled_validates_stream():
         simulate_coupled(p, pair, short)
     with pytest.raises(TypeError):
         simulate_coupled(p, pair, np.zeros((4, 2, 1)))
+
+
+def test_simulate_coupled_refuses_an_inadmissible_coarse_member():
+    # At theta = 1, level 3: theta*h_fine = 1/8 is below 1/6.6, theta*h_coarse
+    # = 1/4 is not, so only the coarse member fails.
+    p = builtin_problem("linear_scalar")
+    pair = LevelPair.for_problem(p, level=3, M=2, theta=1.0)
+    stream = _stream_for(pair, p)
+    theta_em_path(p, pair.grid_fine, noise=stream)
+    with pytest.raises(AdmissibilityError, match="theta\\*h"):
+        theta_em_path(p, pair.grid_coarse, noise=stream)
+    with pytest.raises(AdmissibilityError, match="theta\\*h"):
+        simulate_coupled(p, pair, stream)
+
+
+def test_simulate_coupled_refuses_an_untamed_implicit_onesided_pair():
+    p = builtin_problem("cubic_onesided")
+    pair = LevelPair.for_problem(p, level=3, M=2, theta=0.5)
+    with pytest.raises(AdmissibilityError, match="taming"):
+        simulate_coupled(p, pair, _stream_for(pair, p))
+
+
+def test_simulate_coupled_refuses_a_pair_built_for_another_delay():
+    built = builtin_problem("linear_scalar", tau=0.25)
+    pair = LevelPair.for_problem(built, level=3, M=2)
+    run = builtin_problem("linear_scalar", tau=0.5)
+    with pytest.raises(ValueError, match="misaligned with delay"):
+        simulate_coupled(run, pair, _stream_for(pair, run))
 
 
 # ---------------------------------------------------------------------------

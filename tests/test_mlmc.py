@@ -293,6 +293,17 @@ def test_target_se_estimate_is_pinned(monkeypatch):
     assert est.value == 0.5621830344867679
 
 
+def test_top_up_of_one_sample_draws_two():
+    # After the pilot of 100 the rule asks the base level for 101 samples;
+    # a top-up of 1 would fall below the floor of 2, so it draws 2.
+    prob = builtin_problem("linear_scalar", eps=0.2)
+    est = mlmc_estimate(prob, TANH, base_level=3, max_level=5,
+                        target_se=0.001945, seed=13)
+    assert [s.samples for s in est.levels] == [102, 100, 100]
+    assert est.warnings == ()
+    assert est.std_error <= 0.001945
+
+
 def test_pilot_is_always_followed_by_one_allocation():
     # A target equal to the pilot's own SE is met by the pilot, but the
     # rule's counts still run: uniform counts are not the cost-weighted

@@ -8,7 +8,6 @@ from mlmc_sdde.model import (
     BUILTIN_PROBLEMS,
     GlobalLipschitz,
     OneSidedLipschitz,
-    Payoff,
     SddeProblem,
     builtin_payoff,
     builtin_problem,
@@ -103,11 +102,6 @@ def test_regularity_validation():
         OneSidedLipschitz(alpha1=1.5, alpha2=2.0, alpha3=1.0, growth_r=-1.0)
     with pytest.raises(ValueError, match="p"):
         OneSidedLipschitz(alpha1=1.5, alpha2=2.0, alpha3=1.0, growth_r=2.0, p=1.0)
-
-
-def test_payoff_validation():
-    with pytest.raises(ValueError, match="derivative_bound"):
-        Payoff(eval=lambda x: x[..., 0], derivative_bound=0.0)
 
 
 def test_cubic_guard_on_declared_constants():

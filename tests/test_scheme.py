@@ -29,6 +29,7 @@ from mlmc_sdde.scheme import (
     TamedDrift,
     check_admissibility,
     implicit_step_solve,
+    level_step,
     tame_drift,
     taming_for_level,
     theta_em_path,
@@ -49,18 +50,38 @@ def test_grid_for_level_powers_of_two():
 
 def test_grid_explicit_step():
     p = builtin_problem("linear_scalar", tau=0.3, horizon=0.9)
-    g = GridSpec.for_problem(p, theta=0.0, step_h=0.1)
-    # 3 * 0.1 sits one rounding unit above 0.3; accepted by design
+    g = GridSpec.for_problem(p, theta=0.0, level=2, M=3)
     assert (g.steps_per_delay_m, g.total_steps_N) == (3, 9)
+    # 3 * 0.1 sits one rounding unit above 0.3; accepted by design
+    GridSpec(step_h=0.1, steps_per_delay_m=3, total_steps_N=9,
+             theta=0.0).validate_against(p)
 
 
 def test_grid_misalignment_rejected():
     p = builtin_problem("linear_scalar")  # tau = 0.25
     with pytest.raises(ValueError):
-        GridSpec.for_problem(p, theta=0.0, step_h=0.2)  # 0.25/0.2 = 1.25
+        GridSpec.for_problem(p, theta=0.0, level=1, M=3)  # 0.25*3 = 0.75
     with pytest.raises(ValueError):
         GridSpec(step_h=0.125, steps_per_delay_m=3, total_steps_N=8,
                  theta=0.0).validate_against(p)
+
+
+def test_path_refuses_a_grid_built_for_another_horizon():
+    grid = GridSpec.for_problem(builtin_problem("linear_scalar", horizon=1.0),
+                                theta=0.0, level=3)
+    with pytest.raises(ValueError, match="misaligned with horizon"):
+        theta_em_path(builtin_problem("linear_scalar", horizon=2.0), grid)
+
+
+@pytest.mark.parametrize("M", [2, 3, 4])
+def test_level_step_is_the_grid_and_taming_step(M):
+    p = builtin_problem("linear_scalar", tau=1.0, horizon=1.0)
+    for level in range(1, 5):
+        h = level_step(p, level, M)
+        assert h == GridSpec.for_problem(p, theta=0.0, level=level,
+                                         M=M).step_h
+        assert (taming_for_level(p, level, M, 0.5).h_coarse
+                == level_step(p, level - 1, M))
 
 
 def test_grid_validates_fields():
@@ -509,7 +530,7 @@ def test_single_step_second_moment_scaling():
 
 def test_second_moment_stays_bounded_on_long_run():
     p = builtin_problem("linear_scalar", eps=0.5, tau=0.25, horizon=4.0)
-    g = GridSpec.for_problem(p, theta=0.5, step_h=0.0625)
+    g = GridSpec.for_problem(p, theta=0.5, level=6)  # h = 4/64
     stream = NoiseStream(master_seed=17, level=0,
                          path_index=np.arange(2000), dim=1,
                          n_steps=g.total_steps_N)
