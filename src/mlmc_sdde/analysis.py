@@ -26,8 +26,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coupling import LevelPair, coupled_payoff_delta, simulate_coupled
-from .mlmc import _level_paths, _refuse_blown_up, _run_cells, _run_chunks
+from .coupling import LevelPair, coupled_payoff_delta
+from .mlmc import _refuse_blown_up, _run_cells, _run_chunks
 from .model import Payoff, SddeProblem
 from .rng import NoiseStream
 from .scheme import (
@@ -92,9 +92,11 @@ def _path_samples(problem, level, M, theta, delta, seed, n_paths,
     """Terminal states ``(a, P)`` and ``sup_n |X_n - centre_n|^2`` ``(P,)``
     over the nodes of ``n_paths`` level paths; ``centre`` is a state per
     grid node ``(N + 1, a)``, or ``None`` for the origin."""
+    plan = LevelPair.for_problem(problem, level, M=M, theta=theta,
+                                 delta=delta, coupled=False)
+
     def chunk(a, b):
-        path = _level_paths(problem, level, M, theta, delta, seed, a, b,
-                            full_path=True)
+        path = plan.run(problem, seed, a, b, full_path=True)
         body = path.values[path.m:]
         diff = body if centre is None else body - centre[:, None, :]
         return body[-1].T, np.sum(diff * diff, axis=-1).max(axis=0)
@@ -110,8 +112,7 @@ def _pair_samples(problem, level, M, theta, delta, seed, n_paths,
     pair = LevelPair.for_problem(problem, level, M=M, theta=theta, delta=delta)
 
     def chunk(a, b):
-        coupled = simulate_coupled(problem, pair, pair.noise_stream(
-            seed, np.arange(a, b), problem.dim_noise))
+        coupled = pair.run(problem, seed, a, b, full_path=True)
         diff = coupled.state_difference()
         sq = np.sum(diff * diff, axis=-1)
         if psi is None:
@@ -295,8 +296,7 @@ def small_noise_deviation(
     try:
         skeleton = deterministic_skeleton(problem, grid, taming)
     except NonConvergence as exc:
-        raise NonConvergence(f"deviation level {level} skeleton: {exc}",
-                             exc.iterations, exc.residual) from exc
+        raise exc.within(f"deviation level {level} skeleton") from exc
 
     def cell(i: int, eps: float) -> float:
         _, sup_sq = _path_samples(
@@ -456,33 +456,21 @@ def coupled_moment_rates(
 # Coupled variance vs uncoupled oracle
 # ---------------------------------------------------------------------------
 
-def _coupled_payoff_var(problem, psi, level, M, theta, delta, n_paths,
-                        master_seed):
-    pair = LevelPair.for_problem(problem, level, M=M, theta=theta, delta=delta)
-
-    def chunk(a, b):
-        coupled = simulate_coupled(problem, pair, pair.noise_stream(
-            master_seed, np.arange(a, b), problem.dim_noise), full_path=False)
-        return coupled_payoff_delta(coupled, psi)[:1]
-
-    deltas, = _cell_samples(chunk, "rates-variance", problem, level, M,
-                            n_paths)
+def _payoff_var(problem, psi, level, M, theta, delta, n_paths, *seeds):
+    """Variance of the payoff difference of levels ``level`` and
+    ``level - 1``: over coupled pairs on one seed or, given two, over
+    INDEPENDENT runs of the two levels, the fine one on the first seed."""
+    coupled = len(seeds) == 1
+    where = "rates-variance" if coupled else "rates-variance uncoupled"
+    payoffs = []
+    for lv, cell_seed in zip((level, level - 1), seeds):
+        plan = LevelPair.for_problem(problem, lv, M=M, theta=theta,
+                                     delta=delta, coupled=coupled)
+        payoffs += _cell_samples(
+            lambda a, b: plan.payoffs(problem, psi, cell_seed, a, b)[:1],
+            where, problem, lv, M, n_paths)
+    deltas = payoffs[0] if coupled else payoffs[0] - payoffs[1]
     return float(np.var(deltas, ddof=1))
-
-
-def _uncoupled_payoff_var(problem, psi, level, M, theta, delta, n_paths,
-                          seed_fine, seed_coarse):
-    """Variance of the payoff difference across INDEPENDENT runs."""
-    out = []
-    for lv, cell_seed in ((level, seed_fine), (level - 1, seed_coarse)):
-        def chunk(a, b, lv=lv, cell_seed=cell_seed):
-            path = _level_paths(problem, lv, M, theta, delta, cell_seed, a,
-                                b, full_path=False)
-            return (psi.eval(path.terminal),)
-
-        out += _cell_samples(chunk, "rates-variance uncoupled", problem, lv,
-                             M, n_paths)
-    return float(np.var(out[0] - out[1], ddof=1))
 
 
 @dataclass(frozen=True)
@@ -526,10 +514,10 @@ def coupled_variance_rates(
     """
     def cell(cell_problem, level, master_seed, k):
         return {
-            "var_delta_coupled": _coupled_payoff_var(
+            "var_delta_coupled": _payoff_var(
                 cell_problem, psi, level, M, theta, delta, n_paths,
                 master_seed),
-            "var_delta_uncoupled": _uncoupled_payoff_var(
+            "var_delta_uncoupled": _payoff_var(
                 cell_problem, psi, level, M, theta, delta, n_paths,
                 _cell_seed(seed, 2, k), _cell_seed(seed, 3, k)),
         }
@@ -604,8 +592,7 @@ def strong_error_rate(
         try:
             path = theta_em_path(problem, grid, noise=dw, full_path=False)
         except NonConvergence as exc:
-            raise NonConvergence(f"{name}: {exc}", exc.iterations,
-                                 exc.residual) from exc
+            raise exc.within(name) from exc
         values = psi.eval(path.terminal)
         _refuse_blown_up(name, values)
         return values

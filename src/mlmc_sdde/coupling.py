@@ -20,6 +20,10 @@ levels of at least 3.
 For one-sided Lipschitz drifts each member uses the tamed drift of its
 own level: the fine path tames with step ``h_{l-1}`` and the coarse path
 with ``h_{l-2}``, which is why tamed pairs need ``l >= 2``.
+
+A :class:`LevelPair` is the plan of every level run of the package: the
+base level of a telescoping estimate is a plan without a coarse member,
+whose fine member runs alone, as the plain theta-EM path of its level.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .scheme import (
     _stream_increments,
     _stream_paths,
     taming_for_level,
+    theta_em_path,
 )
 
 __all__ = ["LevelPair", "CoupledPair", "simulate_coupled", "coupled_payoff_delta"]
@@ -45,18 +50,20 @@ __all__ = ["LevelPair", "CoupledPair", "simulate_coupled", "coupled_payoff_delta
 
 @dataclass(frozen=True)
 class LevelPair:
-    """Grid pair for one multilevel difference at fine level ``level``.
+    """Plan of one level run at level ``level``: a coupled pair, or the
+    base level of a telescoping estimate.
 
-    ``grid_fine`` is the grid of ``level`` and ``grid_coarse`` that of
-    ``level - 1``, with a step ``M`` times larger; both carry the pair's
-    theta.  ``delta`` switches on drift taming with the given exponent;
-    ``None`` runs the plain drift.
+    ``grid_fine`` is the grid of ``level``.  On a pair ``grid_coarse`` is
+    that of ``level - 1``, with a step ``M`` times larger; on a base level
+    it is ``None`` and the fine member runs alone.  Every grid carries the
+    plan's theta.  ``delta`` switches on drift taming with the given
+    exponent; ``None`` runs the plain drift.
     """
 
     M: int
     level: int
     grid_fine: GridSpec
-    grid_coarse: GridSpec
+    grid_coarse: GridSpec | None
     delta: float | None = None
 
     @classmethod
@@ -67,16 +74,23 @@ class LevelPair:
         M: int = 2,
         theta: float = 0.0,
         delta: float | None = None,
+        *,
+        coupled: bool = True,
     ) -> "LevelPair":
-        if level < 1:
+        """The plan of ``level``: a pair, or with ``coupled=False`` a base
+        level, which skips the checks that only a coarse member needs."""
+        if coupled and level < 1:
             raise ValueError(f"a pair needs level >= 1, got {level}")
-        if delta is not None and level < 2:
+        if coupled and delta is not None and level < 2:
             raise ValueError(
                 "a tamed pair needs level >= 2: the coarse member tames "
                 f"with the step of level {level - 2}"
             )
         grid_fine = GridSpec.for_problem(problem, theta=theta, level=level,
                                          M=M)
+        if not coupled:
+            return cls(M=M, level=level, grid_fine=grid_fine,
+                       grid_coarse=None, delta=delta)
         grid_coarse = GridSpec.for_problem(problem, theta=theta,
                                            level=level - 1, M=M)
         if grid_fine.steps_per_delay_m % M != 0:
@@ -90,12 +104,14 @@ class LevelPair:
 
     @property
     def cost_per_path(self) -> int:
-        """Fine plus coarse step count, the standard pair cost unit."""
-        return self.grid_fine.total_steps_N + self.grid_coarse.total_steps_N
+        """Step count of the members, fine plus coarse on a pair: the
+        standard cost unit."""
+        return sum(grid.total_steps_N for grid in
+                   (self.grid_fine, self.grid_coarse) if grid is not None)
 
     def noise_stream(self, master_seed: int, path_index,
                      dim: int) -> NoiseStream:
-        """Stream of this pair: one draw per fine step."""
+        """Stream of this plan: one draw per fine step."""
         return NoiseStream(
             master_seed=master_seed,
             level=self.level,
@@ -103,6 +119,33 @@ class LevelPair:
             dim=dim,
             n_steps=self.grid_fine.total_steps_N,
         )
+
+    def run(self, problem: SddeProblem, seed: int, a: int, b: int, *,
+            full_path: bool = False) -> DelayBuffer | CoupledPair:
+        """The paths ``[a, b)`` on the substreams ``(seed, level, path)``.
+
+        A base level returns the :func:`~mlmc_sdde.scheme.theta_em_path`
+        of its grid, tamed by the level's rule; a pair returns its
+        :func:`simulate_coupled` members.  ``full_path`` is theirs.
+        """
+        stream = self.noise_stream(seed, np.arange(a, b), problem.dim_noise)
+        if self.grid_coarse is None:
+            return theta_em_path(
+                problem, self.grid_fine, noise=stream, full_path=full_path,
+                taming=taming_for_level(problem, self.level, self.M,
+                                        self.delta))
+        return simulate_coupled(problem, self, stream, full_path=full_path)
+
+    def payoffs(self, problem: SddeProblem, psi: Payoff, seed: int, a: int,
+                b: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(deltas, fines)`` of ``psi`` at the terminal states of the
+        paths ``[a, b)``: the payoff twice on a base level, whose delta is
+        the payoff itself, and :func:`coupled_payoff_delta` on a pair."""
+        out = self.run(problem, seed, a, b)
+        if self.grid_coarse is None:
+            values = psi.eval(out.terminal)
+            return values, values
+        return coupled_payoff_delta(out, psi)
 
 
 @dataclass
@@ -143,7 +186,8 @@ def simulate_coupled(
 ) -> CoupledPair:
     """Run both members of ``pair`` on one shared increment stream.
 
-    ``noise`` must cover the fine grid (see :meth:`LevelPair.noise_stream`).
+    ``pair`` must have a coarse member, and ``noise`` must cover the fine
+    grid (see :meth:`LevelPair.noise_stream`).
     The fine member consumes draw ``j`` at fine step ``j``; the coarse
     member consumes the elementwise sum of draws ``n M .. n M + M - 1``,
     added left to right, at coarse step ``n``, scaled by the same

@@ -7,10 +7,11 @@ The estimator telescopes
 
 with the base term from plain theta-EM Monte Carlo at the coarsest level
 ``b`` and each correction term from :func:`coupling.simulate_coupled`
-pairs sharing one increment stream.  Per-level statistics are accumulated
-chunk by chunk, in chunk order on the calling thread, with a numerically
-stable pairwise merge, so that sharded and serial runs agree to high
-relative accuracy.  The package's one chunk runner and one thread map
+pairs sharing one increment stream.  Both are folds of one
+:class:`coupling.LevelPair` plan, the base level's without a coarse
+member.  Per-level statistics are accumulated chunk by chunk, in chunk
+order on the calling thread, with a numerically stable pairwise merge,
+so that sharded and serial runs agree to high relative accuracy.  The package's one chunk runner and one thread map
 live here too; the sweeps of :mod:`mlmc_sdde.analysis` thread their cells,
 but MLMC runs on one thread: on 2 cores, two threads over the chunks of a
 5-level run with 20 000 samples per level took 2.14 s against 1.80 s.
@@ -26,16 +27,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coupling import LevelPair, coupled_payoff_delta, simulate_coupled
+from .coupling import LevelPair
 from .model import Payoff, SddeProblem
-from .rng import NoiseStream
-from .scheme import (
-    AdmissibilityError,
-    GridSpec,
-    NonConvergence,
-    taming_for_level,
-    theta_em_path,
-)
+from .scheme import AdmissibilityError, NonConvergence
 
 __all__ = ["LevelStats", "MlmcEstimate", "estimate_level",
            "single_level_estimate", "mlmc_estimate"]
@@ -228,8 +222,7 @@ def _run_chunks(chunk_fn: Callable[[int, int], tuple[np.ndarray, ...]],
         except NonConvergence as exc:
             if f"paths [{a}, {b})" in str(exc):
                 raise
-            raise NonConvergence(f"{name}: {exc}", exc.iterations,
-                                 exc.residual) from exc
+            raise exc.within(name) from exc
         _refuse_blown_up(name, *samples)
         return tuple(np.array(values, dtype=float) for values in samples)
 
@@ -237,33 +230,18 @@ def _run_chunks(chunk_fn: Callable[[int, int], tuple[np.ndarray, ...]],
                        for a in range(start, stop, chunk_size)], jobs)
 
 
-def _level_paths(problem: SddeProblem, level: int, M: int, theta: float,
-                 delta: float | None, seed: int, a: int, b: int, *,
-                 full_path: bool):
-    """Theta-EM paths ``[a, b)`` of one level on the substreams
-    ``(seed, level, path)``, tamed by the level's rule when ``delta`` is
-    set."""
-    grid = GridSpec.for_problem(problem, theta=theta, level=level, M=M)
-    stream = NoiseStream(master_seed=seed, level=level,
-                         path_index=np.arange(a, b), dim=problem.dim_noise,
-                         n_steps=grid.total_steps_N)
-    return theta_em_path(problem, grid, noise=stream,
-                         taming=taming_for_level(problem, level, M, delta),
-                         full_path=full_path)
-
-
-def _fold(chunk_fn: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
-          level: int, cost: float, start: int,
-          n_samples: int) -> LevelStats:
-    """The statistics of the ``(deltas, fines)`` chunks of the paths
+def _fold(plan: LevelPair, problem: SddeProblem, psi: Payoff, seed: int,
+          start: int, n_samples: int) -> LevelStats:
+    """The statistics of :meth:`LevelPair.payoffs` over the paths
     ``[start, start + n_samples)``, in chunks of ``CHUNK_SIZE``, merged in
     chunk order; at least 2 samples, else ``ValueError``."""
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    chunks = _run_chunks(chunk_fn, f"level {level}", start,
-                         start + n_samples, CHUNK_SIZE)
+    chunks = _run_chunks(
+        lambda a, b: plan.payoffs(problem, psi, seed, a, b),
+        f"level {plan.level}", start, start + n_samples, CHUNK_SIZE)
     return reduce(LevelStats.merge, [
-        LevelStats.from_samples(level, deltas, fines, cost)
+        LevelStats.from_samples(plan.level, deltas, fines, plan.cost_per_path)
         for deltas, fines in chunks])
 
 
@@ -287,15 +265,8 @@ def estimate_level(
     with that exponent.  Failures are re-raised with the failing level and
     path range attached.
     """
-    pair = LevelPair.for_problem(problem, level, M=M, theta=theta, delta=delta)
-
-    def chunk_fn(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-        stream = pair.noise_stream(seed, np.arange(a, b), problem.dim_noise)
-        return coupled_payoff_delta(
-            simulate_coupled(problem, pair, stream, full_path=False), psi)
-
-    return _fold(chunk_fn, level, pair.cost_per_path, sample_offset,
-                 n_samples)
+    plan = LevelPair.for_problem(problem, level, M=M, theta=theta, delta=delta)
+    return _fold(plan, problem, psi, seed, sample_offset, n_samples)
 
 
 def single_level_estimate(
@@ -314,18 +285,13 @@ def single_level_estimate(
 
     Returned as a :class:`LevelStats` whose delta IS the payoff, so it can
     serve as the base term of a telescoping estimate or as a brute-force
-    oracle.  Substreams are ``(seed, level, path)`` with one draw per step.
+    oracle.  Substreams are ``(seed, level, path)`` with one draw per step,
+    and a path costs the steps of its grid.  It folds the plan of
+    :func:`estimate_level` without a coarse member.
     """
-
-    def chunk_fn(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-        path = _level_paths(problem, level, M, theta, delta, seed, a, b,
-                            full_path=False)
-        vals = psi.eval(path.terminal)
-        return vals, vals
-
-    # A path costs the M**level steps of its grid.
-    return _fold(chunk_fn, level, float(M ** level), sample_offset,
-                 n_samples)
+    plan = LevelPair.for_problem(problem, level, M=M, theta=theta,
+                                 delta=delta, coupled=False)
+    return _fold(plan, problem, psi, seed, sample_offset, n_samples)
 
 
 def mlmc_estimate(

@@ -74,6 +74,11 @@ class NonConvergence(RuntimeError):
     def __reduce__(self):
         return type(self), (self.args[0], self.iterations, self.residual)
 
+    def within(self, where: str) -> "NonConvergence":
+        """This error with ``"{where}: "`` put before its message, with
+        the same ``iterations`` and ``residual``."""
+        return type(self)(f"{where}: {self}", self.iterations, self.residual)
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -588,11 +593,7 @@ def _integrate(
                 h, grid.theta, drift, problem.diffusion, eps, dw, fx,
             )
         except NonConvergence as exc:
-            raise NonConvergence(
-                f"{where}step {n} (t = {n * h:.6g}): {exc}",
-                iterations=exc.iterations,
-                residual=exc.residual,
-            ) from None
+            raise exc.within(f"{where}step {n} (t = {n * h:.6g})") from None
 
     if n_paths is None:
         values = values[:, 0, :]

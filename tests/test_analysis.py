@@ -416,7 +416,7 @@ def test_cell_chunks_bound_memory_and_keep_values(monkeypatch):
     # temporaries, plus the one draw block the fine member reads.
     pair_chunk = 8 * (1024 * (64 + 65 + 17 + 16) + scheme._BLOCK_DRAWS)
     cells = [
-        (analysis._coupled_payoff_var,
+        (analysis._payoff_var,
          (problem, psi, 4, 4, 0.0, None, 4000, 5),
          lambda whole_peak: pair_chunk),
         (analysis._pair_sq_moments,

@@ -206,6 +206,25 @@ def test_fine_member_is_the_single_level_path_of_its_level(name, theta,
     np.testing.assert_array_equal(out.fine.values, alone.values)
 
 
+@pytest.mark.parametrize("name, theta, delta", [
+    ("linear_scalar", 0.0, None), ("linear_scalar", 0.5, None),
+    ("cubic_onesided", 0.0, 0.25), ("cubic_onesided", 0.5, 0.5)])
+def test_base_plan_payoffs_are_the_fines_of_the_pair(name, theta, delta):
+    # The base plan of a level runs the pair's fine member alone, so its
+    # payoffs are the pair's fine payoffs, bit for bit, at its own cost.
+    p = builtin_problem(name, eps=0.3)
+    psi = builtin_payoff("tanh")
+    pair = LevelPair.for_problem(p, level=4, M=2, theta=theta, delta=delta)
+    base = LevelPair.for_problem(p, level=4, M=2, theta=theta, delta=delta,
+                                 coupled=False)
+    assert base.grid_coarse is None and base.grid_fine == pair.grid_fine
+    assert (base.cost_per_path, pair.cost_per_path) == (16, 16 + 8)
+    deltas, fines = base.payoffs(p, psi, 8, 5, 12)
+    assert deltas is fines and deltas.shape == (7,)
+    np.testing.assert_array_equal(deltas,
+                                  pair.payoffs(p, psi, 8, 5, 12)[1])
+
+
 def test_simulate_coupled_validates_stream():
     p = builtin_problem("linear_scalar")
     pair = LevelPair.for_problem(p, level=3, M=2)

@@ -193,6 +193,27 @@ def test_single_level_matches_direct_monte_carlo(monkeypatch):
     assert s.cost_units == n * grid.total_steps_N
 
 
+# A base level runs alone, so it is not held to what only a coupled pair
+# needs: a level below it, a level two below it when tamed, and a delay
+# offset that M divides.
+@pytest.mark.parametrize("problem, kwargs, pair_error, stats", [
+    (builtin_problem("linear_scalar", tau=0.5), dict(level=1),
+     "integer|divisible", (0.5557862725022141, 2.1625160226919078e-05, 16.0)),
+    (builtin_problem("linear_scalar", tau=0.5, horizon=0.5), dict(level=0),
+     "level >= 1", (0.6364225739608151, 6.902607489962909e-05, 8.0)),
+    (builtin_problem("cubic_onesided", tau=0.5, x0=1.0),
+     dict(level=1, theta=0.0, delta=0.5),
+     "tamed pair", (0.6620787426739845, 0.00021303059247358716, 16.0)),
+], ids=["odd-delay-offset", "level-0", "tamed-level-1"])
+def test_base_level_skips_the_pair_checks(problem, kwargs, pair_error,
+                                          stats):
+    s = single_level_estimate(problem, TANH, n_samples=8, seed=3, **kwargs)
+    assert (s.mean_delta, s.var_delta, s.cost_units) == stats
+    assert s.samples == 8
+    with pytest.raises(ValueError, match=pair_error):
+        estimate_level(problem, TANH, n_samples=8, seed=3, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # mlmc_estimate
 # ---------------------------------------------------------------------------
