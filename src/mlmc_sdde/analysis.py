@@ -29,7 +29,6 @@ import numpy as np
 from .coupling import LevelPair, coupled_payoff_delta
 from .mlmc import _refuse_blown_up, _run_cells, _run_chunks
 from .model import Payoff, SddeProblem
-from .rng import NoiseStream
 from .scheme import (
     DelayBuffer,
     GridSpec,
@@ -562,21 +561,24 @@ def strong_error_rate(
     n_paths: int = 1000,
     seed: int = 0,
     M: int = 2,
-    jobs: int | None = None,
 ) -> StrongErrorResult:
     """Pathwise strong error of each level against a refined reference.
 
-    The reference runs the same scheme ``_REF_OFFSET`` levels finer; each
-    coarser level is driven by block sums of the reference increments,
-    added up as the reference run reads them, so all paths share one
-    Brownian skeleton and the measured error is pathwise.  Fits
+    The reference runs the same scheme ``_REF_OFFSET`` levels finer, on
+    the grid and stream of that level's base-level :class:`LevelPair`
+    plan; each coarser level is driven by block sums of the reference
+    increments, added up as the reference run reads them, so all paths
+    share one Brownian skeleton and the measured error is pathwise.  The
+    chunks of paths run in order on the calling thread.  Fits
     ``log E|psi(X_ref(T)) - psi(X_l(T))|^2`` against ``log h_l``.
     """
     levels = sorted(int(lv) for lv in level_sweep)
     if len(levels) < 3:
         raise ValueError("level_sweep needs >= 3 levels")
     ref_level = levels[-1] + _REF_OFFSET
-    grid_ref = GridSpec.for_problem(problem, theta=theta, level=ref_level, M=M)
+    ref_plan = LevelPair.for_problem(problem, ref_level, M=M, theta=theta,
+                                     coupled=False)
+    grid_ref = ref_plan.grid_fine
     n_ref = grid_ref.total_steps_N
     grids = {
         lv: GridSpec.for_problem(problem, theta=theta, level=lv, M=M)
@@ -598,13 +600,8 @@ def strong_error_rate(
         return values
 
     def chunk(a: int, b: int) -> list[np.ndarray]:
-        stream = NoiseStream(
-            master_seed=_cell_seed(seed, 0),
-            level=ref_level,
-            path_index=np.arange(a, b),
-            dim=problem.dim_noise,
-            n_steps=n_ref,
-        )
+        stream = ref_plan.noise_stream(
+            _cell_seed(seed, 0), np.arange(a, b), problem.dim_noise)
         sums = {lv: np.empty((grids[lv].total_steps_N, b - a,
                               problem.dim_noise)) for lv in levels}
         # The levels are driven by block sums of the reference increments,
@@ -627,7 +624,7 @@ def strong_error_rate(
 
     chunks = _run_chunks(
         chunk, f"rates-strong levels {levels[0]}..{ref_level} (eps {eps:g})",
-        0, n_paths, _STRONG_CHUNK_PATHS, jobs)
+        0, n_paths, _STRONG_CHUNK_PATHS)
     h_values = [grids[lv].step_h for lv in levels]
     # Each level's per-chunk sums, added in chunk order.
     errors = [sum(float(np.sum(part)) for part in parts) / n_paths

@@ -4,9 +4,9 @@ Every experiment writes one tidy CSV table (schema shared with the
 analysis module) plus a human-readable ``<out>.summary.txt`` with the
 resolved configuration, headline results, and wall time.  Runs are
 deterministic: the same configuration and seed produce byte-identical
-CSV regardless of ``--jobs``.  Only the rates and deviation sweeps use
-threads, over cells with per-cell substreams (rates-strong over its path
-chunks); path, coupled and mlmc run on one thread.  Path batches run in
+CSV regardless of ``--jobs``.  Only the rates-moment, rates-variance and
+deviation sweeps use threads, over cells with per-cell substreams; path,
+coupled, mlmc and rates-strong run on one thread.  Path batches run in
 chunks: MLMC levels fold chunks of 4096 paths, rates-strong sums chunks
 of 2500 paths, and every other batch (the path and coupled runs reuse the
 cells of the deviation and rates-moment sweeps) keeps a chunk within
@@ -152,10 +152,11 @@ _SETTINGS: dict[str, tuple] = {
                        f"${SEED_ENV_VAR} or 0)")),
     "out": (str, dict(metavar="PATH", help="CSV output path (default: "
                       "mlmc-sdde-<experiment>.csv)")),
-    "jobs": (int, dict(metavar="N", help="worker threads for the rates-* "
-                       "and deviation sweeps; path, coupled and mlmc run on "
-                       "one thread; never changes results (default: "
-                       "hardware parallelism)")),
+    "jobs": (int, dict(metavar="N", help="worker threads for the "
+                       "rates-moment, rates-variance and deviation sweeps; "
+                       "rates-strong, path, coupled and mlmc run on one "
+                       "thread; never changes results (default: hardware "
+                       "parallelism)")),
     **{key: (float, None) for key in _COEFFICIENT_KEYS},
 }
 
@@ -480,7 +481,7 @@ def _run_rates_strong(cfg: RunConfig, problem: SddeProblem):
     result = strong_error_rate(
         problem, psi, theta=cfg.theta,
         level_sweep=range(cfg.base_level, cfg.max_level + 1),
-        n_paths=cfg.samples, seed=cfg.seed, M=cfg.M, jobs=cfg.jobs,
+        n_paths=cfg.samples, seed=cfg.seed, M=cfg.M,
     )
     summary = [f"payoff = {psi.name}", f"ref_level = {result.ref_level}"]
     summary += _fit_lines("h", result.fit)

@@ -91,14 +91,14 @@ class LevelPair:
         if not coupled:
             return cls(M=M, level=level, grid_fine=grid_fine,
                        grid_coarse=None, delta=delta)
-        grid_coarse = GridSpec.for_problem(problem, theta=theta,
-                                           level=level - 1, M=M)
         if grid_fine.steps_per_delay_m % M != 0:
             raise ValueError(
                 f"delay offset m = {grid_fine.steps_per_delay_m} at level "
                 f"{level} is not divisible by M = {M}; the coarse grid "
                 "cannot align with the delay"
             )
+        grid_coarse = GridSpec.for_problem(problem, theta=theta,
+                                           level=level - 1, M=M)
         return cls(M=M, level=level, grid_fine=grid_fine,
                    grid_coarse=grid_coarse, delta=delta)
 

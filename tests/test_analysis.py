@@ -319,7 +319,7 @@ def test_strong_error_increments_do_not_depend_on_chunk_size(monkeypatch):
         per_grid.clear()
         monkeypatch.setattr(analysis, "_STRONG_CHUNK_PATHS", size)
         strong_error_rate(problem, psi, level_sweep=[3, 4, 5], n_paths=5,
-                          seed=13, jobs=1)
+                          seed=13)
         runs.append({n: np.concatenate(arrs, axis=1)
                      for n, arrs in per_grid.items()})
     assert sorted(runs[0]) == [8, 16, 32, 256]
@@ -342,7 +342,7 @@ def test_strong_error_chunk_holds_less_than_the_reference_increments(
     tracemalloc.start()
     try:
         strong_error_rate(problem, psi, level_sweep=[3, 4, 5],
-                          n_paths=n_paths, seed=13, jobs=1)
+                          n_paths=n_paths, seed=13)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -383,7 +383,7 @@ def test_sweeps_are_invariant_under_jobs(monkeypatch):
     monkeypatch.setattr(analysis, "_STRONG_CHUNK_PATHS", 64)
     se_kw = dict(theta=0.0, level_sweep=[3, 4, 5], n_paths=200, seed=1)
     s1 = strong_error_rate(problem, psi, **se_kw)
-    s2 = strong_error_rate(problem, psi, jobs=4, **se_kw)
+    s2 = strong_error_rate(problem, psi, **se_kw)
     assert s1.errors_sq == s2.errors_sq
 
 
@@ -397,9 +397,9 @@ def _record_chunking(monkeypatch):
     seen = []
     original = analysis._run_chunks
 
-    def recording(chunk_fn, where, start, stop, chunk_size, jobs=None):
+    def recording(chunk_fn, where, start, stop, chunk_size):
         seen.append((where, stop - start, chunk_size))
-        return original(chunk_fn, where, start, stop, chunk_size, jobs)
+        return original(chunk_fn, where, start, stop, chunk_size)
 
     monkeypatch.setattr(analysis, "_run_chunks", recording)
     return seen

@@ -20,6 +20,7 @@ from mlmc_sdde.coupling import (
     coupled_payoff_delta,
     simulate_coupled,
 )
+from mlmc_sdde.mlmc import estimate_level
 from mlmc_sdde.model import builtin_payoff, builtin_problem
 from mlmc_sdde.rng import NoiseStream
 from mlmc_sdde.scheme import (
@@ -52,9 +53,15 @@ def test_level_pair_grids():
 def test_level_pair_delay_divisibility():
     p = builtin_problem("linear_scalar")
     # level 2: the coarse grid cannot align with tau (m would be 0.5)
-    with pytest.raises(ValueError, match="integer|divisible"):
+    with pytest.raises(ValueError, match="divisible"):
         LevelPair.for_problem(p, level=2, M=2)
     LevelPair.for_problem(p, level=3, M=2)  # m_fine = 2: fine
+    # The same refusal reaches an MLMC level: at tau = 0.5 level 1 has
+    # m_fine = 1, and M = 2 does not divide it.
+    with pytest.raises(ValueError, match="not divisible by M = 2; the "
+                       "coarse grid cannot align with the delay"):
+        estimate_level(builtin_problem("linear_scalar", tau=0.5),
+                       builtin_payoff("tanh"), level=1, n_samples=8)
 
 
 def test_level_pair_tamed_needs_level_two():
