@@ -28,16 +28,17 @@ An experiment is declared by its ``DEFAULTS`` entry and its runner in
 default ``max_level`` makes it run ``base_level..max_level``.
 
 Exit codes: 0 success; 2 configuration or admissibility error (the
-violated constraint is printed); 3 implicit-solver non-convergence;
-4 output I/O error.
+violated constraint is printed), or a run that needs more memory than it
+can get (numpy's allocation message is printed); 3 implicit-solver
+non-convergence; 4 output I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, fields
 
@@ -568,19 +569,19 @@ def records_to_csv(records) -> str:
     return "\n".join(lines) + "\n"
 
 
+_WRITES = itertools.count()
+
+
 def _write_atomic(path: str, text: str) -> None:
-    # A unique temporary file in the target directory, so concurrent runs
-    # writing one output never share it; the final file gets the mode a
-    # plain open() would give, not mkstemp's 0600.
-    directory, name = os.path.split(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=name + ".",
-                               suffix=".tmp")
+    # A temporary file in the target directory, named for this process and
+    # this call, so concurrent runs or threads writing one output never
+    # share it; created with mode 0666, which the kernel masks with the
+    # umask, as a plain open() would.
+    tmp = f"{os.path.abspath(path)}.{os.getpid()}.{next(_WRITES)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -625,6 +626,10 @@ def main(argv: list[str] | None = None) -> int:
     except NonConvergence as exc:
         print(f"error: solver failed to converge: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 4

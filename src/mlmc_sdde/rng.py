@@ -27,7 +27,10 @@ strictly inside the unit interval, with one bit to spare so the rounding
 of ``+ 0.5`` is exact), and uniforms map to normals through the inverse
 normal CDF (``scipy.special.ndtri``); the inverse-CDF transform is chosen
 over rejection samplers because it consumes a fixed number of words per
-variate, which the addressing scheme requires.
+variate, which the addressing scheme requires.  A call allocates one
+float64 block for all its steps, and ``ndtri`` writes each step's
+normals straight into that step's row; the caller owns the block and may
+scale it in place.
 
 A single-level stream and the stream of a coupled pair with the same
 ``(master_seed, level)`` are one stream: the fine member of a pair at
@@ -57,17 +60,6 @@ def uniforms_from_words(words: np.ndarray) -> np.ndarray:
     return ((w >> np.uint64(12)).astype(np.float64) + 0.5) * _INV52
 
 
-def _normals_in_place(words: np.ndarray) -> np.ndarray:
-    """Map uint64 ``words`` of shape (count, ...) to normals in place.
-
-    One step at a time, so the only temporaries are one step in size.
-    """
-    normals = words.view(np.float64)
-    for step in range(words.shape[0]):
-        normals[step] = ndtri(uniforms_from_words(words[step]))
-    return normals
-
-
 def _seek(gen: Philox, state: dict, counter: int) -> None:
     """Make the block at ``counter`` the next one ``gen`` generates.
 
@@ -85,17 +77,19 @@ def _seek(gen: Philox, state: dict, counter: int) -> None:
 def _draws(key: tuple[int, int], steps: range, first_path: int,
            n_paths: int, dim: int) -> np.ndarray:
     """Normals of paths ``first_path ..`` at ``steps``, shape
-    (len(steps), n_paths, dim): one ``random_raw`` call per step."""
+    (len(steps), n_paths, dim), in a new array: one ``random_raw`` call
+    per step, whose words ``ndtri`` maps straight into that step's row."""
     width = n_paths * dim
     first_block, skip = divmod(first_path * dim, 4)
     n_words = 4 * -(-(skip + width) // 4)
     gen = Philox(key=key[0] | key[1] << 64)
     state = gen.state
-    words = np.empty((len(steps), width), dtype=np.uint64)
+    normals = np.empty((len(steps), width))
     for row, j in enumerate(steps):
         _seek(gen, state, first_block + (j << 64))
-        words[row] = gen.random_raw(n_words)[skip:skip + width]
-    return _normals_in_place(words).reshape(len(steps), n_paths, dim)
+        ndtri(uniforms_from_words(gen.random_raw(n_words)[skip:skip + width]),
+              out=normals[row])
+    return normals.reshape(len(steps), n_paths, dim)
 
 
 @dataclass(frozen=True)
@@ -176,6 +170,7 @@ class NoiseStream:
         ``j`` may also be a ``range`` of consecutive steps; the result is
         then the per-step draws stacked along a new leading axis, equal
         bit for bit to ``np.stack([gaussian_increment(i) for i in j])``.
+        Every call returns a new array, which the caller may overwrite.
         """
         steps = j if isinstance(j, range) else range(int(j), int(j) + 1)
         if steps.step != 1:

@@ -111,16 +111,17 @@ class GridSpec:
         """The delay-aligned grid of ``level`` for ``problem``, with step
         :func:`level_step`.
 
-        Raises ``ValueError`` when the implied step counts are not within
-        one rounding unit of integers.
+        Raises ``ValueError``, naming ``level`` and ``M``, when the implied
+        step counts are not within one rounding unit of integers.
         """
         if level < 0:
             raise ValueError("level must be >= 0")
         if M < 2:
             raise ValueError(f"M must be >= 2, got {M}")
         step_h = level_step(problem, level, M)
-        m = _near_int(problem.delay / step_h, "delay / step_h")
-        N = _near_int(problem.horizon / step_h, "horizon / step_h")
+        where = f"level {level} (M = {M}): "
+        m = _near_int(problem.delay / step_h, where + "delay / step_h")
+        N = _near_int(problem.horizon / step_h, where + "horizon / step_h")
         grid = cls(step_h=step_h, steps_per_delay_m=m, total_steps_N=N,
                    theta=theta)
         grid.validate_against(problem)
@@ -514,14 +515,16 @@ def _stream_increments(noise: NoiseStream, n_steps: int, scale: float,
     (at least one) at a time.  For every ``(q, out)`` in ``sums`` the
     increments of the grid ``q`` times coarser build up in ``out`` as they
     pass: increment ``j`` starts ``out[j // q]`` when ``q`` divides ``j``
-    and is added into it otherwise, left to right."""
+    and is added into it otherwise, left to right.  A ``scale`` of 1.0
+    leaves the draws as ``noise`` returns them."""
     block = max(1, _BLOCK_DRAWS // (noise.n_paths * noise.dim))
     # Row views: ``+=`` on a row of the array would also copy it back.
     rows = [(q, list(out)) for q, out in sums]
     for start in range(0, n_steps, block):
         draws = noise.gaussian_increment(
             range(start, min(start + block, n_steps)))
-        draws *= scale
+        if scale != 1.0:
+            draws *= scale
         for j, dw in enumerate(draws.reshape(len(draws), -1, noise.dim),
                                start):
             for q, out in rows:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import mlmc_sdde
-from mlmc_sdde import scheme
+from mlmc_sdde import cli, scheme
 from mlmc_sdde.cli import (
     _SETTINGS,
     CSV_COLUMNS,
@@ -244,6 +244,36 @@ def test_solver_nonconvergence_maps_to_exit_three(tmp_path, monkeypatch,
     assert not out.exists()
 
 
+def test_out_of_memory_exits_two_with_one_error_line(tmp_path, monkeypatch,
+                                                    capsys):
+    # A run too large for the memory stops at an allocation; the stand-in
+    # runner raises numpy's message without allocating anything.
+    def exhaust(cfg, problem):
+        raise MemoryError("Unable to allocate 10.0 GiB for an array with "
+                          "shape (134217728, 10, 1) and data type float64")
+
+    monkeypatch.setitem(cli._RUNNERS, "rates-strong", exhaust)
+    out = tmp_path / "x.csv"
+    code = _run(["--experiment", "rates-strong", "--samples", "10",
+                 "--max-level", "30", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 10.0 GiB for an array with "
+        "shape (134217728, 10, 1) and data type float64\n")
+    assert not out.exists()
+
+
+def test_misaligned_level_grid_exits_two_naming_level_and_M(tmp_path,
+                                                            capsys):
+    out = tmp_path / "x.csv"
+    code = _run(["--experiment", "mlmc", "--M", "3", "--base-level", "2",
+                 "--max-level", "4", "--samples", "10", "--out", str(out)])
+    assert code == 2
+    assert ("level 2 (M = 3): delay / step_h = 2.25 is not a positive "
+            "integer") in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("budget", [["--samples", "500"],
                                     ["--target-se", "1e-3"]])
 def test_blown_up_samples_exit_two_naming_level_and_paths(tmp_path, capsys,
@@ -339,6 +369,18 @@ def test_atomic_write_leaves_no_temporary_file(tmp_path):
     assert _run(["--experiment", "path", "--samples", "16",
                  "--out", str(blocked)]) == 4
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_atomic_write_never_calls_umask(tmp_path, monkeypatch):
+    # Reading the umask means setting it; another thread's file created
+    # in between would ignore it.
+    calls = []
+    monkeypatch.setattr(os, "umask", lambda mask: calls.append(mask) or 0)
+    out = tmp_path / "x.txt"
+    cli._write_atomic(str(out), "text\n")
+    assert calls == []
+    assert out.read_text(encoding="utf-8") == "text\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["x.txt"]
 
 
 # ---------------------------------------------------------------------------

@@ -368,3 +368,17 @@ def test_every_draw_passes_through_gaussian_increment_once(monkeypatch):
                                level_sweep=(3, 4, 5), n_paths=paths.size)
     assert result.ref_level == 8
     assert sum(sizes) == paths.size * 2**8
+
+
+def test_gaussian_increment_returns_a_new_array_each_call():
+    # Callers scale the block in place (the step loop multiplies by
+    # sqrt(h)); that must not reach the draws of a later call.
+    stream = NoiseStream(master_seed=5, level=3, path_index=np.arange(2, 9),
+                         dim=2)
+    for j in (range(1, 5), 3):
+        first = stream.gaussian_increment(j)
+        want = first.copy()
+        first *= 0.5
+        again = stream.gaussian_increment(j)
+        assert not np.shares_memory(first, again)
+        assert np.array_equal(again, want)
