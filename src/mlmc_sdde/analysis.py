@@ -6,12 +6,12 @@ level or one noise scale per cell), records a tidy table of statistics,
 and fits ordinary least squares lines through the log-log points.
 
 Seeding convention: every cell draws from its own substream family.  The
-master seed of a cell is ``seed + 1_000_003 * lane + index`` where the
-lane separates roles (0 level-sweep pairs, 1 noise-sweep pairs, 2
-independent fine runs, 3 independent coarse runs, 4 deviation cells) and
-the index enumerates cells within a lane.  Together with the per-level
-stream keying this makes all cells pairwise disjoint, so results are
-independent of evaluation order and of worker count.
+master seed of a cell is ``seed + 1_000_003 * lane + index`` modulo
+``2**64``, where the lane separates roles (0 level-sweep pairs, 1
+noise-sweep pairs, 2 independent fine runs, 3 independent coarse runs, 4
+deviation cells) and the index enumerates cells within a lane.  Together
+with the per-level stream keying this makes all cells pairwise disjoint,
+so results are independent of evaluation order and of worker count.
 
 A cell whose paths blow up (non-finite values) raises ``ValueError``,
 and one whose solve stalls ``NonConvergence``, naming the experiment, the
@@ -36,7 +36,6 @@ from .scheme import (
     TamedDrift,
     _stream_increments,
     level_step,
-    taming_for_level,
     theta_em_path,
 )
 
@@ -70,17 +69,22 @@ _STRONG_CHUNK_PATHS = 2500
 
 
 def _cell_seed(seed: int, lane: int, index: int = 0) -> int:
-    return int(seed) + _LANE_STRIDE * lane + index
+    # The lane offsets wrap modulo 2**64, so every seed the stream takes
+    # keys its cells; any other seed is passed on for the stream to refuse.
+    seed = int(seed)
+    return ((seed + _LANE_STRIDE * lane + index) % 2**64
+            if 0 <= seed < 2**64 else seed)
 
 
 def _cell_samples(chunk_fn: Callable[[int, int], tuple[np.ndarray, ...]],
-                  experiment: str, problem: SddeProblem, level: int, M: int,
+                  experiment: str, problem: SddeProblem, plan: LevelPair,
                   n_paths: int) -> tuple[np.ndarray, ...]:
     """The samples of :func:`_run_chunks` over the paths ``[0, n_paths)``
-    of a cell whose finest grid is that of ``level``, in chunks within
-    ``_CHUNK_DRAWS``, each sample joined along the path axis."""
-    size = max(1, _CHUNK_DRAWS // (M ** level * problem.dim_noise))
-    where = f"{experiment} level {level} (eps {problem.noise_scale:g})"
+    of a cell run by ``plan``, in chunks within ``_CHUNK_DRAWS``, each
+    sample joined along the path axis."""
+    size = max(1, _CHUNK_DRAWS // (plan.grid_fine.total_steps_N
+                                   * problem.dim_noise))
+    where = f"{experiment} level {plan.level} (eps {problem.noise_scale:g})"
     chunks = _run_chunks(chunk_fn, where, 0, n_paths, size)
     return tuple(parts[0] if len(parts) == 1
                  else np.concatenate(parts, axis=-1) for parts in zip(*chunks))
@@ -95,12 +99,13 @@ def _path_samples(problem, level, M, theta, delta, seed, n_paths,
                                  delta=delta, coupled=False)
 
     def chunk(a, b):
-        path = plan.run(problem, seed, a, b, full_path=True)
+        path = plan.run(problem, plan.noise_stream(
+            seed, np.arange(a, b), problem.dim_noise), full_path=True)
         body = path.values[path.m:]
         diff = body if centre is None else body - centre[:, None, :]
         return body[-1].T, np.sum(diff * diff, axis=-1).max(axis=0)
 
-    return _cell_samples(chunk, experiment, problem, level, M, n_paths)
+    return _cell_samples(chunk, experiment, problem, plan, n_paths)
 
 
 def _pair_samples(problem, level, M, theta, delta, seed, n_paths,
@@ -111,14 +116,15 @@ def _pair_samples(problem, level, M, theta, delta, seed, n_paths,
     pair = LevelPair.for_problem(problem, level, M=M, theta=theta, delta=delta)
 
     def chunk(a, b):
-        coupled = pair.run(problem, seed, a, b, full_path=True)
+        coupled = pair.run(problem, pair.noise_stream(
+            seed, np.arange(a, b), problem.dim_noise), full_path=True)
         diff = coupled.state_difference()
         sq = np.sum(diff * diff, axis=-1)
         if psi is None:
             return (sq,)
         return sq, coupled_payoff_delta(coupled, psi)[0]
 
-    return _cell_samples(chunk, experiment, problem, level, M, n_paths)
+    return _cell_samples(chunk, experiment, problem, pair, n_paths)
 
 
 @dataclass(frozen=True)
@@ -290,10 +296,10 @@ def small_noise_deviation(
             "eps_sweep needs >= 3 positive values spanning at least one "
             "decade"
         )
-    grid = GridSpec.for_problem(problem, theta=theta, level=level, M=M)
-    taming = taming_for_level(problem, level, M, delta)
+    plan = LevelPair.for_problem(problem, level, M=M, theta=theta,
+                                 delta=delta, coupled=False)
     try:
-        skeleton = deterministic_skeleton(problem, grid, taming)
+        skeleton = plan.run(problem, None, full_path=True)
     except NonConvergence as exc:
         raise exc.within(f"deviation level {level} skeleton") from exc
 
@@ -307,7 +313,7 @@ def small_noise_deviation(
     deviations = _run_cells([lambda i=i, eps=eps: cell(i, eps)
                              for i, eps in enumerate(eps_values)], jobs)
     records = [
-        _record("deviation", level, grid.step_h, eps, theta, delta,
+        _record("deviation", level, plan.grid_fine.step_h, eps, theta, delta,
                 "deviation_sup_sq", dev, n_paths, seed)
         for eps, dev in zip(eps_values, deviations)
     ]
@@ -326,7 +332,7 @@ def small_noise_deviation(
     if delta is not None:
         pos_eps = np.array([p[0] for p in fit_pairs])
         pos_dev = np.array([p[1] for p in fit_pairs])
-        floor = np.full_like(pos_eps, (M * grid.step_h) ** delta)
+        floor = np.full_like(pos_eps, (M * plan.grid_fine.step_h) ** delta)
         envelope = envelope_fit([floor, pos_eps**2], pos_dev)
 
     return DeviationResult(
@@ -467,7 +473,7 @@ def _payoff_var(problem, psi, level, M, theta, delta, n_paths, *seeds):
                                      delta=delta, coupled=coupled)
         payoffs += _cell_samples(
             lambda a, b: plan.payoffs(problem, psi, cell_seed, a, b)[:1],
-            where, problem, lv, M, n_paths)
+            where, problem, plan, n_paths)
     deltas = payoffs[0] if coupled else payoffs[0] - payoffs[1]
     return float(np.var(deltas, ddof=1))
 
@@ -557,6 +563,7 @@ def strong_error_rate(
     problem: SddeProblem,
     psi: Payoff,
     theta: float = 0.0,
+    delta: float | None = None,
     level_sweep: Sequence[int] = (),
     n_paths: int = 1000,
     seed: int = 0,
@@ -568,31 +575,28 @@ def strong_error_rate(
     the grid and stream of that level's base-level :class:`LevelPair`
     plan; each coarser level is driven by block sums of the reference
     increments, added up as the reference run reads them, so all paths
-    share one Brownian skeleton and the measured error is pathwise.  The
-    chunks of paths run in order on the calling thread.  Fits
+    share one Brownian skeleton and the measured error is pathwise.  Each
+    level, the reference too, runs through the plan of its level, tamed
+    by that level's rule when ``delta`` is set.  The chunks of paths run
+    in order on the calling thread.  Fits
     ``log E|psi(X_ref(T)) - psi(X_l(T))|^2`` against ``log h_l``.
     """
     levels = sorted(int(lv) for lv in level_sweep)
     if len(levels) < 3:
         raise ValueError("level_sweep needs >= 3 levels")
     ref_level = levels[-1] + _REF_OFFSET
-    ref_plan = LevelPair.for_problem(problem, ref_level, M=M, theta=theta,
-                                     coupled=False)
-    grid_ref = ref_plan.grid_fine
-    n_ref = grid_ref.total_steps_N
-    grids = {
-        lv: GridSpec.for_problem(problem, theta=theta, level=lv, M=M)
-        for lv in levels
-    }
+    plans = {lv: LevelPair.for_problem(problem, lv, M=M, theta=theta,
+                                       delta=delta, coupled=False)
+             for lv in (ref_level, *levels)}
+    grid_ref = plans[ref_level].grid_fine
 
     eps = problem.noise_scale
 
-    def terminal_payoff(name: str, grid: GridSpec,
-                        dw: np.ndarray) -> np.ndarray:
-        # One grid's payoffs; a stalled solve or a blown-up path is named
-        # by the grid and the chunk.
+    def terminal_payoff(name: str, level: int, noise) -> np.ndarray:
+        # One level's payoffs; a stalled solve or a blown-up path is named
+        # by the level and the chunk.
         try:
-            path = theta_em_path(problem, grid, noise=dw, full_path=False)
+            path = plans[level].run(problem, noise)
         except NonConvergence as exc:
             raise exc.within(name) from exc
         values = psi.eval(path.terminal)
@@ -600,24 +604,24 @@ def strong_error_rate(
         return values
 
     def chunk(a: int, b: int) -> list[np.ndarray]:
-        stream = ref_plan.noise_stream(
+        stream = plans[ref_level].noise_stream(
             _cell_seed(seed, 0), np.arange(a, b), problem.dim_noise)
-        sums = {lv: np.empty((grids[lv].total_steps_N, b - a,
+        sums = {lv: np.empty((plans[lv].grid_fine.total_steps_N, b - a,
                               problem.dim_noise)) for lv in levels}
         # The levels are driven by block sums of the reference increments,
         # added up as the reference reads them.  At eps = 0 it gets the
         # stream, which then draws nothing (an iterator is read to its end).
         reference = _stream_increments(
-            stream, n_ref, np.sqrt(grid_ref.step_h),
+            stream, grid_ref.total_steps_N, np.sqrt(grid_ref.step_h),
             [(M ** (ref_level - lv), sums[lv]) for lv in levels])
         psi_ref = terminal_payoff(
             f"rates-strong reference level {ref_level} (eps {eps:g}), "
-            f"paths [{a}, {b})", grid_ref, reference if eps else stream)
+            f"paths [{a}, {b})", ref_level, reference if eps else stream)
         errors_sq = []
         for lv in levels:
             psi_lv = terminal_payoff(
                 f"rates-strong level {lv} (eps {eps:g}), paths [{a}, {b})",
-                grids[lv], sums[lv])
+                lv, sums[lv])
             diff = psi_ref - psi_lv
             errors_sq.append(diff * diff)
         return errors_sq
@@ -625,14 +629,14 @@ def strong_error_rate(
     chunks = _run_chunks(
         chunk, f"rates-strong levels {levels[0]}..{ref_level} (eps {eps:g})",
         0, n_paths, _STRONG_CHUNK_PATHS)
-    h_values = [grids[lv].step_h for lv in levels]
+    h_values = [plans[lv].grid_fine.step_h for lv in levels]
     # Each level's per-chunk sums, added in chunk order.
     errors = [sum(float(np.sum(part)) for part in parts) / n_paths
               for parts in zip(*chunks)]
     records = tuple(
-        _record("rates-strong", lv, grids[lv].step_h, eps, theta, None,
+        _record("rates-strong", lv, h, eps, theta, delta,
                 "strong_error_sq", err, n_paths, seed)
-        for lv, err in zip(levels, errors)
+        for lv, h, err in zip(levels, h_values, errors)
     )
     return StrongErrorResult(
         fit=RateFit.from_data(h_values, errors),

@@ -480,7 +480,7 @@ def _fit_lines(tag, fit):
 def _run_rates_strong(cfg: RunConfig, problem: SddeProblem):
     psi = _build_payoff(cfg)
     result = strong_error_rate(
-        problem, psi, theta=cfg.theta,
+        problem, psi, theta=cfg.theta, delta=cfg.delta,
         level_sweep=range(cfg.base_level, cfg.max_level + 1),
         n_paths=cfg.samples, seed=cfg.seed, M=cfg.M,
     )

@@ -120,28 +120,32 @@ class LevelPair:
             n_steps=self.grid_fine.total_steps_N,
         )
 
-    def run(self, problem: SddeProblem, seed: int, a: int, b: int, *,
+    def run(self, problem: SddeProblem, noise, *,
             full_path: bool = False) -> DelayBuffer | CoupledPair:
-        """The paths ``[a, b)`` on the substreams ``(seed, level, path)``.
+        """The paths of this plan on ``noise``.
 
         A base level returns the :func:`~mlmc_sdde.scheme.theta_em_path`
-        of its grid, tamed by the level's rule; a pair returns its
-        :func:`simulate_coupled` members.  ``full_path`` is theirs.
+        of its grid on any noise that function takes (a stream, the
+        increments themselves, or ``None`` for the drift-only skeleton),
+        tamed by the level's rule; a pair returns its
+        :func:`simulate_coupled` members on a stream.  ``full_path`` is
+        theirs.
         """
-        stream = self.noise_stream(seed, np.arange(a, b), problem.dim_noise)
         if self.grid_coarse is None:
             return theta_em_path(
-                problem, self.grid_fine, noise=stream, full_path=full_path,
+                problem, self.grid_fine, noise=noise, full_path=full_path,
                 taming=taming_for_level(problem, self.level, self.M,
                                         self.delta))
-        return simulate_coupled(problem, self, stream, full_path=full_path)
+        return simulate_coupled(problem, self, noise, full_path=full_path)
 
     def payoffs(self, problem: SddeProblem, psi: Payoff, seed: int, a: int,
                 b: int) -> tuple[np.ndarray, np.ndarray]:
         """``(deltas, fines)`` of ``psi`` at the terminal states of the
-        paths ``[a, b)``: the payoff twice on a base level, whose delta is
-        the payoff itself, and :func:`coupled_payoff_delta` on a pair."""
-        out = self.run(problem, seed, a, b)
+        paths ``[a, b)`` on the substreams ``(seed, level, path)``: the
+        payoff twice on a base level, whose delta is the payoff itself,
+        and :func:`coupled_payoff_delta` on a pair."""
+        out = self.run(problem, self.noise_stream(seed, np.arange(a, b),
+                                                  problem.dim_noise))
         if self.grid_coarse is None:
             values = psi.eval(out.terminal)
             return values, values

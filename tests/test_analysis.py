@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mlmc_sdde import analysis, cli, scheme
+from mlmc_sdde import analysis, cli, coupling, scheme
 from mlmc_sdde.analysis import (
     EnvelopeFit,
     RateFit,
@@ -22,9 +22,10 @@ from mlmc_sdde.analysis import (
     small_noise_deviation,
     strong_error_rate,
 )
+from mlmc_sdde.coupling import LevelPair
 from mlmc_sdde.model import builtin_payoff, builtin_problem
 from mlmc_sdde.rng import NoiseStream
-from mlmc_sdde.scheme import GridSpec, theta_em_path
+from mlmc_sdde.scheme import GridSpec, taming_for_level, theta_em_path
 
 EPS_WINDOW = (0.0625, 0.08838834764831845, 0.125,
               0.17677669529663687, 0.25)
@@ -137,6 +138,26 @@ def test_skeleton_fully_implicit_linear_closed_form(level):
     for n in range(n_steps):
         z[m + n + 1] = (z[m + n] + h * a2 * z[n + 1]) / (1.0 - h * a1)
     assert np.abs(path.values[:, 0] - z).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name, theta, delta", [
+    ("cubic_onesided", 0.5, 0.5),
+    ("linear_scalar", 0.0, None),
+    ("linear_scalar", 1.0, None),
+])
+def test_plan_run_without_noise_is_the_skeleton_of_its_level(name, theta,
+                                                             delta):
+    # The deviation sweep takes its skeleton from the base-level plan; it
+    # is the skeleton of the plan's grid tamed by the level's rule.
+    problem = builtin_problem(name)
+    level, M = 4, 2
+    plan = LevelPair.for_problem(problem, level, M=M, theta=theta,
+                                 delta=delta, coupled=False)
+    ran = plan.run(problem, None, full_path=True)
+    skeleton = deterministic_skeleton(
+        problem, plan.grid_fine, taming_for_level(problem, level, M, delta))
+    assert (ran.m, ran.total_steps) == (skeleton.m, skeleton.total_steps)
+    np.testing.assert_array_equal(ran.values, skeleton.values)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +322,9 @@ def test_strong_error_chunking_does_not_change_results(monkeypatch):
 def test_strong_error_increments_do_not_depend_on_chunk_size(monkeypatch):
     # Each level's increments are block sums of the reference increments;
     # they must be the same numbers whether a chunk holds one path or all.
-    original = analysis.theta_em_path
+    # Every level runs through its plan, whose base level calls
+    # coupling.theta_em_path.
+    original = coupling.theta_em_path
     per_grid = {}
 
     def record(problem, grid, noise=None, taming=None, **kwargs):
@@ -311,7 +334,7 @@ def test_strong_error_increments_do_not_depend_on_chunk_size(monkeypatch):
         return original(problem, grid, noise=iter(dw), taming=taming,
                         **kwargs)
 
-    monkeypatch.setattr(analysis, "theta_em_path", record)
+    monkeypatch.setattr(coupling, "theta_em_path", record)
     problem = builtin_problem("linear_scalar", eps=1e-4)
     psi = builtin_payoff("identity")
     runs = []
@@ -349,11 +372,64 @@ def test_strong_error_chunk_holds_less_than_the_reference_increments(
     assert peak < n_ref * n_paths * 8
 
 
+def test_strong_error_tames_each_level_by_its_own_rule():
+    # Implicit steps of the one-sided drift are admissible only tamed; the
+    # reference and every level tame with the step of the level below
+    # their own, on the reference increments and their block sums.
+    problem = builtin_problem("cubic_onesided")
+    psi = builtin_payoff("identity")
+    levels, M, theta, delta, n_paths, seed = [3, 4, 5], 2, 0.5, 0.5, 20, 13
+    result = strong_error_rate(problem, psi, theta=theta, delta=delta,
+                               level_sweep=levels, n_paths=n_paths,
+                               seed=seed)
+    ref = result.ref_level
+    grids = {lv: GridSpec.for_problem(problem, theta=theta, level=lv, M=M)
+             for lv in (ref, *levels)}
+    n_ref = grids[ref].total_steps_N
+    stream = NoiseStream(master_seed=seed, level=ref,
+                         path_index=np.arange(n_paths),
+                         dim=problem.dim_noise, n_steps=n_ref)
+    dw = stream.gaussian_increment(range(n_ref)).reshape(
+        n_ref, n_paths, problem.dim_noise) * np.sqrt(grids[ref].step_h)
+
+    def payoff(lv, increments):
+        path = theta_em_path(problem, grids[lv], noise=increments,
+                             taming=taming_for_level(problem, lv, M, delta),
+                             full_path=False)
+        return psi.eval(path.terminal)
+
+    psi_ref = payoff(ref, dw)
+    expected = []
+    for lv in levels:
+        q = M ** (ref - lv)
+        sums = dw[::q].copy()
+        for i in range(1, q):  # added left to right, as the sweep does
+            sums += dw[i::q]
+        diff = psi_ref - payoff(lv, sums)
+        expected.append(float(np.sum(diff * diff)) / n_paths)
+    assert result.errors_sq == tuple(expected)
+    assert [r["delta"] for r in result.records] == [delta] * len(levels)
+
+
 def test_strong_error_validation():
     problem = builtin_problem("linear_scalar")
     psi = builtin_payoff("identity")
     with pytest.raises(ValueError, match="level_sweep"):
         strong_error_rate(problem, psi, level_sweep=[3, 4], n_paths=8)
+
+
+def test_cell_seeds_wrap_at_the_top_of_the_seed_range():
+    stride, top = 1_000_003, 2**64 - 1
+    assert analysis._cell_seed(7, 3, 2) == 7 + 3 * stride + 2
+    assert analysis._cell_seed(top, 0) == top
+    assert analysis._cell_seed(top, 4, 1) == 4 * stride
+    # A seed outside the range is left for the stream to refuse.
+    for seed in (-1, top + 1):
+        assert analysis._cell_seed(seed, 1) == seed
+        with pytest.raises(ValueError, match="master_seed"):
+            strong_error_rate(builtin_problem("linear_scalar"),
+                              builtin_payoff("identity"),
+                              level_sweep=[3, 4, 5], n_paths=4, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -444,20 +444,49 @@ def test_tamed_run_records_delta_column(tmp_path):
         "mean_delta", "var_delta"}
 
 
+@pytest.mark.parametrize("problem, theta", [("cubic_onesided", "0.5"),
+                                            ("linear_scalar", "0.0")])
+def test_tamed_strong_sweep_runs_and_records_delta(tmp_path, problem, theta):
+    # Implicit steps of the one-sided drift are admissible only tamed, so
+    # the sweep must tame with --delta, and record it, on every problem.
+    out = tmp_path / "strong.csv"
+    code = _run(["--experiment", "rates-strong", "--problem", problem,
+                 "--theta", theta, "--delta", "0.5", "--samples", "200",
+                 "--out", str(out)])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out.read_text(encoding="utf-8"))))
+    assert len(rows) == 5
+    assert all(row["delta"] == "0.5" for row in rows)
+
+
+_SMALL_RUNS = {
+    "path": ["--samples", "16"],
+    "coupled": ["--samples", "16"],
+    "mlmc": ["--samples", "8", "--max-level", "4"],
+    "rates-strong": ["--samples", "8", "--max-level", "5"],
+    "rates-moment": ["--samples", "8", "--max-level", "5"],
+    "rates-variance": ["--samples", "8", "--max-level", "5"],
+    "deviation": ["--samples", "8"],
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_largest_seed_runs_every_experiment(tmp_path, experiment):
+    # The sweeps key their cells by lane offsets added to the seed; those
+    # wrap modulo 2**64 instead of leaving the stream's seed range.
+    out = tmp_path / "x.csv"
+    code = _run(["--experiment", experiment, "--seed", str(2**64 - 1),
+                 "--out", str(out)] + _SMALL_RUNS[experiment])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out.read_text(encoding="utf-8"))))
+    assert {row["seed"] for row in rows} == {str(2**64 - 1)}
+
+
 def test_every_experiment_runs_small(tmp_path):
-    shrink = {
-        "path": ["--samples", "16"],
-        "coupled": ["--samples", "16"],
-        "mlmc": ["--samples", "8", "--max-level", "4"],
-        "rates-strong": ["--samples", "8", "--max-level", "5"],
-        "rates-moment": ["--samples", "8", "--max-level", "5"],
-        "rates-variance": ["--samples", "8", "--max-level", "5"],
-        "deviation": ["--samples", "8"],
-    }
     for experiment in EXPERIMENTS:
         out = tmp_path / f"{experiment}.csv"
         args = (["--experiment", experiment, "--out", str(out)]
-                + shrink[experiment])
+                + _SMALL_RUNS[experiment])
         assert _run(args) == 0, experiment
         assert out.exists() and (tmp_path / f"{experiment}.csv.summary.txt"
                                  ).exists()
