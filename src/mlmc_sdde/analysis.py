@@ -77,14 +77,15 @@ def _cell_seed(seed: int, lane: int, index: int = 0) -> int:
 
 
 def _cell_samples(chunk_fn: Callable[[int, int], tuple[np.ndarray, ...]],
-                  experiment: str, problem: SddeProblem, plan: LevelPair,
+                  experiment: str, plan: LevelPair,
                   n_paths: int) -> tuple[np.ndarray, ...]:
     """The samples of :func:`_run_chunks` over the paths ``[0, n_paths)``
     of a cell run by ``plan``, in chunks within ``_CHUNK_DRAWS``, each
     sample joined along the path axis."""
     size = max(1, _CHUNK_DRAWS // (plan.grid_fine.total_steps_N
-                                   * problem.dim_noise))
-    where = f"{experiment} level {plan.level} (eps {problem.noise_scale:g})"
+                                   * plan.problem.dim_noise))
+    where = (f"{experiment} level {plan.level} "
+             f"(eps {plan.problem.noise_scale:g})")
     chunks = _run_chunks(chunk_fn, where, 0, n_paths, size)
     return tuple(parts[0] if len(parts) == 1
                  else np.concatenate(parts, axis=-1) for parts in zip(*chunks))
@@ -99,13 +100,13 @@ def _path_samples(problem, level, M, theta, delta, seed, n_paths,
                                  delta=delta, coupled=False)
 
     def chunk(a, b):
-        path = plan.run(problem, plan.noise_stream(
-            seed, np.arange(a, b), problem.dim_noise), full_path=True)
+        path = plan.run(plan.noise_stream(seed, np.arange(a, b)),
+                        full_path=True)
         body = path.values[path.m:]
         diff = body if centre is None else body - centre[:, None, :]
         return body[-1].T, np.sum(diff * diff, axis=-1).max(axis=0)
 
-    return _cell_samples(chunk, experiment, problem, plan, n_paths)
+    return _cell_samples(chunk, experiment, plan, n_paths)
 
 
 def _pair_samples(problem, level, M, theta, delta, seed, n_paths,
@@ -116,15 +117,15 @@ def _pair_samples(problem, level, M, theta, delta, seed, n_paths,
     pair = LevelPair.for_problem(problem, level, M=M, theta=theta, delta=delta)
 
     def chunk(a, b):
-        coupled = pair.run(problem, pair.noise_stream(
-            seed, np.arange(a, b), problem.dim_noise), full_path=True)
+        coupled = pair.run(pair.noise_stream(seed, np.arange(a, b)),
+                           full_path=True)
         diff = coupled.state_difference()
         sq = np.sum(diff * diff, axis=-1)
         if psi is None:
             return (sq,)
         return sq, coupled_payoff_delta(coupled, psi)[0]
 
-    return _cell_samples(chunk, experiment, problem, pair, n_paths)
+    return _cell_samples(chunk, experiment, pair, n_paths)
 
 
 @dataclass(frozen=True)
@@ -299,7 +300,7 @@ def small_noise_deviation(
     plan = LevelPair.for_problem(problem, level, M=M, theta=theta,
                                  delta=delta, coupled=False)
     try:
-        skeleton = plan.run(problem, None, full_path=True)
+        skeleton = plan.run(None, full_path=True)
     except NonConvergence as exc:
         raise exc.within(f"deviation level {level} skeleton") from exc
 
@@ -472,8 +473,8 @@ def _payoff_var(problem, psi, level, M, theta, delta, n_paths, *seeds):
         plan = LevelPair.for_problem(problem, lv, M=M, theta=theta,
                                      delta=delta, coupled=coupled)
         payoffs += _cell_samples(
-            lambda a, b: plan.payoffs(problem, psi, cell_seed, a, b)[:1],
-            where, problem, plan, n_paths)
+            lambda a, b: plan.payoffs(psi, cell_seed, a, b)[:1],
+            where, plan, n_paths)
     deltas = payoffs[0] if coupled else payoffs[0] - payoffs[1]
     return float(np.var(deltas, ddof=1))
 
@@ -596,7 +597,7 @@ def strong_error_rate(
         # One level's payoffs; a stalled solve or a blown-up path is named
         # by the level and the chunk.
         try:
-            path = plans[level].run(problem, noise)
+            path = plans[level].run(noise)
         except NonConvergence as exc:
             raise exc.within(name) from exc
         values = psi.eval(path.terminal)
@@ -604,8 +605,8 @@ def strong_error_rate(
         return values
 
     def chunk(a: int, b: int) -> list[np.ndarray]:
-        stream = plans[ref_level].noise_stream(
-            _cell_seed(seed, 0), np.arange(a, b), problem.dim_noise)
+        stream = plans[ref_level].noise_stream(_cell_seed(seed, 0),
+                                               np.arange(a, b))
         sums = {lv: np.empty((plans[lv].grid_fine.total_steps_N, b - a,
                               problem.dim_noise)) for lv in levels}
         # The levels are driven by block sums of the reference increments,

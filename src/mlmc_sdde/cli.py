@@ -25,7 +25,10 @@ The config file additionally accepts problem coefficient overrides
 the level sweep in rates-moment / rates-variance), which have no flags.
 An experiment is declared by its ``DEFAULTS`` entry and its runner in
 ``_RUNNERS``: a default ``eps`` list makes it a noise sweep, and a
-default ``max_level`` makes it run ``base_level..max_level``.
+default ``max_level`` makes it run ``base_level..max_level``.  A
+``max_level``, ``target_se`` or ``eps0`` given for an experiment whose
+default of it is ``None`` is refused, since that experiment does not
+read it.
 
 Exit codes: 0 success; 2 configuration or admissibility error (the
 violated constraint is printed), or a run that needs more memory than it
@@ -314,14 +317,18 @@ def build_config(argv: list[str] | None = None) -> RunConfig:
                       if k in _COEFFICIENT_KEYS})
     merged["problem_overrides"] = overrides
 
-    # samples and target-se are alternatives where a target-se default is
-    # set (mlmc): a user-provided one displaces the other's default rather
-    # than colliding with it.
+    # A setting that an experiment does not read (its default is None) is
+    # refused, not silently applied.  samples and target-se are
+    # alternatives where a target-se default is set (mlmc): a
+    # user-provided one displaces the other's default rather than
+    # colliding with it.
     explicit = set(file_values) | set(flag_values)
-    takes_target = defaults["target_se"] is not None
-    if "target_se" in explicit and not takes_target:
-        raise ConfigError("target-se applies to the mlmc experiment only")
-    if takes_target:
+    for key in ("target_se", "max_level", "eps0"):
+        readers = [n for n, d in DEFAULTS.items() if d[key] is not None]
+        if key in explicit and experiment not in readers:
+            raise ConfigError(f"{key.replace('_', '-')} applies to "
+                              f"{', '.join(readers)} only")
+    if defaults["target_se"] is not None:
         if "samples" in explicit and "target_se" not in explicit:
             merged["target_se"] = None
         if "target_se" in explicit and "samples" not in explicit:
@@ -363,12 +370,9 @@ def _validate_config(cfg: RunConfig) -> None:
             raise ConfigError(
                 f"{cfg.experiment} needs exactly one of samples and "
                 "target-se")
-    if defaults["max_level"] is not None:
-        if cfg.max_level is None:
-            raise ConfigError(f"{cfg.experiment} requires max_level")
-        if cfg.max_level < cfg.base_level:
-            raise ConfigError(
-                f"max_level {cfg.max_level} < base_level {cfg.base_level}")
+    if cfg.max_level is not None and cfg.max_level < cfg.base_level:
+        raise ConfigError(
+            f"max_level {cfg.max_level} < base_level {cfg.base_level}")
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ with ``h_{l-2}``, which is why tamed pairs need ``l >= 2``.
 A :class:`LevelPair` is the plan of every level run of the package: the
 base level of a telescoping estimate is a plan without a coarse member,
 whose fine member runs alone, as the plain theta-EM path of its level.
+The plan holds the problem it was built for, so its stream, its run and
+its payoffs take only the noise, the seed and the paths.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ __all__ = ["LevelPair", "CoupledPair", "simulate_coupled", "coupled_payoff_delta
 
 @dataclass(frozen=True)
 class LevelPair:
-    """Plan of one level run at level ``level``: a coupled pair, or the
-    base level of a telescoping estimate.
+    """Plan of one level run of ``problem`` at level ``level``: a coupled
+    pair, or the base level of a telescoping estimate.
 
     ``grid_fine`` is the grid of ``level``.  On a pair ``grid_coarse`` is
     that of ``level - 1``, with a step ``M`` times larger; on a base level
@@ -60,6 +62,7 @@ class LevelPair:
     exponent; ``None`` runs the plain drift.
     """
 
+    problem: SddeProblem
     M: int
     level: int
     grid_fine: GridSpec
@@ -89,8 +92,8 @@ class LevelPair:
         grid_fine = GridSpec.for_problem(problem, theta=theta, level=level,
                                          M=M)
         if not coupled:
-            return cls(M=M, level=level, grid_fine=grid_fine,
-                       grid_coarse=None, delta=delta)
+            return cls(problem=problem, M=M, level=level,
+                       grid_fine=grid_fine, grid_coarse=None, delta=delta)
         if grid_fine.steps_per_delay_m % M != 0:
             raise ValueError(
                 f"delay offset m = {grid_fine.steps_per_delay_m} at level "
@@ -99,7 +102,7 @@ class LevelPair:
             )
         grid_coarse = GridSpec.for_problem(problem, theta=theta,
                                            level=level - 1, M=M)
-        return cls(M=M, level=level, grid_fine=grid_fine,
+        return cls(problem=problem, M=M, level=level, grid_fine=grid_fine,
                    grid_coarse=grid_coarse, delta=delta)
 
     @property
@@ -109,18 +112,18 @@ class LevelPair:
         return sum(grid.total_steps_N for grid in
                    (self.grid_fine, self.grid_coarse) if grid is not None)
 
-    def noise_stream(self, master_seed: int, path_index,
-                     dim: int) -> NoiseStream:
-        """Stream of this plan: one draw per fine step."""
+    def noise_stream(self, master_seed: int, path_index) -> NoiseStream:
+        """Stream of this plan: one draw of the problem's noise dimension
+        per fine step."""
         return NoiseStream(
             master_seed=master_seed,
             level=self.level,
             path_index=path_index,
-            dim=dim,
+            dim=self.problem.dim_noise,
             n_steps=self.grid_fine.total_steps_N,
         )
 
-    def run(self, problem: SddeProblem, noise, *,
+    def run(self, noise, *,
             full_path: bool = False) -> DelayBuffer | CoupledPair:
         """The paths of this plan on ``noise``.
 
@@ -133,19 +136,18 @@ class LevelPair:
         """
         if self.grid_coarse is None:
             return theta_em_path(
-                problem, self.grid_fine, noise=noise, full_path=full_path,
-                taming=taming_for_level(problem, self.level, self.M,
-                                        self.delta))
-        return simulate_coupled(problem, self, noise, full_path=full_path)
+                self.problem, self.grid_fine, noise, taming_for_level(
+                    self.problem, self.level, self.M, self.delta),
+                full_path=full_path)
+        return simulate_coupled(self, noise, full_path=full_path)
 
-    def payoffs(self, problem: SddeProblem, psi: Payoff, seed: int, a: int,
+    def payoffs(self, psi: Payoff, seed: int, a: int,
                 b: int) -> tuple[np.ndarray, np.ndarray]:
         """``(deltas, fines)`` of ``psi`` at the terminal states of the
         paths ``[a, b)`` on the substreams ``(seed, level, path)``: the
         payoff twice on a base level, whose delta is the payoff itself,
         and :func:`coupled_payoff_delta` on a pair."""
-        out = self.run(problem, self.noise_stream(seed, np.arange(a, b),
-                                                  problem.dim_noise))
+        out = self.run(self.noise_stream(seed, np.arange(a, b)))
         if self.grid_coarse is None:
             values = psi.eval(out.terminal)
             return values, values
@@ -182,13 +184,13 @@ def _grid_states(buf: DelayBuffer) -> np.ndarray:
 
 
 def simulate_coupled(
-    problem: SddeProblem,
     pair: LevelPair,
     noise: NoiseStream,
     *,
     full_path: bool = True,
 ) -> CoupledPair:
-    """Run both members of ``pair`` on one shared increment stream.
+    """Run both members of ``pair`` on one shared increment stream, on
+    the problem of the pair.
 
     ``pair`` must have a coarse member, and ``noise`` must cover the fine
     grid (see :meth:`LevelPair.noise_stream`).
@@ -206,7 +208,7 @@ def simulate_coupled(
     first step, so a coarse member that fails them is refused after the
     fine member has run.
     """
-    gf, gc = pair.grid_fine, pair.grid_coarse
+    problem, gf, gc = pair.problem, pair.grid_fine, pair.grid_coarse
     tame_f = taming_for_level(problem, pair.level, pair.M, pair.delta)
     tame_c = taming_for_level(problem, pair.level - 1, pair.M, pair.delta)
     n_f = gf.total_steps_N

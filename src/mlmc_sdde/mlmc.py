@@ -236,15 +236,15 @@ def _run_chunks(chunk_fn: Callable[[int, int], tuple[np.ndarray, ...]],
             for a in range(start, stop, chunk_size)]
 
 
-def _fold(plan: LevelPair, problem: SddeProblem, psi: Payoff, seed: int,
-          start: int, n_samples: int) -> LevelStats:
+def _fold(plan: LevelPair, psi: Payoff, seed: int, start: int,
+          n_samples: int) -> LevelStats:
     """The statistics of :meth:`LevelPair.payoffs` over the paths
     ``[start, start + n_samples)``, in chunks of ``CHUNK_SIZE``, merged in
     chunk order; at least 2 samples, else ``ValueError``."""
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     chunks = _run_chunks(
-        lambda a, b: plan.payoffs(problem, psi, seed, a, b),
+        lambda a, b: plan.payoffs(psi, seed, a, b),
         f"level {plan.level}", start, start + n_samples, CHUNK_SIZE)
     return reduce(LevelStats.merge, [
         LevelStats.from_samples(plan.level, deltas, fines, plan.cost_per_path)
@@ -272,7 +272,7 @@ def estimate_level(
     path range attached.
     """
     plan = LevelPair.for_problem(problem, level, M=M, theta=theta, delta=delta)
-    return _fold(plan, problem, psi, seed, sample_offset, n_samples)
+    return _fold(plan, psi, seed, sample_offset, n_samples)
 
 
 def single_level_estimate(
@@ -297,7 +297,7 @@ def single_level_estimate(
     """
     plan = LevelPair.for_problem(problem, level, M=M, theta=theta,
                                  delta=delta, coupled=False)
-    return _fold(plan, problem, psi, seed, sample_offset, n_samples)
+    return _fold(plan, psi, seed, sample_offset, n_samples)
 
 
 def mlmc_estimate(

@@ -180,8 +180,8 @@ def test_criterion_02_degeneracy_suite():
     #     nodes because the coarse member consumes the summed increments.
     pure = builtin_problem("additive_noise", a1=0.0, a2=0.0, eps=0.3)
     pair = LevelPair.for_problem(pure, level=4, M=2, theta=0.0)
-    stream_p = pair.noise_stream(master_seed=7, path_index=np.arange(256), dim=1)
-    coupled = simulate_coupled(pure, pair, stream_p)
+    stream_p = pair.noise_stream(master_seed=7, path_index=np.arange(256))
+    coupled = simulate_coupled(pair, stream_p)
     diff = np.abs(coupled.state_difference())
     ref = 1.0 + np.abs(coupled.coarse_on_grid)
     assert np.max(diff / ref) <= 1e-12, (

@@ -153,7 +153,7 @@ def test_plan_run_without_noise_is_the_skeleton_of_its_level(name, theta,
     level, M = 4, 2
     plan = LevelPair.for_problem(problem, level, M=M, theta=theta,
                                  delta=delta, coupled=False)
-    ran = plan.run(problem, None, full_path=True)
+    ran = plan.run(None, full_path=True)
     skeleton = deterministic_skeleton(
         problem, plan.grid_fine, taming_for_level(problem, level, M, delta))
     assert (ran.m, ran.total_steps) == (skeleton.m, skeleton.total_steps)

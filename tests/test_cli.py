@@ -198,6 +198,31 @@ def test_target_se_rejected_outside_mlmc(capsys):
     assert "mlmc" in capsys.readouterr().err
 
 
+def test_eps0_rejected_outside_the_level_sweeps(tmp_path, capsys,
+                                                monkeypatch):
+    # eps0 is the level-sweep noise of rates-moment and rates-variance; a
+    # path run once took it in place of --eps and wrote it in every row.
+    monkeypatch.chdir(tmp_path)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("eps0 = 0.3\n", encoding="utf-8")
+    assert _run(["--config", str(cfg_file), "--experiment", "path",
+                 "--eps", "0.1", "--samples", "100"]) == 2
+    assert ("error: eps0 applies to rates-moment, rates-variance only"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == [cfg_file]
+
+
+@pytest.mark.parametrize("experiment", ["path", "coupled", "deviation"])
+def test_max_level_rejected_by_single_level_experiments(experiment, capsys,
+                                                        tmp_path,
+                                                        monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _run(["--experiment", experiment, "--max-level", "9"]) == 2
+    assert ("error: max-level applies to mlmc, rates-strong, rates-moment, "
+            "rates-variance only" in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_problem_exits_two(tmp_path, capsys):
     out = tmp_path / "x.csv"
     code = _run(["--experiment", "path", "--problem", "nope",

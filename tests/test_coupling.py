@@ -31,8 +31,8 @@ from mlmc_sdde.scheme import (
 )
 
 
-def _stream_for(pair, problem, seed=0, paths=np.arange(16)):
-    return pair.noise_stream(seed, paths, problem.dim_noise)
+def _stream_for(pair, seed=0, paths=np.arange(16)):
+    return pair.noise_stream(seed, paths)
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +102,8 @@ def test_zero_drift_additive_pair_agrees_at_coarse_nodes(M, theta):
                         tau=0.25, horizon=1.0)
     level = 3 if M == 2 else 2
     pair = LevelPair.for_problem(p, level=level, M=M, theta=theta)
-    stream = _stream_for(pair, p, seed=11)
-    out = simulate_coupled(p, pair, stream)
+    stream = _stream_for(pair, seed=11)
+    out = simulate_coupled(pair, stream)
     diff = np.abs(out.state_difference())
     scale = 1.0 + np.abs(out.coarse_on_grid)
     assert np.max(diff / scale) < 1e-12
@@ -126,8 +126,8 @@ def test_pair_members_match_standalone_paths_bitwise(name, M, level, theta,
     p = builtin_problem(name, eps=0.3)
     pair = LevelPair.for_problem(p, level=level, M=M, theta=theta,
                                  delta=delta)
-    stream = _stream_for(pair, p, seed=42, paths=paths)
-    out = simulate_coupled(p, pair, stream)
+    stream = _stream_for(pair, seed=42, paths=paths)
+    out = simulate_coupled(pair, stream)
 
     fine_alone = theta_em_path(p, pair.grid_fine, noise=stream,
                                taming=taming_for_level(p, level, M, delta))
@@ -151,8 +151,8 @@ def test_pair_members_match_standalone_paths_bitwise(name, M, level, theta,
 def test_pair_skeleton_matches_single_grid_skeletons():
     p = builtin_problem("linear_scalar", eps=0.0)
     pair = LevelPair.for_problem(p, level=5, M=2, theta=0.5)
-    stream = pair.noise_stream(0, 0, p.dim_noise)
-    out = simulate_coupled(p, pair, stream)
+    stream = pair.noise_stream(0, 0)
+    out = simulate_coupled(pair, stream)
     fine_skel = theta_em_path(p, pair.grid_fine)
     coarse_skel = theta_em_path(p, pair.grid_coarse)
     np.testing.assert_array_equal(out.fine.values, fine_skel.values)
@@ -162,8 +162,8 @@ def test_pair_skeleton_matches_single_grid_skeletons():
 def test_fine_on_coarse_grid_alignment():
     p = builtin_problem("linear_scalar", eps=0.2)
     pair = LevelPair.for_problem(p, level=3, M=2)
-    stream = _stream_for(pair, p, seed=3, paths=np.arange(4))
-    out = simulate_coupled(p, pair, stream)
+    stream = _stream_for(pair, seed=3, paths=np.arange(4))
+    out = simulate_coupled(pair, stream)
     fg = out.fine_on_coarse_grid
     n_coarse = pair.grid_coarse.total_steps_N
     assert fg.shape == out.coarse_on_grid.shape == (n_coarse + 1, 4, 1)
@@ -177,8 +177,8 @@ def test_fine_on_coarse_grid_alignment():
 def test_coupled_payoff_delta_recomputes():
     p = builtin_problem("linear_scalar", eps=0.4)
     pair = LevelPair.for_problem(p, level=3, M=2, theta=0.5)
-    stream = _stream_for(pair, p, seed=9, paths=np.arange(32))
-    out = simulate_coupled(p, pair, stream)
+    stream = _stream_for(pair, seed=9, paths=np.arange(32))
+    out = simulate_coupled(pair, stream)
     payoff = builtin_payoff("tanh")
     delta, fine = coupled_payoff_delta(out, payoff)
     np.testing.assert_array_equal(
@@ -204,7 +204,7 @@ def test_fine_member_is_the_single_level_path_of_its_level(name, theta,
     pair = LevelPair.for_problem(p, level=4, M=2, theta=theta, delta=delta)
     grid = pair.grid_fine
     paths = np.arange(5, 12)
-    out = simulate_coupled(p, pair, pair.noise_stream(8, paths, 1))
+    out = simulate_coupled(pair, pair.noise_stream(8, paths))
     single = NoiseStream(master_seed=8, level=4, path_index=paths, dim=1,
                          n_steps=grid.total_steps_N)
     alone = theta_em_path(p, grid, noise=single,
@@ -226,10 +226,10 @@ def test_base_plan_payoffs_are_the_fines_of_the_pair(name, theta, delta):
                                  coupled=False)
     assert base.grid_coarse is None and base.grid_fine == pair.grid_fine
     assert (base.cost_per_path, pair.cost_per_path) == (16, 16 + 8)
-    deltas, fines = base.payoffs(p, psi, 8, 5, 12)
+    deltas, fines = base.payoffs(psi, 8, 5, 12)
     assert deltas is fines and deltas.shape == (7,)
     np.testing.assert_array_equal(deltas,
-                                  pair.payoffs(p, psi, 8, 5, 12)[1])
+                                  pair.payoffs(psi, 8, 5, 12)[1])
 
 
 def test_simulate_coupled_validates_stream():
@@ -238,13 +238,13 @@ def test_simulate_coupled_validates_stream():
     bad_dim = NoiseStream(master_seed=0, level=3, path_index=0, dim=2,
                           n_steps=8)
     with pytest.raises(ValueError, match="dim"):
-        simulate_coupled(p, pair, bad_dim)
+        simulate_coupled(pair, bad_dim)
     short = NoiseStream(master_seed=0, level=3, path_index=0, dim=1,
                         n_steps=4)
     with pytest.raises(ValueError, match="fine steps"):
-        simulate_coupled(p, pair, short)
+        simulate_coupled(pair, short)
     with pytest.raises(TypeError):
-        simulate_coupled(p, pair, np.zeros((4, 2, 1)))
+        simulate_coupled(pair, np.zeros((4, 2, 1)))
 
 
 def test_simulate_coupled_refuses_an_inadmissible_coarse_member():
@@ -252,27 +252,19 @@ def test_simulate_coupled_refuses_an_inadmissible_coarse_member():
     # = 1/4 is not, so only the coarse member fails.
     p = builtin_problem("linear_scalar")
     pair = LevelPair.for_problem(p, level=3, M=2, theta=1.0)
-    stream = _stream_for(pair, p)
+    stream = _stream_for(pair)
     theta_em_path(p, pair.grid_fine, noise=stream)
     with pytest.raises(AdmissibilityError, match="theta\\*h"):
         theta_em_path(p, pair.grid_coarse, noise=stream)
     with pytest.raises(AdmissibilityError, match="theta\\*h"):
-        simulate_coupled(p, pair, stream)
+        simulate_coupled(pair, stream)
 
 
 def test_simulate_coupled_refuses_an_untamed_implicit_onesided_pair():
     p = builtin_problem("cubic_onesided")
     pair = LevelPair.for_problem(p, level=3, M=2, theta=0.5)
     with pytest.raises(AdmissibilityError, match="taming"):
-        simulate_coupled(p, pair, _stream_for(pair, p))
-
-
-def test_simulate_coupled_refuses_a_pair_built_for_another_delay():
-    built = builtin_problem("linear_scalar", tau=0.25)
-    pair = LevelPair.for_problem(built, level=3, M=2)
-    run = builtin_problem("linear_scalar", tau=0.5)
-    with pytest.raises(ValueError, match="misaligned with delay"):
-        simulate_coupled(run, pair, _stream_for(pair, run))
+        simulate_coupled(pair, _stream_for(pair))
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +276,8 @@ def test_pair_difference_shrinks_with_level():
     sups = []
     for level in (3, 5, 7):
         pair = LevelPair.for_problem(p, level=level, M=2, theta=0.5)
-        stream = pair.noise_stream(7, np.arange(256), p.dim_noise)
-        out = simulate_coupled(p, pair, stream)
+        stream = pair.noise_stream(7, np.arange(256))
+        out = simulate_coupled(pair, stream)
         diff = out.state_difference()
         sups.append(np.max(np.mean(np.sum(diff**2, axis=-1), axis=-1)))
     assert sups[0] > sups[1] > sups[2]
@@ -297,8 +289,8 @@ def test_pair_difference_shrinks_with_level():
 def test_tamed_pair_stays_bounded_where_untamed_explodes():
     p = builtin_problem("cubic_onesided", x0=5.0, eps=1e-4)
     pair = LevelPair.for_problem(p, level=4, M=2, theta=0.0, delta=0.25)
-    stream = pair.noise_stream(1, np.arange(64), p.dim_noise)
-    out = simulate_coupled(p, pair, stream)
+    stream = pair.noise_stream(1, np.arange(64))
+    out = simulate_coupled(pair, stream)
     assert np.all(np.isfinite(out.fine.values))
     assert np.all(np.isfinite(out.coarse.values))
     assert np.max(np.abs(out.fine.values)) < 50.0
@@ -325,8 +317,8 @@ def _interval_stat(problem, level, n_paths, seed, squared):
     maximised over (n, k).
     """
     pair = LevelPair.for_problem(problem, level, M=2, theta=0.0)
-    stream = pair.noise_stream(seed, np.arange(n_paths), problem.dim_noise)
-    coupled = simulate_coupled(problem, pair, stream)
+    stream = pair.noise_stream(seed, np.arange(n_paths))
+    coupled = simulate_coupled(pair, stream)
     vf = coupled.fine.values[coupled.fine.m:]
     base = vf[:-1:pair.M]
     worst = 0.0
@@ -398,9 +390,9 @@ def test_window_pair_is_tail_of_full_pair_bitwise(name, M, level, theta,
     pair = LevelPair.for_problem(p, level=level, M=M, theta=theta,
                                  delta=delta)
     for paths in (np.arange(5), 2):
-        stream = _stream_for(pair, p, seed=9, paths=paths)
-        full = simulate_coupled(p, pair, stream)
-        window = simulate_coupled(p, pair, stream, full_path=False)
+        stream = _stream_for(pair, seed=9, paths=paths)
+        full = simulate_coupled(pair, stream)
+        window = simulate_coupled(pair, stream, full_path=False)
         for f, w in ((full.fine, window.fine), (full.coarse, window.coarse)):
             np.testing.assert_array_equal(w.values, f.values[-(f.m + 1):])
             np.testing.assert_array_equal(w.terminal, f.terminal)
@@ -416,10 +408,10 @@ def test_window_pair_holds_less_than_the_fine_draws():
     # stays below that array and both members' delay windows together.
     p = builtin_problem("linear_scalar")
     pair = LevelPair.for_problem(p, level=7, M=2)
-    stream = _stream_for(pair, p, paths=np.arange(4096))
+    stream = _stream_for(pair, paths=np.arange(4096))
     tracemalloc.start()
     try:
-        simulate_coupled(p, pair, stream, full_path=False)
+        simulate_coupled(pair, stream, full_path=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -431,7 +423,7 @@ def test_window_pair_holds_less_than_the_fine_draws():
 
 def _drift_only_pair(p):
     pair = LevelPair.for_problem(p, level=5, M=2, theta=0.5)
-    simulate_coupled(p, pair, _stream_for(pair, p))
+    simulate_coupled(pair, _stream_for(pair))
 
 
 def _drift_only_strong_sweep(p):

@@ -132,8 +132,7 @@ def test_streaming_matches_two_pass_oracle(monkeypatch):
     monkeypatch.setattr(mlmc, "CHUNK_SIZE", 256)
     s = estimate_level(prob, TANH, level=4, theta=0.0, n_samples=n, seed=9)
     pair = LevelPair.for_problem(prob, 4, theta=0.0)
-    coupled = simulate_coupled(
-        prob, pair, pair.noise_stream(9, np.arange(n), 1))
+    coupled = simulate_coupled(pair, pair.noise_stream(9, np.arange(n)))
     deltas, fines = coupled_payoff_delta(coupled, TANH)
     assert s.samples == n
     assert math.isclose(s.mean_delta, float(np.mean(deltas)), rel_tol=1e-12)
@@ -227,6 +226,32 @@ def test_base_level_skips_the_pair_checks(problem, kwargs, pair_error,
     assert s.samples == 8
     with pytest.raises(ValueError, match=pair_error):
         estimate_level(problem, TANH, n_samples=8, seed=3, **kwargs)
+
+
+@pytest.mark.parametrize("eps", [0.1, 1.0])
+@pytest.mark.parametrize("theta", [0.0, 0.5])
+def test_level_means_equal_the_noise_free_skeleton(theta, eps):
+    # On a linear problem the theta scheme is linear in the state and its
+    # increments have mean zero, so the mean of a level's identity payoff
+    # is exactly its drift-only skeleton x_l(T), and that of a pair
+    # x_l(T) - x_{l-1}(T), for every theta and eps.
+    prob = builtin_problem("linear_scalar", eps=eps)
+
+    def skeleton(level):
+        plan = LevelPair.for_problem(prob, level, theta=theta, coupled=False)
+        return float(plan.run(None).terminal[0])
+
+    for level in (3, 4, 5, 6):
+        estimate = single_level_estimate if level == 3 else estimate_level
+        exact = skeleton(level) - (skeleton(level - 1) if level > 3 else 0.0)
+        z = []
+        for seed in range(10):
+            s = estimate(prob, IDENT, level=level, theta=theta,
+                         n_samples=2000, seed=seed)
+            z.append((s.mean_delta - exact)
+                     / math.sqrt(s.var_delta / s.samples))
+        assert max(abs(v) for v in z) <= 5.0, (level, z)
+        assert abs(sum(z)) / math.sqrt(len(z)) <= 4.0, (level, z)
 
 
 # ---------------------------------------------------------------------------

@@ -360,7 +360,7 @@ def test_every_draw_passes_through_gaussian_increment_once(monkeypatch):
 
     sizes.clear()
     pair = LevelPair.for_problem(prob, 6)
-    simulate_coupled(prob, pair, pair.noise_stream(1, paths, 1))
+    simulate_coupled(pair, pair.noise_stream(1, paths))
     assert sum(sizes) == paths.size * 64
 
     sizes.clear()

@@ -73,6 +73,13 @@ def test_path_refuses_a_grid_built_for_another_horizon():
         theta_em_path(builtin_problem("linear_scalar", horizon=2.0), grid)
 
 
+def test_path_refuses_a_grid_built_for_another_delay():
+    grid = GridSpec.for_problem(builtin_problem("linear_scalar", tau=0.25),
+                                theta=0.0, level=3)
+    with pytest.raises(ValueError, match="misaligned with delay"):
+        theta_em_path(builtin_problem("linear_scalar", tau=0.5), grid)
+
+
 @pytest.mark.parametrize("M", [2, 3, 4])
 def test_level_step_is_the_grid_and_taming_step(M):
     p = builtin_problem("linear_scalar", tau=1.0, horizon=1.0)
