@@ -238,7 +238,9 @@ def parse_config_file(path: str) -> dict:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    lines = ["per-experiment defaults (any field can be overridden):"]
+    lines = ["per-experiment defaults (flags and config values override "
+             "these; max-level, target-se and eps0 are refused where none "
+             "is listed):"]
     for name, d in DEFAULTS.items():
         eps = d["eps"]
         if isinstance(eps, tuple):

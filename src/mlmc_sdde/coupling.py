@@ -9,10 +9,13 @@ steps, added left to right,
     dW_coarse(n) = sqrt(h_l) * (xi(nM) + xi(nM + 1) + ... + xi(nM + M - 1)),
 
 so both paths see the same underlying Brownian motion and their payoff
-difference telescopes across levels.  The members run one after the other
-through the scheme's single step loop: the fine member reads the stream a
-block at a time, bit for bit the single-level path of level ``l``, and
-adds each draw into its coarse step's sum, on which the coarse member runs.
+difference telescopes across levels.  The members step in lockstep, each
+a stepper of the scheme's single step loop: the fine member takes each
+draw as the stream is read a block at a time, bit for bit the
+single-level path of level ``l``, and the coarse member takes each sum as
+soon as its ``M`` draws have been read.  No array of sums is stored, so a
+pair holds its two delay windows and one draw block, however many steps
+it runs.
 Delay alignment requires the fine delay offset ``m_l`` to be divisible by
 ``M``; with ``tau = 0.25`` and ``T = 1`` at ``M = 2`` that means fine
 levels of at least 3.
@@ -40,9 +43,9 @@ from .rng import NoiseStream
 from .scheme import (
     DelayBuffer,
     GridSpec,
-    _integrate,
     _stream_increments,
     _stream_paths,
+    _steps,
     taming_for_level,
     theta_em_path,
 )
@@ -197,16 +200,16 @@ def simulate_coupled(
     The fine member consumes draw ``j`` at fine step ``j``; the coarse
     member consumes the elementwise sum of draws ``n M .. n M + M - 1``,
     added left to right, at coarse step ``n``, scaled by the same
-    ``sqrt(h_fine)``.  The members run one after the other through the
-    scheme's single step loop, so the fine path produced here is bit for
-    bit the path :func:`mlmc_sdde.scheme.theta_em_path` yields for the
-    same stream on the fine grid.  ``full_path=False`` keeps only the
-    delay window of each member (see :func:`mlmc_sdde.scheme.theta_em_path`),
-    enough for the terminal states; the whole-path views of the pair then
-    raise ``ValueError``.  When the problem's eps is 0 no draw is made.
-    The step loop checks each member's grid and admissibility before its
-    first step, so a coarse member that fails them is refused after the
-    fine member has run.
+    ``sqrt(h_fine)``.  The members step in lockstep through the scheme's
+    single step loop, the coarse member as soon as its sum is complete, so
+    the fine path produced here is bit for bit the path
+    :func:`mlmc_sdde.scheme.theta_em_path` yields for the same stream on
+    the fine grid.  ``full_path=False`` keeps only the delay window of
+    each member (see :func:`mlmc_sdde.scheme.theta_em_path`), enough for
+    the terminal states; the whole-path views of the pair then raise
+    ``ValueError``.  When the problem's eps is 0 no draw is made.  Both
+    members' grids and admissibility are checked before any draw, so a
+    member that fails them is refused before either has run a step.
     """
     problem, gf, gc = pair.problem, pair.grid_fine, pair.grid_coarse
     tame_f = taming_for_level(problem, pair.level, pair.M, pair.delta)
@@ -214,18 +217,30 @@ def simulate_coupled(
     n_f = gf.total_steps_N
     n_paths = _stream_paths(noise, problem, n_f)
 
-    sqh = math.sqrt(gf.step_h)
-    # The coarse draws, summed as the fine member reads its own (none at
-    # eps = 0); map, unlike a generator expression, keeps no block alive.
-    sums = np.empty((gc.total_steps_N, noise.n_paths, problem.dim_noise))
-    fine = _integrate(problem, gf, tame_f, n_paths,
-                      map(lambda xi: sqh * xi, _stream_increments(
-                          noise, n_f, 1.0, [(pair.M, sums)])),
-                      "fine member, ", full_path=full_path)
-    coarse = _integrate(problem, gc, tame_c, n_paths,
-                        (sqh * xi for xi in sums), "coarse member, ",
-                        full_path=full_path)
-    return CoupledPair(pair=pair, fine=fine, coarse=coarse)
+    # Both members are checked before any draw is made.
+    fine = _steps(problem, gf, tame_f, n_paths, "fine member, ",
+                  full_path=full_path)
+    coarse = _steps(problem, gc, tame_c, n_paths, "coarse member, ",
+                    full_path=full_path)
+    next(fine)
+    next(coarse)
+
+    M, sqh = pair.M, math.sqrt(gf.step_h)
+    # The members read no increment at eps = 0, so zeros stand in for the
+    # draws and nothing is drawn.
+    draws = (_stream_increments(noise, n_f, 1.0) if problem.noise_scale
+             else np.zeros(n_f))
+    for j, xi in enumerate(draws):
+        # Coarse step j // M takes the sum of its M draws, added left to
+        # right; a copy, so that no view of a draw block outlives it.
+        if j % M == 0:
+            total = xi.copy()
+        else:
+            total += xi
+        fine_path = fine.send(sqh * xi)
+        if j % M == M - 1:
+            coarse_path = coarse.send(sqh * total)
+    return CoupledPair(pair=pair, fine=fine_path, coarse=coarse_path)
 
 
 def coupled_payoff_delta(

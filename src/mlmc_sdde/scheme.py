@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Union
+from typing import Callable, Generator, Iterator, Union
 
 import numpy as np
 
@@ -466,7 +466,8 @@ class _LastDrift:
 
 
 def _step(x, x_del, x_del_next, h, theta, drift, diffusion, eps, dw, fx):
-    """Advance one grid step of the theta scheme.
+    """Advance one grid step of the theta scheme; a ``dw`` of ``None``, or
+    any ``dw`` at ``eps = 0``, runs the drift-only step.
 
     ``fx`` is ``f(x, x_del)`` when the previous step's solve already
     evaluated it, else ``None``.  Returns ``X_{n+1}`` and, when the
@@ -478,7 +479,7 @@ def _step(x, x_del, x_del_next, h, theta, drift, diffusion, eps, dw, fx):
     if fx is None:
         fx = drift(x, x_del)
     base = x + (1.0 - theta) * h * fx if theta > 0.0 else x + h * fx
-    if dw is not None:
+    if dw is not None and eps != 0.0:
         gx = diffusion(x, x_del)
         base = base + eps * np.einsum("...ij,...j->...i", gx, dw)
     if theta == 0.0:
@@ -515,8 +516,9 @@ def _stream_increments(noise: NoiseStream, n_steps: int, scale: float,
     (at least one) at a time.  For every ``(q, out)`` in ``sums`` the
     increments of the grid ``q`` times coarser build up in ``out`` as they
     pass: increment ``j`` starts ``out[j // q]`` when ``q`` divides ``j``
-    and is added into it otherwise, left to right.  A ``scale`` of 1.0
-    leaves the draws as ``noise`` returns them."""
+    and is added into it otherwise, left to right.  Only the strong-error
+    sweep stores such sums; a coupled pair adds its own as it steps.  A
+    ``scale`` of 1.0 leaves the draws as ``noise`` returns them."""
     block = max(1, _BLOCK_DRAWS // (noise.n_paths * noise.dim))
     # Row views: ``+=`` on a row of the array would also copy it back.
     rows = [(q, list(out)) for q, out in sums]
@@ -536,31 +538,30 @@ def _stream_increments(noise: NoiseStream, n_steps: int, scale: float,
         del draws, dw  # hold no view of this block while drawing the next
 
 
-def _integrate(
+def _steps(
     problem: SddeProblem,
     grid: GridSpec,
     taming: TamedDrift | None,
     n_paths: int | None,
-    increments: Iterator[np.ndarray] | None,
     where: str = "",
     *,
     full_path: bool = True,
-) -> DelayBuffer:
-    """Run the ``N`` theta-steps of ``grid`` from the problem's history.
+) -> Generator[DelayBuffer | None, np.ndarray | None, None]:
+    """Stepper of the ``N`` theta-steps of ``grid`` from the problem's
+    history: the one step loop of the package.
 
-    The one step loop of the package: single paths and both members of a
-    coupled pair run through it.  Before the first step it refuses a grid
-    misaligned with the problem (``ValueError``) or one that breaks a
-    step-size restriction (:class:`AdmissibilityError`).  Step ``n`` reads
-    the ``n``-th Brownian increment of ``increments``, shaped
-    ``(n_paths, d)``; none is read when ``increments`` is ``None`` or the
-    problem's eps is 0, which runs the drift-only scheme.
-    ``n_paths=None`` is one path stored without the batch axis.
-    ``full_path=False`` keeps only a ring of the last ``m + 1`` states,
-    which ends ordered as grid indices ``N - m .. N``; the arithmetic, and
-    so every state, is that of the full path.  A :class:`NonConvergence`
-    is re-raised with ``where``, the step and its time prefixed to the
-    message.
+    Priming it with ``next`` refuses a grid misaligned with the problem
+    (``ValueError``) or one that breaks a step-size restriction
+    (:class:`AdmissibilityError`) and writes the history.  Each ``send``
+    of a Brownian increment, shaped ``(n_paths, d)``, then runs one step;
+    ``None``, or any increment when the problem's eps is 0, runs the
+    drift-only step.  The ``send`` of step ``N`` returns the path, every
+    earlier one ``None``.  ``n_paths=None`` is one path stored without
+    the batch axis.  ``full_path=False`` keeps only a ring of the last
+    ``m + 1`` states, which ends ordered as grid indices ``N - m .. N``;
+    the arithmetic, and so every state, is that of the full path.  A
+    :class:`NonConvergence` is re-raised with ``where``, the step and its
+    time prefixed to the message.
     """
     grid.validate_against(problem)
     check_admissibility(problem, grid, taming)
@@ -568,8 +569,6 @@ def _integrate(
     a = problem.dim_state
     eps = problem.noise_scale
     drift = taming if taming is not None else problem.drift
-    if eps == 0.0:
-        increments = None
 
     hist = np.asarray(problem.initial_segment(h * np.arange(-m, 1)),
                       dtype=float)
@@ -588,7 +587,7 @@ def _integrate(
 
     fx = None
     for n in range(N):
-        dw = next(increments) if increments is not None else None
+        dw = yield
         try:
             values[(n + 1 + off) % rows], fx = _step(
                 values[(n + off) % rows], values[(n - m + off) % rows],
@@ -600,7 +599,30 @@ def _integrate(
 
     if n_paths is None:
         values = values[:, 0, :]
-    return DelayBuffer(values, m=m, step_h=h, total_steps=N)
+    yield DelayBuffer(values, m=m, step_h=h, total_steps=N)
+
+
+def _integrate(
+    problem: SddeProblem,
+    grid: GridSpec,
+    taming: TamedDrift | None,
+    n_paths: int | None,
+    increments: Iterator[np.ndarray] | None,
+    where: str = "",
+    *,
+    full_path: bool = True,
+) -> DelayBuffer:
+    """Run one :func:`_steps` of ``grid`` to its path, step ``n`` on the
+    ``n``-th increment of ``increments``; none is read when ``increments``
+    is ``None`` or the problem's eps is 0, which runs the drift-only
+    scheme."""
+    steps = _steps(problem, grid, taming, n_paths, where, full_path=full_path)
+    next(steps)
+    if problem.noise_scale == 0.0:
+        increments = None
+    for _ in range(grid.total_steps_N):
+        path = steps.send(None if increments is None else next(increments))
+    return path
 
 
 def theta_em_path(

@@ -247,17 +247,34 @@ def test_simulate_coupled_validates_stream():
         simulate_coupled(pair, np.zeros((4, 2, 1)))
 
 
-def test_simulate_coupled_refuses_an_inadmissible_coarse_member():
+def _count_draws(monkeypatch):
+    """The argument tuples of every ``NoiseStream.gaussian_increment``
+    call from now on, in a list that fills as they are made."""
+    calls = []
+    original = NoiseStream.gaussian_increment
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(NoiseStream, "gaussian_increment", counting)
+    return calls
+
+
+def test_simulate_coupled_refuses_an_inadmissible_coarse_member(monkeypatch):
     # At theta = 1, level 3: theta*h_fine = 1/8 is below 1/6.6, theta*h_coarse
-    # = 1/4 is not, so only the coarse member fails.
+    # = 1/4 is not, so only the coarse member fails, and it is refused
+    # before the pair makes its first draw.
     p = builtin_problem("linear_scalar")
     pair = LevelPair.for_problem(p, level=3, M=2, theta=1.0)
     stream = _stream_for(pair)
     theta_em_path(p, pair.grid_fine, noise=stream)
     with pytest.raises(AdmissibilityError, match="theta\\*h"):
         theta_em_path(p, pair.grid_coarse, noise=stream)
+    calls = _count_draws(monkeypatch)
     with pytest.raises(AdmissibilityError, match="theta\\*h"):
         simulate_coupled(pair, stream)
+    assert calls == []
 
 
 def test_simulate_coupled_refuses_an_untamed_implicit_onesided_pair():
@@ -402,23 +419,27 @@ def test_window_pair_is_tail_of_full_pair_bitwise(name, M, level, theta,
             window.state_difference()
 
 
-def test_window_pair_holds_less_than_the_fine_draws():
-    # The coarse increments are summed as the fine member reads its draws,
-    # so a pair never holds the whole fine-grid draw array: its traced peak
-    # stays below that array and both members' delay windows together.
+@pytest.mark.parametrize("level", [7, 10])
+def test_window_pair_memory_does_not_grow_with_its_steps(level):
+    # The members step in lockstep and the coarse member takes each sum as
+    # soon as its M draws are read, so a pair holds its two delay windows,
+    # one draw block (16 rows at 4096 paths) and a few step temporaries,
+    # whatever its step count: 48 rows cover the last two.  A pair that
+    # stored the coarse sums of the whole path would hold N_c more rows.
     p = builtin_problem("linear_scalar")
-    pair = LevelPair.for_problem(p, level=7, M=2)
-    stream = _stream_for(pair, paths=np.arange(4096))
+    pair = LevelPair.for_problem(p, level=level, M=2)
+    paths = 4096
+    stream = _stream_for(pair, paths=np.arange(paths))
     tracemalloc.start()
     try:
         simulate_coupled(pair, stream, full_path=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    gf, gc = pair.grid_fine, pair.grid_coarse
-    rows = (gf.total_steps_N + gf.steps_per_delay_m + 1
-            + gc.steps_per_delay_m + 1)
-    assert peak < rows * 4096 * 8, (peak, rows * 4096 * 8)
+    m_f = pair.grid_fine.steps_per_delay_m
+    m_c = pair.grid_coarse.steps_per_delay_m
+    bound = (m_f + 1 + m_c + 1 + 48) * paths * 8
+    assert peak <= bound, (peak, bound)
 
 
 def _drift_only_pair(p):
@@ -434,13 +455,6 @@ def _drift_only_strong_sweep(p):
 @pytest.mark.parametrize("run", [_drift_only_pair, _drift_only_strong_sweep],
                          ids=["pair", "strong-sweep"])
 def test_drift_only_runs_draw_nothing(monkeypatch, run):
-    calls = []
-    original = NoiseStream.gaussian_increment
-
-    def counting(self, *args, **kwargs):
-        calls.append(args)
-        return original(self, *args, **kwargs)
-
-    monkeypatch.setattr(NoiseStream, "gaussian_increment", counting)
+    calls = _count_draws(monkeypatch)
     run(builtin_problem("linear_scalar", eps=0.0))
     assert calls == []
