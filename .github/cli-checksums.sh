@@ -29,6 +29,7 @@
 set -e
 sums="$PWD/.github/cli-sha256.txt"
 out=$(mktemp -d)
+trap 'rm -rf "$out"' EXIT
 mkdir "$out/jobs1"
 cli() { PYTHONPATH=src python -m mlmc_sdde.cli --seed 7 "$@"; }
 for e in path coupled mlmc rates-strong rates-moment rates-variance deviation; do

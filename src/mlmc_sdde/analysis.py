@@ -76,6 +76,13 @@ def _cell_seed(seed: int, lane: int, index: int = 0) -> int:
             if 0 <= seed < 2**64 else seed)
 
 
+def _refuse_few_paths(experiment: str, n_paths: int) -> None:
+    # A sweep's means and variances need two paths, as a level estimate
+    # needs two samples.
+    if n_paths < 2:
+        raise ValueError(f"{experiment}: n_paths must be >= 2, got {n_paths}")
+
+
 def _cell_samples(chunk_fn: Callable[[int, int], tuple[np.ndarray, ...]],
                   experiment: str, plan: LevelPair,
                   n_paths: int) -> tuple[np.ndarray, ...]:
@@ -288,6 +295,7 @@ def small_noise_deviation(
     envelope ``A * (M h)^delta + B * eps^2``, the shape of the tamed
     scheme's deviation bound.
     """
+    _refuse_few_paths("deviation", n_paths)
     eps_values = [float(e) for e in eps_sweep]
     if any(e < 0.0 for e in eps_values):
         raise ValueError("noise scales must be >= 0")
@@ -367,6 +375,7 @@ def _two_sweeps(experiment, problem, theta, delta, M, level_sweep,
     eps_values, level_columns, eps_columns, records)``, a column holding
     one statistic over a sweep as a tuple.
     """
+    _refuse_few_paths(experiment, n_paths)
     levels = sorted(int(lv) for lv in level_sweep)
     if len(levels) < 3:
         raise ValueError("level_sweep needs >= 3 levels")
@@ -582,6 +591,7 @@ def strong_error_rate(
     in order on the calling thread.  Fits
     ``log E|psi(X_ref(T)) - psi(X_l(T))|^2`` against ``log h_l``.
     """
+    _refuse_few_paths("rates-strong", n_paths)
     levels = sorted(int(lv) for lv in level_sweep)
     if len(levels) < 3:
         raise ValueError("level_sweep needs >= 3 levels")
@@ -590,7 +600,7 @@ def strong_error_rate(
                                        delta=delta, coupled=False)
              for lv in (ref_level, *levels)}
     grid_ref = plans[ref_level].grid_fine
-
+    sqrt_h = np.sqrt(grid_ref.step_h)
     eps = problem.noise_scale
 
     def terminal_payoff(name: str, level: int, noise) -> np.ndarray:
@@ -609,15 +619,30 @@ def strong_error_rate(
                                                np.arange(a, b))
         sums = {lv: np.empty((plans[lv].grid_fine.total_steps_N, b - a,
                               problem.dim_noise)) for lv in levels}
+        # Row views: ``+=`` on a row of the array would also copy it back.
+        rows = [(M ** (ref_level - lv), list(sums[lv])) for lv in levels]
+
+        def reference():
+            # The reference increments; increment j of the reference starts
+            # row j // q of the sums of a level q times coarser when q
+            # divides j and is added into it otherwise, left to right.
+            for j, xi in enumerate(_stream_increments(
+                    stream, grid_ref.total_steps_N)):
+                dw = sqrt_h * xi
+                for q, out in rows:
+                    if j % q:
+                        out[j // q] += dw
+                    else:
+                        out[j // q][...] = dw
+                yield dw
+
         # The levels are driven by block sums of the reference increments,
         # added up as the reference reads them.  At eps = 0 it gets the
-        # stream, which then draws nothing (an iterator is read to its end).
-        reference = _stream_increments(
-            stream, grid_ref.total_steps_N, np.sqrt(grid_ref.step_h),
-            [(M ** (ref_level - lv), sums[lv]) for lv in levels])
+        # stream, which then draws nothing, and the levels get their
+        # unwritten sums, which are checked and ignored.
         psi_ref = terminal_payoff(
             f"rates-strong reference level {ref_level} (eps {eps:g}), "
-            f"paths [{a}, {b})", ref_level, reference if eps else stream)
+            f"paths [{a}, {b})", ref_level, reference() if eps else stream)
         errors_sq = []
         for lv in levels:
             psi_lv = terminal_payoff(

@@ -9,13 +9,13 @@ steps, added left to right,
     dW_coarse(n) = sqrt(h_l) * (xi(nM) + xi(nM + 1) + ... + xi(nM + M - 1)),
 
 so both paths see the same underlying Brownian motion and their payoff
-difference telescopes across levels.  The members step in lockstep, each
-a stepper of the scheme's single step loop: the fine member takes each
-draw as the stream is read a block at a time, bit for bit the
-single-level path of level ``l``, and the coarse member takes each sum as
-soon as its ``M`` draws have been read.  No array of sums is stored, so a
-pair holds its two delay windows and one draw block, however many steps
-it runs.
+difference telescopes across levels.  The members step in lockstep on
+the scheme's one driver, the one that also runs a single-level path: the
+fine member takes each draw as the stream is read a block at a time, bit
+for bit the single-level path of level ``l``, and the coarse member takes
+each sum as soon as its ``M`` draws have been read.  No array of sums is
+stored, so a pair holds its two delay windows and one draw block, however
+many steps it runs.
 Delay alignment requires the fine delay offset ``m_l`` to be divisible by
 ``M``; with ``tau = 0.25`` and ``T = 1`` at ``M = 2`` that means fine
 levels of at least 3.
@@ -28,7 +28,8 @@ A :class:`LevelPair` is the plan of every level run of the package: the
 base level of a telescoping estimate is a plan without a coarse member,
 whose fine member runs alone, as the plain theta-EM path of its level.
 The plan holds the problem it was built for, so its stream, its run and
-its payoffs take only the noise, the seed and the paths.
+its payoffs take only the noise, the seed and the paths, and it lists
+its members, each a grid with the taming of its level, in one place.
 """
 
 from __future__ import annotations
@@ -43,9 +44,10 @@ from .rng import NoiseStream
 from .scheme import (
     DelayBuffer,
     GridSpec,
+    TamedDrift,
+    _lockstep,
     _stream_increments,
     _stream_paths,
-    _steps,
     taming_for_level,
     theta_em_path,
 )
@@ -112,8 +114,20 @@ class LevelPair:
     def cost_per_path(self) -> int:
         """Step count of the members, fine plus coarse on a pair: the
         standard cost unit."""
-        return sum(grid.total_steps_N for grid in
-                   (self.grid_fine, self.grid_coarse) if grid is not None)
+        return sum(grid.total_steps_N for grid, _, _ in self.members)
+
+    @property
+    def members(self) -> list[tuple[GridSpec, TamedDrift | None, str]]:
+        """``(grid, taming, where)`` of each member, finest first: its grid,
+        the taming of that grid's level, and the prefix of its stalled
+        solves.  A base level has the fine member alone, unprefixed."""
+        grids = [(self.grid_fine, self.level, "fine member, "),
+                 (self.grid_coarse, self.level - 1, "coarse member, ")]
+        if self.grid_coarse is None:
+            grids = [(self.grid_fine, self.level, "")]
+        return [(grid, taming_for_level(self.problem, level, self.M,
+                                        self.delta), where)
+                for grid, level, where in grids]
 
     def noise_stream(self, master_seed: int, path_index) -> NoiseStream:
         """Stream of this plan: one draw of the problem's noise dimension
@@ -138,10 +152,9 @@ class LevelPair:
         theirs.
         """
         if self.grid_coarse is None:
-            return theta_em_path(
-                self.problem, self.grid_fine, noise, taming_for_level(
-                    self.problem, self.level, self.M, self.delta),
-                full_path=full_path)
+            (grid, taming, _), = self.members
+            return theta_em_path(self.problem, grid, noise, taming,
+                                 full_path=full_path)
         return simulate_coupled(self, noise, full_path=full_path)
 
     def payoffs(self, psi: Payoff, seed: int, a: int,
@@ -195,15 +208,15 @@ def simulate_coupled(
     """Run both members of ``pair`` on one shared increment stream, on
     the problem of the pair.
 
-    ``pair`` must have a coarse member, and ``noise`` must cover the fine
-    grid (see :meth:`LevelPair.noise_stream`).
+    ``pair`` must have a coarse member, else ``ValueError``, and ``noise``
+    must cover the fine grid (see :meth:`LevelPair.noise_stream`).
     The fine member consumes draw ``j`` at fine step ``j``; the coarse
     member consumes the elementwise sum of draws ``n M .. n M + M - 1``,
     added left to right, at coarse step ``n``, scaled by the same
-    ``sqrt(h_fine)``.  The members step in lockstep through the scheme's
-    single step loop, the coarse member as soon as its sum is complete, so
-    the fine path produced here is bit for bit the path
-    :func:`mlmc_sdde.scheme.theta_em_path` yields for the same stream on
+    ``sqrt(h_fine)``.  The :attr:`LevelPair.members` step in lockstep on
+    the driver of :func:`mlmc_sdde.scheme.theta_em_path`, the coarse
+    member as soon as its sum is complete, so the fine path produced here
+    is bit for bit the path that function yields for the same stream on
     the fine grid.  ``full_path=False`` keeps only the delay window of
     each member (see :func:`mlmc_sdde.scheme.theta_em_path`), enough for
     the terminal states; the whole-path views of the pair then raise
@@ -211,36 +224,15 @@ def simulate_coupled(
     members' grids and admissibility are checked before any draw, so a
     member that fails them is refused before either has run a step.
     """
-    problem, gf, gc = pair.problem, pair.grid_fine, pair.grid_coarse
-    tame_f = taming_for_level(problem, pair.level, pair.M, pair.delta)
-    tame_c = taming_for_level(problem, pair.level - 1, pair.M, pair.delta)
-    n_f = gf.total_steps_N
+    if pair.grid_coarse is None:
+        raise ValueError(f"level {pair.level} plan has no coarse member")
+    problem, n_f = pair.problem, pair.grid_fine.total_steps_N
     n_paths = _stream_paths(noise, problem, n_f)
-
-    # Both members are checked before any draw is made.
-    fine = _steps(problem, gf, tame_f, n_paths, "fine member, ",
-                  full_path=full_path)
-    coarse = _steps(problem, gc, tame_c, n_paths, "coarse member, ",
-                    full_path=full_path)
-    next(fine)
-    next(coarse)
-
-    M, sqh = pair.M, math.sqrt(gf.step_h)
-    # The members read no increment at eps = 0, so zeros stand in for the
-    # draws and nothing is drawn.
-    draws = (_stream_increments(noise, n_f, 1.0) if problem.noise_scale
-             else np.zeros(n_f))
-    for j, xi in enumerate(draws):
-        # Coarse step j // M takes the sum of its M draws, added left to
-        # right; a copy, so that no view of a draw block outlives it.
-        if j % M == 0:
-            total = xi.copy()
-        else:
-            total += xi
-        fine_path = fine.send(sqh * xi)
-        if j % M == M - 1:
-            coarse_path = coarse.send(sqh * total)
-    return CoupledPair(pair=pair, fine=fine_path, coarse=coarse_path)
+    fine, coarse = _lockstep(
+        problem, pair.members, n_paths,
+        _stream_increments(noise, n_f) if problem.noise_scale else None,
+        math.sqrt(pair.grid_fine.step_h), full_path=full_path)
+    return CoupledPair(pair=pair, fine=fine, coarse=coarse)
 
 
 def coupled_payoff_delta(

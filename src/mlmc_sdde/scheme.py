@@ -509,33 +509,18 @@ def _stream_paths(noise: NoiseStream, problem: SddeProblem,
     return None if np.ndim(noise.path_index) == 0 else noise.n_paths
 
 
-def _stream_increments(noise: NoiseStream, n_steps: int, scale: float,
-                       sums=()) -> Iterator[np.ndarray]:
-    """``scale`` times the draws of steps ``0 .. n_steps - 1`` of ``noise``,
-    one ``(P, d)`` array per step, drawn ``_BLOCK_DRAWS // (P d)`` steps
-    (at least one) at a time.  For every ``(q, out)`` in ``sums`` the
-    increments of the grid ``q`` times coarser build up in ``out`` as they
-    pass: increment ``j`` starts ``out[j // q]`` when ``q`` divides ``j``
-    and is added into it otherwise, left to right.  Only the strong-error
-    sweep stores such sums; a coupled pair adds its own as it steps.  A
-    ``scale`` of 1.0 leaves the draws as ``noise`` returns them."""
-    block = max(1, _BLOCK_DRAWS // (noise.n_paths * noise.dim))
-    # Row views: ``+=`` on a row of the array would also copy it back.
-    rows = [(q, list(out)) for q, out in sums]
+def _stream_increments(noise: NoiseStream,
+                       n_steps: int) -> Iterator[np.ndarray]:
+    """The draws of steps ``0 .. n_steps - 1`` of ``noise``, one ``(P, d)``
+    array per step, ``P`` being 1 for one path; read ``_BLOCK_DRAWS //
+    (P d)`` steps (at least one) at a time, the one place the package
+    draws normals."""
+    block = max(1, _BLOCK_DRAWS // max(1, noise.n_paths * noise.dim))
     for start in range(0, n_steps, block):
         draws = noise.gaussian_increment(
             range(start, min(start + block, n_steps)))
-        if scale != 1.0:
-            draws *= scale
-        for j, dw in enumerate(draws.reshape(len(draws), -1, noise.dim),
-                               start):
-            for q, out in rows:
-                if j % q:
-                    out[j // q] += dw
-                else:
-                    out[j // q][...] = dw
-            yield dw
-        del draws, dw  # hold no view of this block while drawing the next
+        yield from draws.reshape(len(draws), noise.n_paths, noise.dim)
+        del draws  # hold no view of this block while drawing the next
 
 
 def _steps(
@@ -602,27 +587,52 @@ def _steps(
     yield DelayBuffer(values, m=m, step_h=h, total_steps=N)
 
 
-def _integrate(
-    problem: SddeProblem,
-    grid: GridSpec,
-    taming: TamedDrift | None,
-    n_paths: int | None,
-    increments: Iterator[np.ndarray] | None,
-    where: str = "",
-    *,
-    full_path: bool = True,
-) -> DelayBuffer:
-    """Run one :func:`_steps` of ``grid`` to its path, step ``n`` on the
-    ``n``-th increment of ``increments``; none is read when ``increments``
-    is ``None`` or the problem's eps is 0, which runs the drift-only
-    scheme."""
-    steps = _steps(problem, grid, taming, n_paths, where, full_path=full_path)
-    next(steps)
-    if problem.noise_scale == 0.0:
-        increments = None
-    for _ in range(grid.total_steps_N):
-        path = steps.send(None if increments is None else next(increments))
-    return path
+def _lockstep(problem: SddeProblem, members: list, n_paths: int | None,
+              draws: Iterator[np.ndarray] | None, scale: float, *,
+              full_path: bool) -> list[DelayBuffer]:
+    """The paths of ``members``, each a ``(grid, taming, where)`` of a
+    :func:`_steps` stepper, stepped in lockstep on one sequence of draws:
+    the one driver of every level run.
+
+    Every member is primed, finest first, before any draw is read.  The
+    finest grid takes draw ``j`` at step ``j``; a grid ``q`` times coarser
+    takes the sum of draws ``nq .. nq + q - 1``, added left to right, at
+    step ``n``, as soon as the last of them is read.  Each member gets
+    ``scale`` times its draw or sum; a scale of 1.0 passes it on as is.
+    ``draws`` of ``None`` reads nothing and runs the drift-only steps;
+    otherwise it must give exactly one ``(P, d)`` array per fine step,
+    ``P`` being 1 when ``n_paths`` is ``None``, else ``ValueError``.  They
+    are read and checked even where the problem's eps is 0 and the steps
+    ignore them.
+    """
+    steppers = [_steps(problem, grid, taming, n_paths, where,
+                       full_path=full_path)
+                for grid, taming, where in members]
+    for stepper in steppers:
+        next(stepper)
+    N, dnoise = members[0][0].total_steps_N, problem.dim_noise
+    shape = (1 if n_paths is None else n_paths, dnoise)
+    qs = [N // grid.total_steps_N for grid, _, _ in members]
+    sums, paths = [None] * len(members), [None] * len(members)
+    for j in range(N + 1):  # draw N, past the last step, must not exist
+        xi = None if draws is None else next(draws, None)
+        if j == N or draws is not None and np.shape(xi) != shape:
+            break
+        for k, (stepper, q) in enumerate(zip(steppers, qs)):
+            if q > 1 and xi is not None:
+                # A copy, so that no view of a draw block outlives it.
+                if j % q:
+                    sums[k] += xi
+                else:
+                    sums[k] = xi.copy()
+            if j % q == q - 1:
+                dw = xi if q == 1 else sums[k]
+                paths[k] = stepper.send(
+                    dw if dw is None or scale == 1.0 else scale * dw)
+    if j < N or xi is not None:
+        raise ValueError(f"noise must give N = {N} increments of "
+                         f"shape (P, d) = ({shape[0]}, {dnoise})")
+    return paths
 
 
 def theta_em_path(
@@ -646,12 +656,15 @@ def theta_em_path(
         standard normal vectors; step ``j`` consumes the stream's draw
         ``j``, so the stream of a coupled pair at this grid's level drives
         the pair's fine member identically.  The stream is drawn a block
-        of steps at a time, never all ``N`` steps at once.  An ndarray is
-        taken as the Brownian increments ``dW`` themselves (already
-        scaled by sqrt(h)), shaped ``(N, d)`` or ``(N, P, d)``.  An
-        iterator yields the same increments one step at a time, each an
-        array shaped ``(P, d)``, and is read as the steps run.  Either
-        must give exactly ``N`` increments, else ``ValueError``.
+        of steps at a time, never all ``N`` steps at once, and not at all
+        when the problem's eps is 0.  An ndarray is taken as the Brownian
+        increments ``dW`` themselves (already scaled by sqrt(h)), shaped
+        ``(N, d)`` or ``(N, P, d)``.  An iterator yields the same
+        increments one step at a time, each an array shaped ``(P, d)``,
+        and is read as the steps run.  Either must give exactly ``N``
+        increments, else ``ValueError``, at eps = 0 too, where the steps
+        ignore them.  Every kind of noise runs through the one driver
+        that also steps the members of a coupled pair.
     taming : TamedDrift, optional
         Drift replacement for one-sided problems.
     full_path : bool, keyword-only
@@ -667,40 +680,21 @@ def theta_em_path(
         ``(N + m + 1, P, a)`` matching the noise batch; with
         ``full_path=False`` the first axis has length ``m + 1``.
     """
-    N, dnoise = grid.total_steps_N, problem.dim_noise
-
-    if noise is None:
-        return _integrate(problem, grid, taming, None, None,
-                          full_path=full_path)
+    N = grid.total_steps_N
+    n_paths, draws, scale = None, None, 1.0
     if isinstance(noise, NoiseStream):
-        return _integrate(problem, grid, taming,
-                          _stream_paths(noise, problem, N),
-                          _stream_increments(noise, N, math.sqrt(grid.step_h)),
-                          full_path=full_path)
-    single = not isinstance(noise, Iterator) and np.ndim(noise) == 2
-    if not isinstance(noise, Iterator):  # all N increments in one array
-        arr = np.asarray(noise, dtype=float)
-        noise = iter(arr[:, None] if single else arr)
-
-    def checked():
-        # Yields P, then the increments, each checked against (P, d); the
-        # None put after the last one ends the loop.
-        first = next(noise, None)
-        shape = (len(first) if np.ndim(first) == 2 else "P", dnoise)
-        if np.shape(first) == shape:
-            yield shape[0]
-        for n, dw in enumerate(itertools.chain([first], noise, [None])):
-            if n == N or np.shape(dw) != shape:
-                break
-            yield dw
-        if n < N or dw is not None:
-            raise ValueError(f"noise must give N = {N} increments of "
-                             f"shape (P, d) = ({shape[0]}, {dnoise})")
-
-    rows = checked()
-    n_paths = next(rows)
-    path = _integrate(problem, grid, taming, None if single else n_paths,
-                      rows, full_path=full_path)
-    for _ in rows:  # the increments eps = 0 left unread, then the check
-        pass
-    return path
+        n_paths = _stream_paths(noise, problem, N)
+        if problem.noise_scale:
+            draws = _stream_increments(noise, N)
+        scale = math.sqrt(grid.step_h)
+    elif noise is not None:
+        single = not isinstance(noise, Iterator) and np.ndim(noise) == 2
+        if not isinstance(noise, Iterator):  # all N increments in one array
+            arr = np.asarray(noise, dtype=float)
+            noise = iter(arr[:, None] if single else arr)
+        first = next(noise, None)  # its length is the batch size P
+        if not single and np.ndim(first) == 2:
+            n_paths = len(first)
+        draws = itertools.chain([first], noise)
+    return _lockstep(problem, [(grid, taming, "")], n_paths, draws, scale,
+                     full_path=full_path)[0]

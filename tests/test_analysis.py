@@ -418,6 +418,30 @@ def test_strong_error_validation():
         strong_error_rate(problem, psi, level_sweep=[3, 4], n_paths=8)
 
 
+_SWEEPS = {
+    "deviation": lambda p, psi, n: small_noise_deviation(
+        p, level=4, eps_sweep=[0.01, 0.03, 0.1], n_paths=n),
+    "rates-moment": lambda p, psi, n: coupled_moment_rates(
+        p, level_sweep=[3, 4, 5], eps_sweep=[0.1, 0.2, 0.4], n_paths=n),
+    "rates-variance": lambda p, psi, n: coupled_variance_rates(
+        p, psi, level_sweep=[3, 4, 5], eps_sweep=[0.1, 0.2, 0.4],
+        n_paths=n),
+    "rates-strong": lambda p, psi, n: strong_error_rate(
+        p, psi, level_sweep=[3, 4, 5], n_paths=n),
+}
+
+
+@pytest.mark.parametrize("n_paths", [0, 1])
+@pytest.mark.parametrize("experiment", list(_SWEEPS))
+def test_sweeps_refuse_fewer_than_two_paths(experiment, n_paths):
+    # Sample means and variances need two paths; without the check one
+    # path gave NaN variances and none failed inside the fits.
+    with pytest.raises(ValueError, match=f"^{experiment}: n_paths must be "
+                                         f">= 2, got {n_paths}$"):
+        _SWEEPS[experiment](builtin_problem("linear_scalar"),
+                            builtin_payoff("identity"), n_paths)
+
+
 def test_cell_seeds_wrap_at_the_top_of_the_seed_range():
     stride, top = 1_000_003, 2**64 - 1
     assert analysis._cell_seed(7, 3, 2) == 7 + 3 * stride + 2

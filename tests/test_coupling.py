@@ -245,6 +245,23 @@ def test_simulate_coupled_validates_stream():
         simulate_coupled(pair, short)
     with pytest.raises(TypeError):
         simulate_coupled(pair, np.zeros((4, 2, 1)))
+    base = LevelPair.for_problem(p, level=3, M=2, coupled=False)
+    with pytest.raises(ValueError, match="no coarse member"):
+        simulate_coupled(base, _stream_for(base))
+
+
+@pytest.mark.parametrize("name, theta, delta", [
+    ("linear_scalar", 0.0, None), ("cubic_onesided", 0.5, 0.5)])
+def test_an_empty_stream_batch_runs_to_empty_paths(name, theta, delta):
+    p = builtin_problem(name)
+    pair = LevelPair.for_problem(p, level=4, M=2, theta=theta, delta=delta)
+    empty = pair.noise_stream(3, np.arange(0))
+    alone = theta_em_path(p, pair.grid_fine, noise=empty,
+                          taming=taming_for_level(p, 4, 2, delta))
+    out = simulate_coupled(pair, empty)
+    m, N = pair.grid_fine.steps_per_delay_m, pair.grid_fine.total_steps_N
+    assert alone.values.shape == out.fine.values.shape == (N + m + 1, 0, 1)
+    assert out.coarse.values.shape == (N // 2 + m // 2 + 1, 0, 1)
 
 
 def _count_draws(monkeypatch):

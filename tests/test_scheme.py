@@ -500,6 +500,12 @@ def test_path_rejects_mismatched_noise():
                  [np.zeros((2, 2))] * 8, []):
         with pytest.raises(ValueError, match=r"N = 8 .* shape \(P, d\)"):
             theta_em_path(p, g, noise=iter(rows))
+    # At eps = 0 the steps ignore the increments, which are still checked.
+    quiet = builtin_problem("linear_scalar", eps=0.0)
+    for noise in (np.zeros((7, 2, 1)), iter([row] * 9),
+                  iter([row] * 4 + [np.zeros((2,))] + [row] * 3)):
+        with pytest.raises(ValueError, match=r"N = 8 .* shape \(P, d\)"):
+            theta_em_path(quiet, g, noise=noise)
 
 
 def test_single_step_second_moment_scaling():
