@@ -65,7 +65,7 @@ _CHUNK_DRAWS = 2**24
 # The strong-error reference runs this many levels finer than the finest
 # level of the sweep, and its paths run in chunks of this many.
 _REF_OFFSET = 3
-_STRONG_CHUNK_PATHS = 2500
+_STRONG_CHUNK_PATHS = 2048
 
 
 def _cell_seed(seed: int, lane: int, index: int = 0) -> int:
@@ -569,6 +569,16 @@ class StrongErrorResult:
     records: tuple[dict, ...]
 
 
+def _block_sums(dw: np.ndarray, q: int) -> np.ndarray:
+    """Row ``n`` the sum of rows ``nq .. nq + q - 1`` of ``dw``, added left
+    to right."""
+    blocks = dw.reshape(len(dw) // q, q, *dw.shape[1:])
+    out = blocks[:, 0].copy()
+    for i in range(1, q):
+        out += blocks[:, i]
+    return out
+
+
 def strong_error_rate(
     problem: SddeProblem,
     psi: Payoff,
@@ -583,9 +593,11 @@ def strong_error_rate(
 
     The reference runs the same scheme ``_REF_OFFSET`` levels finer, on
     the grid and stream of that level's base-level :class:`LevelPair`
-    plan; each coarser level is driven by block sums of the reference
-    increments, added up as the reference run reads them, so all paths
-    share one Brownian skeleton and the measured error is pathwise.  Each
+    plan.  The finest level is driven by block sums of the reference
+    increments, added up as the reference run reads them, and each
+    coarser level by block sums of the next finer level's increments, so
+    all paths share one Brownian skeleton and the measured error is
+    pathwise; a chunk holds the increments of one level at a time.  Each
     level, the reference too, runs through the plan of its level, tamed
     by that level's rule when ``delta`` is set.  The chunks of paths run
     in order on the calling thread.  Fits
@@ -617,40 +629,44 @@ def strong_error_rate(
     def chunk(a: int, b: int) -> list[np.ndarray]:
         stream = plans[ref_level].noise_stream(_cell_seed(seed, 0),
                                                np.arange(a, b))
-        sums = {lv: np.empty((plans[lv].grid_fine.total_steps_N, b - a,
-                              problem.dim_noise)) for lv in levels}
-        # Row views: ``+=`` on a row of the array would also copy it back.
-        rows = [(M ** (ref_level - lv), list(sums[lv])) for lv in levels]
+        # The finest level's increments: block sums of the reference
+        # increments, added up as the reference run reads them.  At eps = 0
+        # the reference gets the stream, which then draws nothing, and the
+        # levels get zeros held as one value, which their steps ignore.
+        q_ref = M ** (ref_level - levels[-1])
+        shape = (plans[levels[-1]].grid_fine.total_steps_N, b - a,
+                 problem.dim_noise)
+        sums = np.empty(shape) if eps else np.broadcast_to(0.0, shape)
 
         def reference():
-            # The reference increments; increment j of the reference starts
-            # row j // q of the sums of a level q times coarser when q
-            # divides j and is added into it otherwise, left to right.
-            for j, xi in enumerate(_stream_increments(
-                    stream, grid_ref.total_steps_N)):
-                dw = sqrt_h * xi
-                for q, out in rows:
-                    if j % q:
-                        out[j // q] += dw
-                    else:
-                        out[j // q][...] = dw
+            # Increment j starts row j // q_ref when q_ref divides j and is
+            # added into it otherwise, left to right.
+            rows = list(sums)  # views: ``+=`` on ``sums[i]`` copies it back
+            draws = _stream_increments(stream, grid_ref.total_steps_N)
+            for j in range(grid_ref.total_steps_N):
+                dw = sqrt_h * next(draws)  # keeps no row of a draw block
+                if j % q_ref:
+                    rows[j // q_ref] += dw
+                else:
+                    rows[j // q_ref][...] = dw
                 yield dw
 
-        # The levels are driven by block sums of the reference increments,
-        # added up as the reference reads them.  At eps = 0 it gets the
-        # stream, which then draws nothing, and the levels get their
-        # unwritten sums, which are checked and ignored.
         psi_ref = terminal_payoff(
             f"rates-strong reference level {ref_level} (eps {eps:g}), "
             f"paths [{a}, {b})", ref_level, reference() if eps else stream)
-        errors_sq = []
-        for lv in levels:
-            psi_lv = terminal_payoff(
+        # Then the levels, finest first, each coarser one on the block sums
+        # of the next finer one's increments, which are dropped once summed.
+        errors_sq, finer = [], levels[-1]
+        for lv in reversed(levels):
+            if lv < finer:
+                q = M ** (finer - lv)
+                sums = _block_sums(sums, q) if eps else sums[::q]
+            finer = lv
+            diff = psi_ref - terminal_payoff(
                 f"rates-strong level {lv} (eps {eps:g}), paths [{a}, {b})",
-                lv, sums[lv])
-            diff = psi_ref - psi_lv
+                lv, sums)
             errors_sq.append(diff * diff)
-        return errors_sq
+        return errors_sq[::-1]
 
     chunks = _run_chunks(
         chunk, f"rates-strong levels {levels[0]}..{ref_level} (eps {eps:g})",

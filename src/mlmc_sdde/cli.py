@@ -8,7 +8,7 @@ CSV regardless of ``--jobs``.  Only the rates-moment, rates-variance and
 deviation sweeps use threads, over cells with per-cell substreams; path,
 coupled, mlmc and rates-strong run on one thread.  Path batches run in
 chunks: MLMC levels fold chunks of 4096 paths, rates-strong sums chunks
-of 2500 paths, and every other batch (the path and coupled runs reuse the
+of 2048 paths, and every other batch (the path and coupled runs reuse the
 cells of the deviation and rates-moment sweeps) keeps a chunk within
 2**24 draws.
 

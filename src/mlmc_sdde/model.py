@@ -168,7 +168,9 @@ class Payoff:
     """Scalar functional of the terminal state.
 
     ``eval`` maps states of shape ``(..., a)`` to values of shape
-    ``(...,)``; ``name`` labels the payoff in the run summary.
+    ``(...,)``, returned as a new array, never a view of its input, so
+    that values kept do not keep the path they were read from; ``name``
+    labels the payoff in the run summary.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -363,7 +365,7 @@ def builtin_problem(name: str, **overrides) -> SddeProblem:
 
 def _identity_payoff() -> Payoff:
     def ev(x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float)[..., 0]
+        return np.asarray(x, dtype=float)[..., 0].copy()
 
     return Payoff(eval=ev, name="identity")
 

@@ -490,8 +490,10 @@ def _step(x, x_del, x_del_next, h, theta, drift, diffusion, eps, dw, fx):
     return x_next, last.value if x_next is last.x else None
 
 
-# The normals of one block of a streamed NoiseStream (512 KiB of float64).
-_BLOCK_DRAWS = 2**16
+# The normals of one block of a streamed NoiseStream (256 KiB of float64);
+# a run holds one block at a time, since the driver lets go of the last
+# row of a block before the next block is drawn.
+_BLOCK_DRAWS = 2**15
 
 
 def _stream_paths(noise: NoiseStream, problem: SddeProblem,
@@ -615,7 +617,9 @@ def _lockstep(problem: SddeProblem, members: list, n_paths: int | None,
     qs = [N // grid.total_steps_N for grid, _, _ in members]
     sums, paths = [None] * len(members), [None] * len(members)
     for j in range(N + 1):  # draw N, past the last step, must not exist
-        xi = None if draws is None else next(draws, None)
+        xi = dw = None  # hold no row of a block while the next is drawn
+        if draws is not None:
+            xi = next(draws, None)
         if j == N or draws is not None and np.shape(xi) != shape:
             break
         for k, (stepper, q) in enumerate(zip(steppers, qs)):

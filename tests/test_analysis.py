@@ -353,15 +353,20 @@ def test_strong_error_increments_do_not_depend_on_chunk_size(monkeypatch):
             np.testing.assert_array_equal(other[n], dw)
 
 
-def test_strong_error_chunk_holds_less_than_the_reference_increments(
-        monkeypatch):
-    # One 2500-path chunk of levels 3..5 against reference level 8: the
-    # reference increments stream through the step loop, so the chunk
-    # never holds all n_ref x P of them at once.
+def test_strong_error_chunk_holds_less_than_the_reference_increments():
+    # One chunk of levels 3..5 against reference level 8: the reference
+    # increments stream through the step loop, so the chunk never holds
+    # all n_ref x P of them at once.  It holds the reference's delay
+    # window (m_ref + 1 rows of P paths), the finest level's block sums
+    # (N_finest rows), one draw block and a few step temporaries: 16 rows
+    # cover the last.  The reference's payoffs are a copy, so its window
+    # is gone before the levels run, and each coarser level's sums are
+    # formed from the finer ones, which are dropped once summed.  A chunk
+    # that held the sums of every level would hold sum(N_l) rows.
     problem = builtin_problem("linear_scalar", eps=1e-4)
     psi = builtin_payoff("identity")
-    n_ref, n_paths = 2**8, 2500
-    monkeypatch.setattr(analysis, "_STRONG_CHUNK_PATHS", n_paths)
+    n_ref, m_ref, n_finest = 2**8, 2**6, 2**5
+    n_paths = analysis._STRONG_CHUNK_PATHS
     tracemalloc.start()
     try:
         strong_error_rate(problem, psi, level_sweep=[3, 4, 5],
@@ -370,12 +375,15 @@ def test_strong_error_chunk_holds_less_than_the_reference_increments(
     finally:
         tracemalloc.stop()
     assert peak < n_ref * n_paths * 8
+    block_rows = max(1, scheme._BLOCK_DRAWS // n_paths)
+    bound = (m_ref + 1 + n_finest + block_rows + 16) * n_paths * 8
+    assert peak <= bound, (peak, bound)
 
 
 def test_strong_error_tames_each_level_by_its_own_rule():
     # Implicit steps of the one-sided drift are admissible only tamed; the
     # reference and every level tame with the step of the level below
-    # their own, on the reference increments and their block sums.
+    # their own, on the reference increments and nested block sums.
     problem = builtin_problem("cubic_onesided")
     psi = builtin_payoff("identity")
     levels, M, theta, delta, n_paths, seed = [3, 4, 5], 2, 0.5, 0.5, 20, 13
@@ -399,15 +407,18 @@ def test_strong_error_tames_each_level_by_its_own_rule():
         return psi.eval(path.terminal)
 
     psi_ref = payoff(ref, dw)
-    expected = []
-    for lv in levels:
-        q = M ** (ref - lv)
+    expected, finer = [], ref
+    for lv in reversed(levels):
+        # The finest level sums the reference increments, each coarser
+        # level the next finer level's, left to right, as the sweep does.
+        q = M ** (finer - lv)
         sums = dw[::q].copy()
-        for i in range(1, q):  # added left to right, as the sweep does
+        for i in range(1, q):
             sums += dw[i::q]
+        dw, finer = sums, lv
         diff = psi_ref - payoff(lv, sums)
         expected.append(float(np.sum(diff * diff)) / n_paths)
-    assert result.errors_sq == tuple(expected)
+    assert result.errors_sq == tuple(expected[::-1])
     assert [r["delta"] for r in result.records] == [delta] * len(levels)
 
 

@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mlmc_sdde import scheme
 from mlmc_sdde.analysis import strong_error_rate
 from mlmc_sdde.coupling import (
     CoupledPair,
@@ -440,9 +441,11 @@ def test_window_pair_is_tail_of_full_pair_bitwise(name, M, level, theta,
 def test_window_pair_memory_does_not_grow_with_its_steps(level):
     # The members step in lockstep and the coarse member takes each sum as
     # soon as its M draws are read, so a pair holds its two delay windows,
-    # one draw block (16 rows at 4096 paths) and a few step temporaries,
-    # whatever its step count: 48 rows cover the last two.  A pair that
-    # stored the coarse sums of the whole path would hold N_c more rows.
+    # one draw block (_BLOCK_DRAWS / paths = 8 rows at 4096 paths) and a
+    # few step temporaries, whatever its step count: 16 rows cover the
+    # temporaries.  A pair that stored the coarse sums of the whole path
+    # would hold N_c more rows, and one that kept a row of the last block
+    # while drawing the next would hold two blocks.
     p = builtin_problem("linear_scalar")
     pair = LevelPair.for_problem(p, level=level, M=2)
     paths = 4096
@@ -455,7 +458,8 @@ def test_window_pair_memory_does_not_grow_with_its_steps(level):
         tracemalloc.stop()
     m_f = pair.grid_fine.steps_per_delay_m
     m_c = pair.grid_coarse.steps_per_delay_m
-    bound = (m_f + 1 + m_c + 1 + 48) * paths * 8
+    block_rows = scheme._BLOCK_DRAWS // paths
+    bound = (m_f + 1 + m_c + 1 + block_rows + 16) * paths * 8
     assert peak <= bound, (peak, bound)
 
 

@@ -207,6 +207,14 @@ def test_identity_payoff_eval():
     np.testing.assert_array_equal(psi.eval(x), x[..., 0])
 
 
+@pytest.mark.parametrize("name", sorted(BUILTIN_PAYOFFS))
+def test_builtin_payoffs_return_new_arrays(name):
+    # A payoff kept past its run must not keep the path it was read from.
+    x = RNG.normal(size=(5, 3, 2))
+    values = builtin_payoff(name).eval(x)
+    assert not np.shares_memory(values, x)
+
+
 def test_tanh_payoff_bounded_and_smooth():
     psi = builtin_payoff("tanh")
     x = RNG.normal(size=(1000, 1)) * 50.0
