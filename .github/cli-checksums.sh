@@ -2,7 +2,7 @@
 # CLI output checksums, run from the root of the repository:
 #   bash .github/cli-checksums.sh
 #
-# The seven default experiments and fourteen other configurations at
+# The seven default experiments and sixteen other configurations at
 # one seed, and the --help text at 80 columns (its line breaks
 # follow COLUMNS): each file must have the sha256 recorded in
 # .github/cli-sha256.txt, so a byte change fails unless the same
@@ -25,7 +25,8 @@
 # thread.  The [result] block of each run's
 # summary, without its wall_seconds line, is checked as
 # <name>.result.txt; the host-dependent jobs line sits in [config],
-# outside it.
+# outside it.  The rates-strong and mlmc runs at --eps 0 pin the
+# noise-free runs, where a stream is never drawn.
 set -e
 sums="$PWD/.github/cli-sha256.txt"
 out=$(mktemp -d)
@@ -59,6 +60,8 @@ cli --experiment mlmc --target-se 0.000856 --out "$out/mlmc-topup-one.csv"
 cli --experiment rates-strong --problem cubic_onesided --theta 0.5 --delta 0.5 --samples 2000 --out "$out/rates-strong-tamed.csv"
 cli --experiment rates-strong --problem cubic_onesided --theta 0.5 --delta 0.5 --samples 2000 --jobs 1 --out "$out/jobs1/rates-strong-tamed.csv"
 cmp "$out/rates-strong-tamed.csv" "$out/jobs1/rates-strong-tamed.csv"
+cli --experiment rates-strong --eps 0 --out "$out/rates-strong-eps0.csv"
+cli --experiment mlmc --eps 0 --samples 200 --out "$out/mlmc-eps0.csv"
 printf 'horizon=2\n' > "$out/horizon2.conf"
 cli --config "$out/horizon2.conf" --experiment rates-moment --theta 0.5 --base-level 4 --max-level 6 --samples 2000 --out "$out/rates-moment-config.csv"
 cli --config "$out/horizon2.conf" --experiment rates-moment --theta 0.5 --base-level 4 --max-level 6 --samples 2000 --jobs 1 --out "$out/jobs1/rates-moment-config.csv"

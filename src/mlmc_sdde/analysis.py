@@ -373,7 +373,8 @@ def _two_sweeps(experiment, problem, theta, delta, M, level_sweep,
     ``cell(problem, level, master_seed, k)`` returns a dict of statistics,
     ``k`` enumerating the cells of both sweeps.  Returns ``(h_values,
     eps_values, level_columns, eps_columns, records)``, a column holding
-    one statistic over a sweep as a tuple.
+    one statistic over a sweep as a tuple.  A noise scale that is not
+    positive is refused, naming ``experiment``, before any cell runs.
     """
     _refuse_few_paths(experiment, n_paths)
     levels = sorted(int(lv) for lv in level_sweep)
@@ -382,6 +383,10 @@ def _two_sweeps(experiment, problem, theta, delta, M, level_sweep,
     eps_values = [float(e) for e in eps_sweep]
     if len(eps_values) < 3:
         raise ValueError("eps_sweep needs >= 3 noise scales")
+    for eps in eps_values:  # the eps fit takes logs of the scales
+        if not eps > 0.0:
+            raise ValueError(f"{experiment}: eps_sweep needs noise scales "
+                             f"> 0, got {eps:g}")
 
     runs = [(problem, lv, _cell_seed(seed, 0)) for lv in levels]
     runs += [(problem.with_noise_scale(eps), levels[-1],
@@ -599,8 +604,11 @@ def strong_error_rate(
     all paths share one Brownian skeleton and the measured error is
     pathwise; a chunk holds the increments of one level at a time.  Each
     level, the reference too, runs through the plan of its level, tamed
-    by that level's rule when ``delta`` is set.  The chunks of paths run
-    in order on the calling thread.  Fits
+    by that level's rule when ``delta`` is set.  At eps = 0 the reference
+    and every level run on the chunk's stream, which then draws nothing,
+    so each runs the drift-only skeleton of its level and no increment
+    is held.  The chunks of paths run in order on the calling thread.
+    Fits
     ``log E|psi(X_ref(T)) - psi(X_l(T))|^2`` against ``log h_l``.
     """
     _refuse_few_paths("rates-strong", n_paths)
@@ -629,14 +637,14 @@ def strong_error_rate(
     def chunk(a: int, b: int) -> list[np.ndarray]:
         stream = plans[ref_level].noise_stream(_cell_seed(seed, 0),
                                                np.arange(a, b))
-        # The finest level's increments: block sums of the reference
-        # increments, added up as the reference run reads them.  At eps = 0
-        # the reference gets the stream, which then draws nothing, and the
-        # levels get zeros held as one value, which their steps ignore.
-        q_ref = M ** (ref_level - levels[-1])
-        shape = (plans[levels[-1]].grid_fine.total_steps_N, b - a,
-                 problem.dim_noise)
-        sums = np.empty(shape) if eps else np.broadcast_to(0.0, shape)
+        # At eps = 0 the reference and every level run on the stream, which
+        # then draws nothing.  Otherwise the finest level's increments are
+        # block sums of the reference increments, added up as the
+        # reference run reads them.
+        if eps:
+            q_ref = M ** (ref_level - levels[-1])
+            sums = np.empty((plans[levels[-1]].grid_fine.total_steps_N,
+                             b - a, problem.dim_noise))
 
         def reference():
             # Increment j starts row j // q_ref when q_ref divides j and is
@@ -658,13 +666,12 @@ def strong_error_rate(
         # of the next finer one's increments, which are dropped once summed.
         errors_sq, finer = [], levels[-1]
         for lv in reversed(levels):
-            if lv < finer:
-                q = M ** (finer - lv)
-                sums = _block_sums(sums, q) if eps else sums[::q]
+            if eps and lv < finer:
+                sums = _block_sums(sums, M ** (finer - lv))
             finer = lv
             diff = psi_ref - terminal_payoff(
                 f"rates-strong level {lv} (eps {eps:g}), paths [{a}, {b})",
-                lv, sums)
+                lv, sums if eps else stream)
             errors_sq.append(diff * diff)
         return errors_sq[::-1]
 

@@ -34,7 +34,6 @@ its members, each a grid with the taming of its level, in one place.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +45,6 @@ from .scheme import (
     GridSpec,
     TamedDrift,
     _lockstep,
-    _stream_increments,
-    _stream_paths,
     taming_for_level,
     theta_em_path,
 )
@@ -145,9 +142,10 @@ class LevelPair:
         """The paths of this plan on ``noise``.
 
         A base level returns the :func:`~mlmc_sdde.scheme.theta_em_path`
-        of its grid on any noise that function takes (a stream, the
-        increments themselves, or ``None`` for the drift-only skeleton),
-        tamed by the level's rule; a pair returns its
+        of its grid, tamed by the level's rule, on any of the noise forms
+        the scheme's driver reads (a stream, the increments themselves,
+        or ``None`` for the drift-only skeleton; see
+        :func:`~mlmc_sdde.scheme.theta_em_path`); a pair returns its
         :func:`simulate_coupled` members on a stream.  ``full_path`` is
         theirs.
         """
@@ -209,29 +207,30 @@ def simulate_coupled(
     the problem of the pair.
 
     ``pair`` must have a coarse member, else ``ValueError``, and ``noise``
-    must cover the fine grid (see :meth:`LevelPair.noise_stream`).
-    The fine member consumes draw ``j`` at fine step ``j``; the coarse
-    member consumes the elementwise sum of draws ``n M .. n M + M - 1``,
-    added left to right, at coarse step ``n``, scaled by the same
-    ``sqrt(h_fine)``.  The :attr:`LevelPair.members` step in lockstep on
-    the driver of :func:`mlmc_sdde.scheme.theta_em_path`, the coarse
-    member as soon as its sum is complete, so the fine path produced here
-    is bit for bit the path that function yields for the same stream on
+    must be a :class:`~mlmc_sdde.rng.NoiseStream`, else ``TypeError``;
+    both are checked before any draw.  The stream is read, checked and
+    scaled as the scheme's driver reads every stream (see
+    :func:`mlmc_sdde.scheme.theta_em_path`): it must cover the fine grid
+    (see :meth:`LevelPair.noise_stream`), each draw is scaled by
+    ``sqrt(h_fine)``, and at eps = 0 nothing is drawn.  The fine member
+    consumes draw ``j`` at fine step ``j``; the coarse member consumes the
+    elementwise sum of draws ``n M .. n M + M - 1``, added left to right,
+    at coarse step ``n``.  The :attr:`LevelPair.members` step in lockstep
+    on that driver, the coarse member as soon as its sum is complete, so
+    the fine path produced here is bit for bit the path
+    :func:`~mlmc_sdde.scheme.theta_em_path` yields for the same stream on
     the fine grid.  ``full_path=False`` keeps only the delay window of
-    each member (see :func:`mlmc_sdde.scheme.theta_em_path`), enough for
-    the terminal states; the whole-path views of the pair then raise
-    ``ValueError``.  When the problem's eps is 0 no draw is made.  Both
-    members' grids and admissibility are checked before any draw, so a
-    member that fails them is refused before either has run a step.
+    each member, enough for the terminal states; the whole-path views of
+    the pair then raise ``ValueError``.  Both members' grids and
+    admissibility are checked before any draw, so a member that fails
+    them is refused before either has run a step.
     """
     if pair.grid_coarse is None:
         raise ValueError(f"level {pair.level} plan has no coarse member")
-    problem, n_f = pair.problem, pair.grid_fine.total_steps_N
-    n_paths = _stream_paths(noise, problem, n_f)
-    fine, coarse = _lockstep(
-        problem, pair.members, n_paths,
-        _stream_increments(noise, n_f) if problem.noise_scale else None,
-        math.sqrt(pair.grid_fine.step_h), full_path=full_path)
+    if not isinstance(noise, NoiseStream):
+        raise TypeError(f"expected a NoiseStream, got {type(noise).__name__}")
+    fine, coarse = _lockstep(pair.problem, pair.members, noise,
+                             full_path=full_path)
     return CoupledPair(pair=pair, fine=fine, coarse=coarse)
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterator, Union
+from typing import Callable, Generator, Iterable, Iterator
 
 import numpy as np
 
@@ -496,21 +496,6 @@ def _step(x, x_del, x_del_next, h, theta, drift, diffusion, eps, dw, fx):
 _BLOCK_DRAWS = 2**15
 
 
-def _stream_paths(noise: NoiseStream, problem: SddeProblem,
-                  n_steps: int) -> int | None:
-    """The batch size of ``noise`` (``None`` for one path), checked to be a
-    stream of the problem's noise dimension covering ``n_steps`` steps."""
-    if not isinstance(noise, NoiseStream):
-        raise TypeError(f"expected a NoiseStream, got {type(noise).__name__}")
-    if noise.dim != problem.dim_noise:
-        raise ValueError(f"noise stream dim {noise.dim} != problem "
-                         f"dim_noise {problem.dim_noise}")
-    if noise.n_steps is not None and noise.n_steps < n_steps:
-        raise ValueError(f"stream covers {noise.n_steps} fine steps, "
-                         f"grid needs {n_steps}")
-    return None if np.ndim(noise.path_index) == 0 else noise.n_paths
-
-
 def _stream_increments(noise: NoiseStream,
                        n_steps: int) -> Iterator[np.ndarray]:
     """The draws of steps ``0 .. n_steps - 1`` of ``noise``, one ``(P, d)``
@@ -589,30 +574,58 @@ def _steps(
     yield DelayBuffer(values, m=m, step_h=h, total_steps=N)
 
 
-def _lockstep(problem: SddeProblem, members: list, n_paths: int | None,
-              draws: Iterator[np.ndarray] | None, scale: float, *,
+def _lockstep(problem: SddeProblem, members: list,
+              noise: NoiseStream | Iterable[np.ndarray] | None, *,
               full_path: bool) -> list[DelayBuffer]:
     """The paths of ``members``, each a ``(grid, taming, where)`` of a
-    :func:`_steps` stepper, stepped in lockstep on one sequence of draws:
-    the one driver of every level run.
+    :func:`_steps` stepper, stepped in lockstep on ``noise``: the one
+    driver of every level run and the one reader of its noise.
+
+    ``noise`` comes in three forms:
+
+    * a :class:`NoiseStream` of the problem's noise dimension that covers
+      the finest grid, else ``ValueError``.  Each draw is scaled by the
+      square root of the finest step.  The stream is read a block of
+      steps at a time, and not at all when the problem's eps is 0.  A
+      stream of one path index runs one path, stored without the batch
+      axis.
+    * the Brownian increments ``dW`` themselves, already scaled: any
+      iterable of ``(P, d)`` arrays, one per fine step, a ``(N, P, d)``
+      array included, taken as they are and read as the steps run.  The
+      first array sets the batch size ``P``.  Exactly ``N`` of them are
+      needed, else ``ValueError``, at eps = 0 too, where the steps ignore
+      them.
+    * ``None``, which reads nothing and runs the drift-only steps,
+      whatever the problem's eps.
 
     Every member is primed, finest first, before any draw is read.  The
     finest grid takes draw ``j`` at step ``j``; a grid ``q`` times coarser
     takes the sum of draws ``nq .. nq + q - 1``, added left to right, at
-    step ``n``, as soon as the last of them is read.  Each member gets
-    ``scale`` times its draw or sum; a scale of 1.0 passes it on as is.
-    ``draws`` of ``None`` reads nothing and runs the drift-only steps;
-    otherwise it must give exactly one ``(P, d)`` array per fine step,
-    ``P`` being 1 when ``n_paths`` is ``None``, else ``ValueError``.  They
-    are read and checked even where the problem's eps is 0 and the steps
-    ignore them.
+    step ``n``, as soon as the last of them is read.
     """
+    N, dnoise = members[0][0].total_steps_N, problem.dim_noise
+    n_paths, draws, scale = None, None, 1.0
+    if isinstance(noise, NoiseStream):
+        if noise.dim != dnoise:
+            raise ValueError(f"noise stream dim {noise.dim} != problem "
+                             f"dim_noise {dnoise}")
+        if noise.n_steps is not None and noise.n_steps < N:
+            raise ValueError(f"stream covers {noise.n_steps} fine steps, "
+                             f"grid needs {N}")
+        n_paths = noise.n_paths if np.ndim(noise.path_index) else None
+        if problem.noise_scale:
+            draws = _stream_increments(noise, N)
+        scale = math.sqrt(members[0][0].step_h)
+    elif noise is not None:
+        draws = iter(noise)
+        first = next(draws, None)  # its length is the batch size P
+        n_paths = len(first) if np.ndim(first) == 2 else None
+        draws = itertools.chain([first], draws)
     steppers = [_steps(problem, grid, taming, n_paths, where,
                        full_path=full_path)
                 for grid, taming, where in members]
     for stepper in steppers:
         next(stepper)
-    N, dnoise = members[0][0].total_steps_N, problem.dim_noise
     shape = (1 if n_paths is None else n_paths, dnoise)
     qs = [N // grid.total_steps_N for grid, _, _ in members]
     sums, paths = [None] * len(members), [None] * len(members)
@@ -642,7 +655,7 @@ def _lockstep(problem: SddeProblem, members: list, n_paths: int | None,
 def theta_em_path(
     problem: SddeProblem,
     grid: GridSpec,
-    noise: Union[NoiseStream, np.ndarray, Iterator[np.ndarray], None] = None,
+    noise: NoiseStream | Iterable[np.ndarray] | None = None,
     taming: TamedDrift | None = None,
     *,
     full_path: bool = True,
@@ -654,21 +667,14 @@ def theta_em_path(
     problem, grid
         Problem instance and grid; the grid is validated against the
         problem and the step-size restrictions.
-    noise : NoiseStream or ndarray or iterator or None
-        ``None`` runs the drift-only skeleton (no diffusion term at all,
-        regardless of the problem's eps).  A :class:`NoiseStream` supplies
-        standard normal vectors; step ``j`` consumes the stream's draw
-        ``j``, so the stream of a coupled pair at this grid's level drives
-        the pair's fine member identically.  The stream is drawn a block
-        of steps at a time, never all ``N`` steps at once, and not at all
-        when the problem's eps is 0.  An ndarray is taken as the Brownian
-        increments ``dW`` themselves (already scaled by sqrt(h)), shaped
-        ``(N, d)`` or ``(N, P, d)``.  An iterator yields the same
-        increments one step at a time, each an array shaped ``(P, d)``,
-        and is read as the steps run.  Either must give exactly ``N``
-        increments, else ``ValueError``, at eps = 0 too, where the steps
-        ignore them.  Every kind of noise runs through the one driver
-        that also steps the members of a coupled pair.
+    noise : NoiseStream or iterable of increments or None
+        A stream (step ``j`` consumes draw ``j``, so the stream of a
+        coupled pair at this grid's level drives the pair's fine member
+        identically), the increments ``dW`` themselves, one ``(P, d)``
+        array per step, or ``None`` for the drift-only skeleton, in the
+        forms that the scheme's one driver, ``_lockstep``, reads and
+        checks (see its docstring and the ``scheme`` section of
+        README.md).
     taming : TamedDrift, optional
         Drift replacement for one-sided problems.
     full_path : bool, keyword-only
@@ -680,25 +686,9 @@ def theta_em_path(
     Returns
     -------
     DelayBuffer
-        History plus computed path, shape ``(N + m + 1, a)`` or
-        ``(N + m + 1, P, a)`` matching the noise batch; with
+        History plus computed path, shape ``(N + m + 1, P, a)``, or
+        ``(N + m + 1, a)`` on ``None`` or a stream of one path index; with
         ``full_path=False`` the first axis has length ``m + 1``.
     """
-    N = grid.total_steps_N
-    n_paths, draws, scale = None, None, 1.0
-    if isinstance(noise, NoiseStream):
-        n_paths = _stream_paths(noise, problem, N)
-        if problem.noise_scale:
-            draws = _stream_increments(noise, N)
-        scale = math.sqrt(grid.step_h)
-    elif noise is not None:
-        single = not isinstance(noise, Iterator) and np.ndim(noise) == 2
-        if not isinstance(noise, Iterator):  # all N increments in one array
-            arr = np.asarray(noise, dtype=float)
-            noise = iter(arr[:, None] if single else arr)
-        first = next(noise, None)  # its length is the batch size P
-        if not single and np.ndim(first) == 2:
-            n_paths = len(first)
-        draws = itertools.chain([first], noise)
-    return _lockstep(problem, [(grid, taming, "")], n_paths, draws, scale,
+    return _lockstep(problem, [(grid, taming, "")], noise,
                      full_path=full_path)[0]

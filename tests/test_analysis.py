@@ -255,6 +255,23 @@ def test_moment_rates_validation():
                              eps_sweep=[0.1, 0.2], n_paths=8)
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.125, float("nan")])
+@pytest.mark.parametrize("experiment", ["rates-moment", "rates-variance"])
+def test_two_sweeps_refuse_a_noise_scale_not_above_zero(experiment, eps,
+                                                        monkeypatch):
+    # The eps fit takes logs, so a scale <= 0 is refused, naming the sweep
+    # and the value, before any cell runs.
+    def no_cells(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(analysis, "_run_cells", no_cells)
+    with pytest.raises(ValueError, match=f"^{experiment}: eps_sweep needs "
+                                         f"noise scales > 0, got {eps:g}$"):
+        _SWEEPS[experiment](builtin_problem("linear_scalar"),
+                            builtin_payoff("identity"), 8,
+                            eps_sweep=[0.125, eps, 0.25])
+
+
 # ---------------------------------------------------------------------------
 # Coupled variance rates
 # ---------------------------------------------------------------------------
@@ -422,6 +439,38 @@ def test_strong_error_tames_each_level_by_its_own_rule():
     assert [r["delta"] for r in result.records] == [delta] * len(levels)
 
 
+@pytest.mark.parametrize("name, theta, delta", [
+    ("linear_scalar", 0.0, None), ("cubic_onesided", 0.5, 0.5)])
+def test_strong_error_at_zero_eps_is_the_skeleton_difference(
+        name, theta, delta, monkeypatch):
+    # At eps = 0 the reference and every level run on the chunk's stream,
+    # which draws nothing, so each error is the squared payoff difference
+    # of two skeletons, each the noise-free run of its level's plan.  Eight
+    # equal values sum and divide by 8 exactly, so the mean is that square.
+    problem = builtin_problem(name, eps=0.0)
+    psi = builtin_payoff("tanh")
+    levels, M = [3, 4, 5], 2
+    draws = []
+    monkeypatch.setattr(NoiseStream, "gaussian_increment",
+                        lambda self, j: draws.append(j))
+    result = strong_error_rate(problem, psi, theta=theta, delta=delta,
+                               level_sweep=levels, n_paths=8, seed=3, M=M)
+    assert draws == []
+
+    def skeleton_payoff(level):
+        plan = LevelPair.for_problem(problem, level, M=M, theta=theta,
+                                     delta=delta, coupled=False)
+        return psi.eval(plan.run(None).terminal)
+
+    psi_ref = skeleton_payoff(result.ref_level)
+    expected = []
+    for lv in levels:
+        diff = psi_ref - skeleton_payoff(lv)
+        expected.append(float(diff * diff))
+    assert all(e > 0.0 for e in expected)
+    assert result.errors_sq == tuple(expected)
+
+
 def test_strong_error_validation():
     problem = builtin_problem("linear_scalar")
     psi = builtin_payoff("identity")
@@ -432,11 +481,12 @@ def test_strong_error_validation():
 _SWEEPS = {
     "deviation": lambda p, psi, n: small_noise_deviation(
         p, level=4, eps_sweep=[0.01, 0.03, 0.1], n_paths=n),
-    "rates-moment": lambda p, psi, n: coupled_moment_rates(
-        p, level_sweep=[3, 4, 5], eps_sweep=[0.1, 0.2, 0.4], n_paths=n),
-    "rates-variance": lambda p, psi, n: coupled_variance_rates(
-        p, psi, level_sweep=[3, 4, 5], eps_sweep=[0.1, 0.2, 0.4],
-        n_paths=n),
+    "rates-moment": lambda p, psi, n, eps_sweep=(0.1, 0.2, 0.4):
+        coupled_moment_rates(p, level_sweep=[3, 4, 5], eps_sweep=eps_sweep,
+                             n_paths=n),
+    "rates-variance": lambda p, psi, n, eps_sweep=(0.1, 0.2, 0.4):
+        coupled_variance_rates(p, psi, level_sweep=[3, 4, 5],
+                               eps_sweep=eps_sweep, n_paths=n),
     "rates-strong": lambda p, psi, n: strong_error_rate(
         p, psi, level_sweep=[3, 4, 5], n_paths=n),
 }

@@ -193,6 +193,17 @@ def test_eps_list_rejected_outside_sweep_experiments(capsys):
     assert "single eps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment", ["rates-moment", "rates-variance"])
+def test_zero_noise_scale_in_a_sweep_exits_two_without_output(
+        experiment, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert _run(["--experiment", experiment, "--eps", "0,0.125,0.25",
+                 "--samples", "8", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {experiment}: eps_sweep needs noise scales > 0, got 0\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_target_se_rejected_outside_mlmc(capsys):
     assert _run(["--experiment", "rates-strong", "--target-se", "0.1"]) == 2
     assert "mlmc" in capsys.readouterr().err

@@ -141,10 +141,15 @@ def test_pair_members_match_standalone_paths_bitwise(name, M, level, theta,
     for k in range(1, M):
         csum = csum + xi[k::M]
     dw = math.sqrt(pair.grid_fine.step_h) * csum
+    if np.ndim(paths) == 0:
+        # One path index draws (N, d): run it as a batch of one path.
+        dw = dw[:, None]
     coarse_alone = theta_em_path(
         p, pair.grid_coarse, noise=dw,
         taming=taming_for_level(p, level - 1, M, delta))
-    np.testing.assert_array_equal(out.coarse.values, coarse_alone.values)
+    alone = coarse_alone.values
+    np.testing.assert_array_equal(out.coarse.values,
+                                  alone[:, 0] if np.ndim(paths) == 0 else alone)
     assert out.fine.values.shape[1:] == ((1,) if np.ndim(paths) == 0
                                          else (len(paths), 1))
 

@@ -52,9 +52,12 @@ def test_noise_streams_are_built_only_by_the_level_plan():
 
 def test_one_driver_steps_every_level_run_on_one_reader():
     # Steppers are primed and sent to by one driver, normals are drawn by
-    # one block reader, and a plan's members are tamed in one place.
+    # one block reader, which the driver and the strong sweep's reference
+    # alone read, and a plan's members are tamed in one place.
     assert _callers("_steps") == [("scheme.py", "_lockstep")]
     assert _callers("gaussian_increment") == [
         ("scheme.py", "_stream_increments")]
+    assert _callers("_stream_increments") == [
+        ("analysis.py", "strong_error_rate"), ("scheme.py", "_lockstep")]
     assert [scope for file, scope in _callers("taming_for_level")
             if file == "coupling.py"] == ["LevelPair.members"]

@@ -485,6 +485,24 @@ def test_increment_array_drive_matches_stream_drive(monkeypatch):
                 np.testing.assert_array_equal(run.values, runs[0].values)
 
 
+@pytest.mark.parametrize("theta", [0.0, 0.5])
+def test_path_takes_increments_from_any_iterable_of_rows(theta):
+    # Increments are taken as they are, one (P, d) array per step: a list,
+    # a generator and an (N, P, d) array of the same rows run the same
+    # path, and an (N, d) array, whose rows are not (P, d), is refused.
+    p = builtin_problem("linear_scalar", eps=0.4)
+    g = GridSpec.for_problem(p, theta=theta, level=3)
+    N = g.total_steps_N
+    dw = 0.3 * np.random.default_rng(2).standard_normal((N, 3, 1))
+    runs = [theta_em_path(p, g, noise=noise).values
+            for noise in (dw, list(dw), (row for row in dw))]
+    assert runs[0].shape == (N + g.steps_per_delay_m + 1, 3, 1)
+    for run in runs[1:]:
+        np.testing.assert_array_equal(run, runs[0])
+    with pytest.raises(ValueError, match=rf"N = {N} .* shape \(P, d\)"):
+        theta_em_path(p, g, noise=dw[:, 0])
+
+
 def test_path_rejects_mismatched_noise():
     p = builtin_problem("linear_scalar")
     g = GridSpec.for_problem(p, theta=0.0, level=3)
