@@ -24,9 +24,11 @@
 # from a second --config file.  The three run again on one
 # thread.  The [result] block of each run's
 # summary, without its wall_seconds line, is checked as
-# <name>.result.txt; the host-dependent jobs line sits in [config],
-# outside it.  The rates-strong and mlmc runs at --eps 0 pin the
-# noise-free runs, where a stream is never drawn.
+# <name>.result.txt, and its [config] block, without the out line (a
+# temporary path) and the jobs line (the host's CPU count by
+# default), as <name>.config.txt, so a changed default or echo
+# format shows too.  The rates-strong and mlmc runs at --eps 0 pin
+# the noise-free runs, where a stream is never drawn.
 set -e
 sums="$PWD/.github/cli-sha256.txt"
 out=$(mktemp -d)
@@ -73,5 +75,6 @@ cmp "$out/rates-variance-config.csv" "$out/jobs1/rates-variance-config.csv"
 COLUMNS=80 PYTHONPATH=src python -m mlmc_sdde.cli --help > "$out/help.txt"
 for f in "$out"/*.csv.summary.txt; do
   sed -n '/^\[result\]$/,${/^wall_seconds = /!p}' "$f" > "${f%.csv.summary.txt}.result.txt"
+  sed -n '/^\[config\]$/,/^$/{/^$/d;/^out = /d;/^jobs = /d;p}' "$f" > "${f%.csv.summary.txt}.config.txt"
 done
-(cd "$out" && sha256sum *.csv *.result.txt help.txt && sha256sum --strict -c "$sums")
+(cd "$out" && sha256sum *.csv *.result.txt *.config.txt help.txt && sha256sum --strict -c "$sums")

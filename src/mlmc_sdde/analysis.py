@@ -56,10 +56,14 @@ __all__ = [
 
 _LANE_STRIDE = 1_000_003
 
-# The normals one chunk of a cell may draw (128 MiB of float64); every
-# default cell fits in one chunk.  With the counter-based stream a path's
-# draws do not depend on its chunk, so at theta = 0 chunks give the bits
-# of one batch; at theta > 0 the implicit solve iterates per chunk.
+# A cell runs in chunks of max(1, _CHUNK_DRAWS // (N * d)) paths of N
+# fine steps and d noise components.  A chunk reads its noise one 256 KiB
+# draw block at a time; what the rule bounds is the states a full-path
+# chunk stores, about 2**24 / d path-steps (128 MiB of float64 when the
+# state has d components too).  Every default cell fits in one chunk.
+# With the counter-based stream a path's draws do not depend on its
+# chunk, so at theta = 0 chunks give the bits of one batch; at theta > 0
+# the implicit solve iterates per chunk.
 _CHUNK_DRAWS = 2**24
 
 # The strong-error reference runs this many levels finer than the finest
@@ -83,11 +87,23 @@ def _refuse_few_paths(experiment: str, n_paths: int) -> None:
         raise ValueError(f"{experiment}: n_paths must be >= 2, got {n_paths}")
 
 
+def _refuse_noise_scales(experiment: str, eps_values, zero_ok=False) -> None:
+    # A problem takes a noise scale in [0, 1]; a sweep refuses a scale out
+    # of its range, or NaN, naming the experiment, before any work.
+    for eps in eps_values:
+        if not (eps >= 0.0 if zero_ok else eps > 0.0):
+            raise ValueError(f"{experiment}: eps_sweep needs noise scales "
+                             f"{'>= 0' if zero_ok else '> 0'}, got {eps:g}")
+        if eps > 1.0:
+            raise ValueError(f"{experiment}: eps_sweep needs noise scales "
+                             f"<= 1, got {eps:g}")
+
+
 def _cell_samples(chunk_fn: Callable[[int, int], tuple[np.ndarray, ...]],
                   experiment: str, plan: LevelPair,
                   n_paths: int) -> tuple[np.ndarray, ...]:
     """The samples of :func:`_run_chunks` over the paths ``[0, n_paths)``
-    of a cell run by ``plan``, in chunks within ``_CHUNK_DRAWS``, each
+    of a cell run by ``plan``, in chunks sized by ``_CHUNK_DRAWS``, each
     sample joined along the path axis."""
     size = max(1, _CHUNK_DRAWS // (plan.grid_fine.total_steps_N
                                    * plan.problem.dim_noise))
@@ -297,8 +313,7 @@ def small_noise_deviation(
     """
     _refuse_few_paths("deviation", n_paths)
     eps_values = [float(e) for e in eps_sweep]
-    if any(e < 0.0 for e in eps_values):
-        raise ValueError("noise scales must be >= 0")
+    _refuse_noise_scales("deviation", eps_values, zero_ok=True)
     positive = [e for e in eps_values if e > 0.0]
     if len(positive) < 3 or max(positive) / min(positive) < 10.0:
         raise ValueError(
@@ -373,8 +388,8 @@ def _two_sweeps(experiment, problem, theta, delta, M, level_sweep,
     ``cell(problem, level, master_seed, k)`` returns a dict of statistics,
     ``k`` enumerating the cells of both sweeps.  Returns ``(h_values,
     eps_values, level_columns, eps_columns, records)``, a column holding
-    one statistic over a sweep as a tuple.  A noise scale that is not
-    positive is refused, naming ``experiment``, before any cell runs.
+    one statistic over a sweep as a tuple.  A noise scale that is not in
+    (0, 1] is refused, naming ``experiment``, before any cell runs.
     """
     _refuse_few_paths(experiment, n_paths)
     levels = sorted(int(lv) for lv in level_sweep)
@@ -383,10 +398,7 @@ def _two_sweeps(experiment, problem, theta, delta, M, level_sweep,
     eps_values = [float(e) for e in eps_sweep]
     if len(eps_values) < 3:
         raise ValueError("eps_sweep needs >= 3 noise scales")
-    for eps in eps_values:  # the eps fit takes logs of the scales
-        if not eps > 0.0:
-            raise ValueError(f"{experiment}: eps_sweep needs noise scales "
-                             f"> 0, got {eps:g}")
+    _refuse_noise_scales(experiment, eps_values)  # the eps fit takes logs
 
     runs = [(problem, lv, _cell_seed(seed, 0)) for lv in levels]
     runs += [(problem.with_noise_scale(eps), levels[-1],
@@ -530,8 +542,14 @@ def coupled_variance_rates(
     Sweeps mirror :func:`coupled_moment_rates`.  Each cell also runs an
     uncoupled oracle (independent fine and coarse paths, fresh
     substreams) whose difference variance does not benefit from shared
-    noise; the coupled value should sit below it everywhere.
+    noise; the coupled value should sit below it everywhere.  The level
+    sweep needs ``problem.noise_scale > 0``: without noise the coupled
+    variance is exactly 0, and the h fit takes its log.
     """
+    if not problem.noise_scale > 0.0:
+        raise ValueError("rates-variance: the level sweep needs a noise "
+                         f"scale > 0, got {problem.noise_scale:g}")
+
     def cell(cell_problem, level, master_seed, k):
         return {
             "var_delta_coupled": _payoff_var(

@@ -9,16 +9,18 @@ deviation sweeps use threads, over cells with per-cell substreams; path,
 coupled, mlmc and rates-strong run on one thread.  Path batches run in
 chunks: MLMC levels fold chunks of 4096 paths, rates-strong sums chunks
 of 2048 paths, and every other batch (the path and coupled runs reuse the
-cells of the deviation and rates-moment sweeps) keeps a chunk within
-2**24 draws.
+cells of the deviation and rates-moment sweeps) runs
+``max(1, 2**24 // (N * d))`` paths of N fine steps and d noise components
+per chunk, which bounds the states a full-path chunk stores; the noise is
+read one 256 KiB draw block at a time.
 
 Configuration is layered: per-experiment defaults (``DEFAULTS``), then a
 ``--config`` file of flat ``key=value`` lines, then command-line flags.
-Every setting is declared once, in the ``_SETTINGS`` table: its value
-parser and, if it has a flag, the flag's metavar and help.  The flags,
-the config-file keys and the ``[config]`` echo of the summary all follow
-from that table and ``RunConfig``, so a new setting goes into the table,
-into ``RunConfig`` and, with its default, into ``_COMMON_DEFAULTS``.
+Every setting is one ``RunConfig`` field, made by ``_setting``: its
+common default, its value parser and, if it has a flag, the flag's
+``add_argument`` keywords.  The flags and their --help order, the
+config-file keys, the defaults and the ``[config]`` echo of the summary
+all follow from the fields, so a new setting is one new field.
 The config file additionally accepts problem coefficient overrides
 (``a1``, ``a2``, ``b1``, ``b2``, ``g0``, ``c``, ``sigma``, ``x0``,
 ``tau``, ``horizon``), ``payoff``, and ``eps0`` (the fixed noise scale of
@@ -43,7 +45,7 @@ import itertools
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -77,34 +79,6 @@ _EPS_WINDOW = (0.0625, 0.08838834764831845, 0.125,
 # rates-moment / rates-variance defaults so one run covers both sweeps.
 _STRONG_NOISE = {"a1": -0.25, "a2": 0.125, "b1": 1.0, "b2": 0.25}
 
-_COMMON_DEFAULTS = dict(
-    problem="linear_scalar", payoff="identity", theta=0.0, delta=None,
-    M=2, base_level=5, max_level=None, eps=None, eps0=None,
-    samples=1000, target_se=None, seed=None, jobs=None, out=None,
-    problem_overrides={},
-)
-
-# The experiments, in --help order.
-DEFAULTS: dict[str, dict] = {
-    "path": dict(_COMMON_DEFAULTS),
-    "coupled": dict(_COMMON_DEFAULTS, payoff="tanh"),
-    "mlmc": dict(_COMMON_DEFAULTS, payoff="tanh", base_level=3, max_level=7,
-                 samples=None, target_se=0.002),
-    "rates-strong": dict(_COMMON_DEFAULTS, base_level=3, max_level=7,
-                         eps=1e-4, samples=10_000),
-    "rates-moment": dict(_COMMON_DEFAULTS, base_level=3, max_level=7,
-                         eps=_EPS_WINDOW, eps0=1e-4, samples=10_000,
-                         problem_overrides=dict(_STRONG_NOISE)),
-    "rates-variance": dict(_COMMON_DEFAULTS, payoff="tanh", base_level=3,
-                           max_level=7, eps=_EPS_WINDOW, eps0=1e-5,
-                           samples=20_000,
-                           problem_overrides=dict(_STRONG_NOISE)),
-    "deviation": dict(_COMMON_DEFAULTS,
-                      eps=(0.002, 0.005, 0.01, 0.02, 0.05)),
-}
-
-EXPERIMENTS = tuple(DEFAULTS)
-
 
 class ConfigError(ValueError):
     """A configuration value is missing, malformed, or inconsistent."""
@@ -120,71 +94,65 @@ def _parse_eps(text: str) -> float | tuple[float, ...]:
     return values[0] if len(values) == 1 else values
 
 
-# Every setting, in --help order: the parser of its value and, for a
-# setting with a flag, the flag's add_argument keywords; the others are
-# config-file keys only (see the module docstring).
-_SETTINGS: dict[str, tuple] = {
-    "experiment": (str, dict(choices=EXPERIMENTS,
-                             help="what to run (default: mlmc)")),
-    "problem": (str, dict(metavar="NAME", help="builtin problem name "
-                          "(default: per experiment)")),
-    "payoff": (str, None),
-    "theta": (float, dict(metavar="X", help="implicitness parameter in "
-                          "[0, 1] (default: 0.0)")),
-    "delta": (float, dict(metavar="X", help="drift-taming exponent in "
-                          "(0, 0.5]; omit to run untamed (default: "
-                          "untamed)")),
-    "M": (int, dict(metavar="N", help="level refinement factor (default: "
-                    "2)")),
-    "base_level": (int, dict(metavar="L", help="coarsest level; the only "
-                             "level for path/coupled/deviation (default: "
-                             "per experiment)")),
-    "max_level": (int, dict(metavar="L", help="finest level for mlmc and "
-                            "rates sweeps (default: per experiment)")),
-    "eps": (_parse_eps, dict(metavar="X[,X...]", help="noise scale; a "
-                             "comma list is the sweep for deviation/"
-                             "rates-moment/rates-variance (default: per "
-                             "experiment)")),
-    "eps0": (float, None),
-    "samples": (int, dict(metavar="N", help="paths per level/cell; for "
-                          "mlmc, explicit samples per level (default: per "
-                          "experiment)")),
-    "target_se": (float, dict(metavar="X", help="mlmc only: auto-allocate "
-                              "samples for this standard error (default: "
-                              "0.002 for mlmc)")),
-    "seed": (int, dict(metavar="N", help="master seed (default: "
-                       f"${SEED_ENV_VAR} or 0)")),
-    "out": (str, dict(metavar="PATH", help="CSV output path (default: "
-                      "mlmc-sdde-<experiment>.csv)")),
-    "jobs": (int, dict(metavar="N", help="worker threads for the "
-                       "rates-moment, rates-variance and deviation sweeps; "
-                       "rates-strong, path, coupled and mlmc run on one "
-                       "thread; never changes results (default: hardware "
-                       "parallelism)")),
-    **{key: (float, None) for key in _COEFFICIENT_KEYS},
-}
+def _setting(default, parse, **flag):
+    """A ``RunConfig`` field declaring one setting: its common default,
+    the parser of its value and, for a setting with a flag, the flag's
+    ``add_argument`` keywords; one without keywords is a config-file key
+    only."""
+    return field(metadata=dict(default=default, parse=parse,
+                               flag=flag or None))
 
 
 @dataclass
 class RunConfig:
-    """Fully resolved run description, after all layering."""
+    """Fully resolved run description, after all layering.
 
-    experiment: str
-    problem: str
+    Every field but ``problem_overrides`` declares one setting, in --help
+    order, which the ``[config]`` echo follows too.  No field has a
+    dataclass default: a config is built from an experiment's
+    ``DEFAULTS`` entry.
+    """
+
+    experiment: str = _setting("mlmc", str, help="what to run (default: mlmc)")
+    problem: str = _setting("linear_scalar", str, metavar="NAME",
+                            help="builtin problem name (default: per "
+                            "experiment)")
     problem_overrides: dict
-    payoff: str
-    theta: float
-    delta: float | None
-    M: int
-    base_level: int
-    max_level: int | None
-    eps: float | tuple[float, ...] | None
-    eps0: float | None
-    samples: int | None
-    target_se: float | None
-    seed: int
-    jobs: int
-    out: str
+    payoff: str = _setting("identity", str)
+    theta: float = _setting(0.0, float, metavar="X", help="implicitness "
+                            "parameter in [0, 1] (default: 0.0)")
+    delta: float | None = _setting(None, float, metavar="X", help="drift-"
+                                   "taming exponent in (0, 0.5]; omit to "
+                                   "run untamed (default: untamed)")
+    M: int = _setting(2, int, metavar="N", help="level refinement factor "
+                      "(default: 2)")
+    base_level: int = _setting(5, int, metavar="L", help="coarsest level; "
+                               "the only level for path/coupled/deviation "
+                               "(default: per experiment)")
+    max_level: int | None = _setting(None, int, metavar="L", help="finest "
+                                     "level for mlmc and rates sweeps "
+                                     "(default: per experiment)")
+    eps: float | tuple[float, ...] | None = _setting(
+        None, _parse_eps, metavar="X[,X...]", help="noise scale; a comma "
+        "list is the sweep for deviation/rates-moment/rates-variance "
+        "(default: per experiment)")
+    eps0: float | None = _setting(None, float)
+    samples: int | None = _setting(1000, int, metavar="N", help="paths per "
+                                   "level/cell; for mlmc, explicit samples "
+                                   "per level (default: per experiment)")
+    target_se: float | None = _setting(None, float, metavar="X", help="mlmc "
+                                       "only: auto-allocate samples for "
+                                       "this standard error (default: "
+                                       "0.002 for mlmc)")
+    seed: int = _setting(None, int, metavar="N", help="master seed "
+                         f"(default: ${SEED_ENV_VAR} or 0)")
+    out: str = _setting(None, str, metavar="PATH", help="CSV output path "
+                        "(default: mlmc-sdde-<experiment>.csv)")
+    jobs: int = _setting(None, int, metavar="N", help="worker threads for "
+                         "the rates-moment, rates-variance and deviation "
+                         "sweeps; rates-strong, path, coupled and mlmc run "
+                         "on one thread; never changes results (default: "
+                         "hardware parallelism)")
 
     def echo_lines(self) -> list[str]:
         """``key = value`` per field, in field order, and one line per
@@ -202,6 +170,43 @@ class RunConfig:
             items += (sorted(value.items()) if isinstance(value, dict)
                       else [(f.name, value)])
         return [f"{key} = {show(value)}" for key, value in items]
+
+
+_DECLARED = [f for f in fields(RunConfig) if f.metadata]
+
+# Every setting, in --help order: the parser of its value and the flag's
+# add_argument keywords, or None for a config-file key only (the problem
+# coefficients among them).
+_SETTINGS: dict[str, tuple] = {
+    **{f.name: (f.metadata["parse"], f.metadata["flag"]) for f in _DECLARED},
+    **{key: (float, None) for key in _COEFFICIENT_KEYS},
+}
+
+_COMMON_DEFAULTS = dict({f.name: f.metadata["default"] for f in _DECLARED},
+                        problem_overrides={})
+
+# The experiments, in --help order, each with where its defaults depart
+# from the common ones.
+DEFAULTS: dict[str, dict] = {
+    name: dict(_COMMON_DEFAULTS, experiment=name, **own)
+    for name, own in {
+        "path": {},
+        "coupled": dict(payoff="tanh"),
+        "mlmc": dict(payoff="tanh", base_level=3, max_level=7, samples=None,
+                     target_se=0.002),
+        "rates-strong": dict(base_level=3, max_level=7, eps=1e-4,
+                             samples=10_000),
+        "rates-moment": dict(base_level=3, max_level=7, eps=_EPS_WINDOW,
+                             eps0=1e-4, samples=10_000,
+                             problem_overrides=dict(_STRONG_NOISE)),
+        "rates-variance": dict(payoff="tanh", base_level=3, max_level=7,
+                               eps=_EPS_WINDOW, eps0=1e-5, samples=20_000,
+                               problem_overrides=dict(_STRONG_NOISE)),
+        "deviation": dict(eps=(0.002, 0.005, 0.01, 0.02, 0.05)),
+    }.items()
+}
+
+EXPERIMENTS = tuple(DEFAULTS)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +286,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     for key, (parse, flag) in _SETTINGS.items():
         if flag is not None:
+            if key == "experiment":
+                flag = dict(flag, choices=EXPERIMENTS)
             parser.add_argument("--" + key.replace("_", "-"), type=parse,
                                 **flag)
     parser.add_argument(
@@ -297,8 +304,8 @@ def build_config(argv: list[str] | None = None) -> RunConfig:
     config = flag_values.pop("config", None)
     file_values = parse_config_file(config) if config else {}
 
-    experiment = flag_values.get("experiment",
-                                 file_values.get("experiment", "mlmc"))
+    experiment = flag_values.get("experiment", file_values.get(
+        "experiment", _COMMON_DEFAULTS["experiment"]))
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r} "
                           f"(choose from {', '.join(EXPERIMENTS)})")
@@ -308,7 +315,6 @@ def build_config(argv: list[str] | None = None) -> RunConfig:
     merged.update({k: v for k, v in file_values.items()
                    if k not in _COEFFICIENT_KEYS})
     merged.update(flag_values)
-    merged["experiment"] = experiment
 
     # Default coefficient overrides belong to the default problem; drop
     # them when another problem is chosen, then apply user coefficients.

@@ -272,6 +272,36 @@ def test_two_sweeps_refuse_a_noise_scale_not_above_zero(experiment, eps,
                             eps_sweep=[0.125, eps, 0.25])
 
 
+def _no_sweep_work(monkeypatch):
+    # A refused sweep runs no cell and builds no level run, not even the
+    # deviation skeleton.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep did work before refusing")
+
+    monkeypatch.setattr(analysis, "_run_cells", refuse)
+    monkeypatch.setattr(analysis.LevelPair, "for_problem", refuse)
+
+
+@pytest.mark.parametrize("experiment, eps, need", [
+    ("deviation", float("nan"), ">= 0"),
+    ("deviation", -0.125, ">= 0"),
+    ("deviation", 1.5, "<= 1"),
+    ("rates-moment", 1.5, "<= 1"),
+    ("rates-variance", 1.5, "<= 1"),
+])
+def test_sweeps_refuse_a_noise_scale_out_of_range_before_any_work(
+        experiment, eps, need, monkeypatch):
+    # A problem takes a noise scale in [0, 1]; the deviation sweep used to
+    # run its skeleton and the cells before the bad scale, then failed
+    # without naming the experiment.
+    _no_sweep_work(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{experiment}: eps_sweep needs "
+                                         f"noise scales {need}, got {eps:g}$"):
+        _SWEEPS[experiment](builtin_problem("linear_scalar"),
+                            builtin_payoff("identity"), 8,
+                            eps_sweep=[0.01, 0.1, 1.0, eps])
+
+
 # ---------------------------------------------------------------------------
 # Coupled variance rates
 # ---------------------------------------------------------------------------
@@ -291,6 +321,17 @@ def test_variance_rates_coupled_beats_uncoupled_pointwise():
     assert len(result.records) == 2 * (3 + 3)
     stats = {r["statistic"] for r in result.records}
     assert stats == {"var_delta_coupled", "var_delta_uncoupled"}
+
+
+def test_variance_rates_refuse_a_noise_free_level_sweep(monkeypatch):
+    # Without noise the coupled payoff variance is exactly 0, so the h fit
+    # failed on its log after every cell had run; the moment sweep keeps
+    # running, its skeleton differences being positive.
+    _no_sweep_work(monkeypatch)
+    with pytest.raises(ValueError, match="^rates-variance: the level sweep "
+                                         "needs a noise scale > 0, got 0$"):
+        _SWEEPS["rates-variance"](builtin_problem("linear_scalar", eps=0.0),
+                                  builtin_payoff("identity"), 8)
 
 
 def test_variance_rates_validation():
@@ -479,8 +520,8 @@ def test_strong_error_validation():
 
 
 _SWEEPS = {
-    "deviation": lambda p, psi, n: small_noise_deviation(
-        p, level=4, eps_sweep=[0.01, 0.03, 0.1], n_paths=n),
+    "deviation": lambda p, psi, n, eps_sweep=(0.01, 0.03, 0.1):
+        small_noise_deviation(p, level=4, eps_sweep=eps_sweep, n_paths=n),
     "rates-moment": lambda p, psi, n, eps_sweep=(0.1, 0.2, 0.4):
         coupled_moment_rates(p, level_sweep=[3, 4, 5], eps_sweep=eps_sweep,
                              n_paths=n),

@@ -6,8 +6,10 @@ byte-identical reruns independent of --jobs), and the summary file.
 """
 
 import csv
+import dataclasses
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -49,6 +51,34 @@ def test_help_exits_zero_and_lists_every_flag(capsys):
     for experiment in EXPERIMENTS:
         assert experiment in out
     assert "default" in out
+
+
+# The settings, in the order of the RunConfig fields that declare them.
+_DECLARED = [f.name for f in dataclasses.fields(cli.RunConfig)
+             if f.name != "problem_overrides"]
+
+
+def test_settings_follow_the_run_config_fields():
+    assert [key for key in _SETTINGS
+            if key not in cli._COEFFICIENT_KEYS] == _DECLARED
+    for name, defaults in DEFAULTS.items():
+        assert set(defaults) == {*_DECLARED, "problem_overrides"}
+        assert defaults["experiment"] == name
+    given = dict(DEFAULTS["path"], seed=0, jobs=1, out="x.csv")
+    cli.RunConfig(**given)
+    del given["out"]
+    with pytest.raises(TypeError):  # no field has a dataclass default
+        cli.RunConfig(**given)
+
+
+def test_help_and_config_echo_list_settings_in_field_order(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    listed = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M)
+    assert listed == ["--" + key.replace("_", "-") for key in _DECLARED
+                      if _SETTINGS[key][1] is not None] + ["--config"]
+    echo = build_config(["--experiment", "path"]).echo_lines()
+    assert [line.split(" = ")[0] for line in echo] == _DECLARED
 
 
 def test_importing_the_cli_leaves_scipy_optimize_unloaded():
@@ -202,6 +232,43 @@ def test_zero_noise_scale_in_a_sweep_exits_two_without_output(
     assert capsys.readouterr().err == (
         f"error: {experiment}: eps_sweep needs noise scales > 0, got 0\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("experiment, eps, error", [
+    ("deviation", "0.002,0.005,nan,0.02,0.05",
+     "deviation: eps_sweep needs noise scales >= 0, got nan"),
+    ("rates-moment", "0.1,0.5,1.5",
+     "rates-moment: eps_sweep needs noise scales <= 1, got 1.5"),
+    ("rates-variance", "0.1,0.5,1.5",
+     "rates-variance: eps_sweep needs noise scales <= 1, got 1.5"),
+])
+def test_noise_scale_out_of_range_in_a_sweep_exits_two_without_output(
+        experiment, eps, error, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert _run(["--experiment", experiment, "--eps", eps,
+                 "--samples", "8", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_noise_free_level_sweep_refused_by_rates_variance_only(tmp_path,
+                                                               capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("eps0 = 0\n", encoding="utf-8")
+    common = ["--config", str(cfg_file), "--samples", "8",
+              "--max-level", "5", "--jobs", "1"]
+    out = tmp_path / "variance.csv"
+    assert _run(common + ["--experiment", "rates-variance",
+                          "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: rates-variance: the level sweep needs a noise scale > 0, "
+        "got 0\n")
+    assert list(tmp_path.iterdir()) == [cfg_file]
+    # The moment sweep's skeleton differences are positive at eps0 = 0.
+    out = tmp_path / "moment.csv"
+    assert _run(common + ["--experiment", "rates-moment",
+                          "--out", str(out)]) == 0
+    assert out.exists()
 
 
 def test_target_se_rejected_outside_mlmc(capsys):
