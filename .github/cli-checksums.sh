@@ -2,7 +2,7 @@
 # CLI output checksums, run from the root of the repository:
 #   bash .github/cli-checksums.sh
 #
-# The seven default experiments and sixteen other configurations at
+# The seven default experiments and seventeen other configurations at
 # one seed, and the --help text at 80 columns (its line breaks
 # follow COLUMNS): each file must have the sha256 recorded in
 # .github/cli-sha256.txt, so a byte change fails unless the same
@@ -28,7 +28,10 @@
 # temporary path) and the jobs line (the host's CPU count by
 # default), as <name>.config.txt, so a changed default or echo
 # format shows too.  The rates-strong and mlmc runs at --eps 0 pin
-# the noise-free runs, where a stream is never drawn.
+# the noise-free runs, where a stream is never drawn.  The tamed mlmc
+# run from base level 1 reads tau = 0.5 from a third --config file: the
+# lowest base level a tamed estimate admits, whose plan tames with the
+# step of level 0.
 set -e
 sums="$PWD/.github/cli-sha256.txt"
 out=$(mktemp -d)
@@ -72,6 +75,8 @@ printf 'eps0=1e-4\npayoff=identity\n' > "$out/eps0.conf"
 cli --config "$out/eps0.conf" --experiment rates-variance --base-level 3 --max-level 5 --samples 2000 --out "$out/rates-variance-config.csv"
 cli --config "$out/eps0.conf" --experiment rates-variance --base-level 3 --max-level 5 --samples 2000 --jobs 1 --out "$out/jobs1/rates-variance-config.csv"
 cmp "$out/rates-variance-config.csv" "$out/jobs1/rates-variance-config.csv"
+printf 'tau=0.5\n' > "$out/tau.conf"
+cli --config "$out/tau.conf" --experiment mlmc --problem cubic_onesided --theta 0.5 --delta 0.5 --base-level 1 --max-level 4 --samples 200 --out "$out/mlmc-tamed-base1.csv"
 COLUMNS=80 PYTHONPATH=src python -m mlmc_sdde.cli --help > "$out/help.txt"
 for f in "$out"/*.csv.summary.txt; do
   sed -n '/^\[result\]$/,${/^wall_seconds = /!p}' "$f" > "${f%.csv.summary.txt}.result.txt"

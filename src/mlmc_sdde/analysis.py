@@ -123,7 +123,7 @@ def _path_samples(problem, level, M, theta, delta, seed, n_paths,
                                  delta=delta, coupled=False)
 
     def chunk(a, b):
-        path = plan.run(plan.noise_stream(seed, np.arange(a, b)),
+        path = plan.run(plan.noise_stream(seed, range(a, b)),
                         full_path=True)
         body = path.values[path.m:]
         diff = body if centre is None else body - centre[:, None, :]
@@ -140,7 +140,7 @@ def _pair_samples(problem, level, M, theta, delta, seed, n_paths,
     pair = LevelPair.for_problem(problem, level, M=M, theta=theta, delta=delta)
 
     def chunk(a, b):
-        coupled = pair.run(pair.noise_stream(seed, np.arange(a, b)),
+        coupled = pair.run(pair.noise_stream(seed, range(a, b)),
                            full_path=True)
         diff = coupled.state_difference()
         sq = np.sum(diff * diff, axis=-1)
@@ -654,7 +654,7 @@ def strong_error_rate(
 
     def chunk(a: int, b: int) -> list[np.ndarray]:
         stream = plans[ref_level].noise_stream(_cell_seed(seed, 0),
-                                               np.arange(a, b))
+                                               range(a, b))
         # At eps = 0 the reference and every level run on the stream, which
         # then draws nothing.  Otherwise the finest level's increments are
         # block sums of the reference increments, added up as the

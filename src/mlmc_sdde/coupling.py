@@ -22,14 +22,19 @@ levels of at least 3.
 
 For one-sided Lipschitz drifts each member uses the tamed drift of its
 own level: the fine path tames with step ``h_{l-1}`` and the coarse path
-with ``h_{l-2}``, which is why tamed pairs need ``l >= 2``.
+with ``h_{l-2}``.  One floor follows for every tamed plan: its coarsest
+member tames with the step of the level below, which must be a level, so
+that member needs level ``>= 1``; a tamed pair needs ``l >= 2`` and a
+tamed base level ``l >= 1``.
 
 A :class:`LevelPair` is the plan of every level run of the package: the
 base level of a telescoping estimate is a plan without a coarse member,
 whose fine member runs alone, as the plain theta-EM path of its level.
 The plan holds the problem it was built for, so its stream, its run and
-its payoffs take only the noise, the seed and the paths, and it lists
-its members, each a grid with the taming of its level, in one place.
+its payoffs take only the noise, the seed and the paths (a ``range`` of
+consecutive path indices), and it lists its members, each a grid with
+the taming of its level, in one place.  A pair's coarse grid must nest
+in its fine grid.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ import numpy as np
 from .model import Payoff, SddeProblem
 from .rng import NoiseStream
 from .scheme import (
+    AdmissibilityError,
     DelayBuffer,
     GridSpec,
     TamedDrift,
@@ -61,7 +67,9 @@ class LevelPair:
     that of ``level - 1``, with a step ``M`` times larger; on a base level
     it is ``None`` and the fine member runs alone.  Every grid carries the
     plan's theta.  ``delta`` switches on drift taming with the given
-    exponent; ``None`` runs the plain drift.
+    exponent; ``None`` runs the plain drift.  A coarse grid whose step
+    count and delay offset are not those of the fine grid over ``M``, or
+    whose theta differs, is refused with ``ValueError``.
     """
 
     problem: SddeProblem
@@ -70,6 +78,15 @@ class LevelPair:
     grid_fine: GridSpec
     grid_coarse: GridSpec | None
     delta: float | None = None
+
+    def __post_init__(self):
+        fine, coarse, M = self.grid_fine, self.grid_coarse, self.M
+        if coarse is not None and (
+                fine.total_steps_N != M * coarse.total_steps_N
+                or fine.steps_per_delay_m != M * coarse.steps_per_delay_m
+                or fine.theta != coarse.theta):
+            raise ValueError(f"coarse grid {coarse} does not nest in fine "
+                             f"grid {fine} at M = {M}")
 
     @classmethod
     def for_problem(
@@ -83,14 +100,19 @@ class LevelPair:
         coupled: bool = True,
     ) -> "LevelPair":
         """The plan of ``level``: a pair, or with ``coupled=False`` a base
-        level, which skips the checks that only a coarse member needs."""
+        level, which skips the checks that only a coarse member needs.
+
+        A tamed plan's coarsest member needs level >= 1, since it tames
+        with the step of the level below: :class:`AdmissibilityError`
+        otherwise, before any grid is built."""
         if coupled and level < 1:
             raise ValueError(f"a pair needs level >= 1, got {level}")
-        if coupled and delta is not None and level < 2:
-            raise ValueError(
-                "a tamed pair needs level >= 2: the coarse member tames "
-                f"with the step of level {level - 2}"
-            )
+        floor = 2 if coupled else 1  # the coarsest member's level is >= 1
+        if delta is not None and level < floor:
+            raise AdmissibilityError(
+                f"a tamed {'pair' if coupled else 'base level'} needs level "
+                f">= {floor}: its coarsest member tames with the step of "
+                f"level {level - floor}")
         grid_fine = GridSpec.for_problem(problem, theta=theta, level=level,
                                          M=M)
         if not coupled:
@@ -126,13 +148,13 @@ class LevelPair:
                                         self.delta), where)
                 for grid, level, where in grids]
 
-    def noise_stream(self, master_seed: int, path_index) -> NoiseStream:
-        """Stream of this plan: one draw of the problem's noise dimension
-        per fine step."""
+    def noise_stream(self, master_seed: int, paths: range) -> NoiseStream:
+        """Stream of this plan for the consecutive ``paths``: one draw of
+        the problem's noise dimension per fine step."""
         return NoiseStream(
             master_seed=master_seed,
             level=self.level,
-            path_index=path_index,
+            paths=paths,
             dim=self.problem.dim_noise,
             n_steps=self.grid_fine.total_steps_N,
         )
@@ -161,7 +183,7 @@ class LevelPair:
         paths ``[a, b)`` on the substreams ``(seed, level, path)``: the
         payoff twice on a base level, whose delta is the payoff itself,
         and :func:`coupled_payoff_delta` on a pair."""
-        out = self.run(self.noise_stream(seed, np.arange(a, b)))
+        out = self.run(self.noise_stream(seed, range(a, b)))
         if self.grid_coarse is None:
             values = psi.eval(out.terminal)
             return values, values

@@ -35,7 +35,7 @@ import numpy as np
 
 from .coupling import LevelPair
 from .model import Payoff, SddeProblem
-from .scheme import AdmissibilityError, NonConvergence
+from .scheme import NonConvergence
 
 __all__ = ["LevelStats", "MlmcEstimate", "estimate_level",
            "single_level_estimate", "mlmc_estimate"]
@@ -329,11 +329,6 @@ def mlmc_estimate(
     if base_level > max_level:
         raise ValueError(
             f"base_level {base_level} exceeds max_level {max_level}")
-    if delta is not None and base_level < 2:
-        raise AdmissibilityError(
-            f"tamed estimates need base_level >= 2, got {base_level} "
-            "(the coarse member of the first coupled pair tames with the "
-            "two-coarser step, which must exist)")
     if (samples_per_level is None) == (target_se is None):
         raise ValueError(
             "exactly one of samples_per_level and target_se is required")

@@ -1,7 +1,7 @@
 """Counter-based Gaussian noise with coordinate addressing.
 
 Every normal variate used by a simulation is a pure function of the tuple
-``(master_seed, level, path_index, step, component)``, where ``step`` is
+``(master_seed, level, path, step, component)``, where ``step`` is
 the flat step of the finest grid the stream drives.  That makes runs
 reproducible independently of execution order, chunking or worker count,
 lets a coarse path consume exactly the sum of its fine path's increments,
@@ -13,13 +13,14 @@ The word generator is Philox-4x64 with 10 rounds (Salmon et al.,
 C implementation, ``numpy.random.Philox``.  The key is
 ``(master_seed, level)``.  The counters are laid out path-fastest: draw
 ``c`` of path ``p`` at step ``j`` is word ``i mod 4`` of the block at
-counter ``(i // 4, j, 0, 0)``, with ``i = p * dim + c``.  The draws of a
-run of consecutive paths at one step are therefore consecutive words of
-consecutive blocks, and one ``random_raw`` call returns them: the
-generator's documented ``state`` counter is set one below the first
-block (numpy increments the counter before it generates), and the batch's
-words are sliced out of the returned blocks, from the middle of a block
-where the batch starts there.
+counter ``(i // 4, j, 0, 0)``, with ``i = p * dim + c``.  A stream draws
+for a ``range`` of consecutive paths, so its draws at one step are
+consecutive words of consecutive blocks, and one ``random_raw`` call
+returns them: the generator's documented ``state`` counter is set one
+below the first block (numpy increments the counter before it
+generates), and the batch's words are sliced out of the returned blocks,
+from the middle of a block where the batch starts there.  The draws keep
+the path axis for a range of one path too.
 
 Words map to uniforms in (0, 1) via the top 52 bits,
 ``u = ((w >> 12) + 0.5) * 2**-52`` (both endpoints of the word range land
@@ -40,8 +41,7 @@ No estimator combines the two, so they need no separate counter space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Philox
@@ -74,13 +74,13 @@ def _seek(gen: Philox, state: dict, counter: int) -> None:
     gen.state = state
 
 
-def _draws(key: tuple[int, int], steps: range, first_path: int,
-           n_paths: int, dim: int) -> np.ndarray:
-    """Normals of paths ``first_path ..`` at ``steps``, shape
-    (len(steps), n_paths, dim), in a new array: one ``random_raw`` call
-    per step, whose words ``ndtri`` maps straight into that step's row."""
-    width = n_paths * dim
-    first_block, skip = divmod(first_path * dim, 4)
+def _draws(key: tuple[int, int], steps: range, paths: range,
+           dim: int) -> np.ndarray:
+    """Normals of ``paths`` at ``steps``, shape (len(steps), len(paths),
+    dim), in a new array: one ``random_raw`` call per step, whose words
+    ``ndtri`` maps straight into that step's row."""
+    width = len(paths) * dim
+    first_block, skip = divmod(paths.start * dim, 4)
     n_words = 4 * -(-(skip + width) // 4)
     gen = Philox(key=key[0] | key[1] << 64)
     state = gen.state
@@ -89,7 +89,7 @@ def _draws(key: tuple[int, int], steps: range, first_path: int,
         _seek(gen, state, first_block + (j << 64))
         ndtri(uniforms_from_words(gen.random_raw(n_words)[skip:skip + width]),
               out=normals[row])
-    return normals.reshape(len(steps), n_paths, dim)
+    return normals.reshape(len(steps), len(paths), dim)
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,10 @@ class NoiseStream:
     level : int
         Level tag, second key word.  Streams with different levels are
         independent even for the same seed.
-    path_index : int or ndarray of int
-        Sample path, or batch of consecutive paths, this stream draws for.
+    paths : range
+        The consecutive sample paths this stream draws for: a ``range`` of
+        step 1 from a start >= 0, else ``TypeError`` (not a range) or
+        ``ValueError``.  An empty range draws an empty batch.
     dim : int
         Number of normal components per increment.
     n_steps : int, optional
@@ -113,23 +115,17 @@ class NoiseStream:
 
     Notes
     -----
-    ``gaussian_increment(j)`` returns the i.i.d. N(0, I_dim) vector
-    attached to step ``j``; for a batch ``path_index`` of shape (P,) the
-    result has shape (P, dim).  The object holds no mutable state, so
-    draws may be requested in any order and from any thread with
-    identical results.
+    ``gaussian_increment(j)`` returns the i.i.d. N(0, I_dim) vectors of
+    the ``P = len(paths)`` paths at step ``j``, shape (P, dim), one path
+    included.  The object holds no mutable state, so draws may be
+    requested in any order and from any thread with identical results.
     """
 
     master_seed: int
     level: int
-    path_index: Union[int, np.ndarray]
+    paths: range
     dim: int
     n_steps: int | None = None
-    # The batch's first path, its path count and whether it is one scalar
-    # path, checked and set once by __post_init__.
-    _first: int = field(init=False, repr=False, compare=False)
-    _count: int = field(init=False, repr=False, compare=False)
-    _scalar: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 <= int(self.master_seed) <= _MASK64:
@@ -140,22 +136,14 @@ class NoiseStream:
             raise ValueError("dim must be >= 1")
         if self.n_steps is not None and int(self.n_steps) < 1:
             raise ValueError("n_steps must be >= 1 when given")
-        paths = np.atleast_1d(np.asarray(self.path_index))
-        if paths.ndim != 1:
-            raise ValueError("path_index must be a scalar or a 1-d array")
-        if not np.issubdtype(paths.dtype, np.integer):
-            raise TypeError("path_index must be integer-valued")
-        if paths.size and int(paths.min()) < 0:
-            raise ValueError("path_index must be non-negative")
-        if paths.size > 1 and np.any(np.diff(paths) != 1):
-            raise ValueError("path_index must be a run of consecutive paths")
-        if paths.size and (int(paths[-1]) + 1) * int(self.dim) > 4 << 64:
+        if not isinstance(self.paths, range):
+            raise TypeError(f"paths must be a range, got {self.paths!r}")
+        if self.paths.step != 1 or self.paths.start < 0:
+            raise ValueError(f"paths {self.paths} need step 1, start >= 0")
+        if self.paths.stop * int(self.dim) > 4 << 64:
             raise ValueError(
-                f"paths up to {int(paths[-1])} at dim {self.dim} overflow "
-                "the 64-bit block counter")
-        object.__setattr__(self, "_first", int(paths[0]) if paths.size else 0)
-        object.__setattr__(self, "_count", paths.size)
-        object.__setattr__(self, "_scalar", np.ndim(self.path_index) == 0)
+                f"paths up to {self.paths.stop - 1} at dim {self.dim} "
+                "overflow the 64-bit block counter")
 
     def _check(self, j: int) -> None:
         if not 0 <= j <= _MASK64 or (
@@ -165,7 +153,8 @@ class NoiseStream:
             raise IndexError(f"step {j} outside [0, {bound}) for this stream")
 
     def gaussian_increment(self, j: int | range) -> np.ndarray:
-        """N(0, I_dim) vector for step ``j``.
+        """N(0, I_dim) vectors of the paths at step ``j``, shape
+        (n_paths, dim).
 
         ``j`` may also be a ``range`` of consecutive steps; the result is
         then the per-step draws stacked along a new leading axis, equal
@@ -179,11 +168,9 @@ class NoiseStream:
             self._check(steps.start)
             self._check(steps[-1])
         z = _draws((int(self.master_seed), int(self.level)), steps,
-                   self._first, self._count, int(self.dim))
-        if self._scalar:
-            z = z[:, 0]
+                   self.paths, int(self.dim))
         return z if isinstance(j, range) else z[0]
 
     @property
     def n_paths(self) -> int:
-        return self._count
+        return len(self.paths)

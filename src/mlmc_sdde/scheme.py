@@ -499,14 +499,13 @@ _BLOCK_DRAWS = 2**15
 def _stream_increments(noise: NoiseStream,
                        n_steps: int) -> Iterator[np.ndarray]:
     """The draws of steps ``0 .. n_steps - 1`` of ``noise``, one ``(P, d)``
-    array per step, ``P`` being 1 for one path; read ``_BLOCK_DRAWS //
-    (P d)`` steps (at least one) at a time, the one place the package
-    draws normals."""
+    array per step; read ``_BLOCK_DRAWS // (P d)`` steps (at least one) at
+    a time, the one place the package draws normals."""
     block = max(1, _BLOCK_DRAWS // max(1, noise.n_paths * noise.dim))
     for start in range(0, n_steps, block):
         draws = noise.gaussian_increment(
             range(start, min(start + block, n_steps)))
-        yield from draws.reshape(len(draws), noise.n_paths, noise.dim)
+        yield from draws
         del draws  # hold no view of this block while drawing the next
 
 
@@ -584,11 +583,10 @@ def _lockstep(problem: SddeProblem, members: list,
     ``noise`` comes in three forms:
 
     * a :class:`NoiseStream` of the problem's noise dimension that covers
-      the finest grid, else ``ValueError``.  Each draw is scaled by the
-      square root of the finest step.  The stream is read a block of
-      steps at a time, and not at all when the problem's eps is 0.  A
-      stream of one path index runs one path, stored without the batch
-      axis.
+      the finest grid, else ``ValueError``.  Its paths are the batch, one
+      path included.  Each draw is scaled by the square root of the
+      finest step.  The stream is read a block of steps at a time, and
+      not at all when the problem's eps is 0.
     * the Brownian increments ``dW`` themselves, already scaled: any
       iterable of ``(P, d)`` arrays, one per fine step, a ``(N, P, d)``
       array included, taken as they are and read as the steps run.  The
@@ -612,7 +610,7 @@ def _lockstep(problem: SddeProblem, members: list,
         if noise.n_steps is not None and noise.n_steps < N:
             raise ValueError(f"stream covers {noise.n_steps} fine steps, "
                              f"grid needs {N}")
-        n_paths = noise.n_paths if np.ndim(noise.path_index) else None
+        n_paths = noise.n_paths
         if problem.noise_scale:
             draws = _stream_increments(noise, N)
         scale = math.sqrt(members[0][0].step_h)
@@ -668,13 +666,13 @@ def theta_em_path(
         Problem instance and grid; the grid is validated against the
         problem and the step-size restrictions.
     noise : NoiseStream or iterable of increments or None
-        A stream (step ``j`` consumes draw ``j``, so the stream of a
-        coupled pair at this grid's level drives the pair's fine member
-        identically), the increments ``dW`` themselves, one ``(P, d)``
-        array per step, or ``None`` for the drift-only skeleton, in the
-        forms that the scheme's one driver, ``_lockstep``, reads and
-        checks (see its docstring and the ``scheme`` section of
-        README.md).
+        A stream, whose ``range`` of paths is the batch (step ``j``
+        consumes draw ``j``, so the stream of a coupled pair at this
+        grid's level drives the pair's fine member identically), the
+        increments ``dW`` themselves, one ``(P, d)`` array per step, or
+        ``None`` for the drift-only skeleton, in the forms that the
+        scheme's one driver, ``_lockstep``, reads and checks (see its
+        docstring and the ``scheme`` section of README.md).
     taming : TamedDrift, optional
         Drift replacement for one-sided problems.
     full_path : bool, keyword-only
@@ -686,9 +684,10 @@ def theta_em_path(
     Returns
     -------
     DelayBuffer
-        History plus computed path, shape ``(N + m + 1, P, a)``, or
-        ``(N + m + 1, a)`` on ``None`` or a stream of one path index; with
-        ``full_path=False`` the first axis has length ``m + 1``.
+        History plus computed path, shape ``(N + m + 1, P, a)`` for the
+        ``P`` paths of a stream or of the increments, or ``(N + m + 1,
+        a)`` on ``None``; with ``full_path=False`` the first axis has
+        length ``m + 1``.
     """
     return _lockstep(problem, [(grid, taming, "")], noise,
                      full_path=full_path)[0]

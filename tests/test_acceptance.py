@@ -146,21 +146,21 @@ def test_criterion_02_degeneracy_suite():
     problem = builtin_problem("linear_scalar", eps=eps)
     grid = GridSpec.for_problem(problem, theta=0.0, level=3)
     h, m, n_steps = grid.step_h, grid.steps_per_delay_m, grid.total_steps_N
-    stream = NoiseStream(master_seed=314, level=3, path_index=11, dim=1,
-                         n_steps=n_steps)
+    stream = NoiseStream(master_seed=314, level=3, paths=range(11, 12),
+                         dim=1, n_steps=n_steps)
     path = theta_em_path(problem, grid, noise=stream)
     sqh = math.sqrt(h)
     vals = np.full(n_steps + m + 1, x0)
     for n in range(n_steps):
         x, y = vals[m + n], vals[n]
-        dw = sqh * stream.gaussian_increment(n)[0]
+        dw = sqh * stream.gaussian_increment(n)[0, 0]
         vals[m + n + 1] = (x + h * (a1 * x + a2 * y)) + eps * ((b1 * x + b2 * y) * dw)
-    np.testing.assert_array_equal(path.values[:, 0], vals)
+    np.testing.assert_array_equal(path.values[:, 0, 0], vals)
 
     # (b) eps = 0 with a live noise stream is bit for bit the skeleton.
     problem0 = builtin_problem("linear_scalar", eps=0.0)
     grid0 = GridSpec.for_problem(problem0, theta=0.5, level=4)
-    stream0 = NoiseStream(master_seed=99, level=4, path_index=np.arange(3),
+    stream0 = NoiseStream(master_seed=99, level=4, paths=range(3),
                           dim=1, n_steps=grid0.total_steps_N)
     noisy = theta_em_path(problem0, grid0, noise=stream0)
     skeleton = deterministic_skeleton(problem0, grid0)
@@ -171,7 +171,7 @@ def test_criterion_02_degeneracy_suite():
     frozen = builtin_problem("zero_dynamics", x0=2.5, eps=0.7)
     for theta in (0.0, 0.5, 1.0):
         grid_z = GridSpec.for_problem(frozen, theta=theta, level=3)
-        stream_z = NoiseStream(master_seed=5, level=3, path_index=np.arange(4),
+        stream_z = NoiseStream(master_seed=5, level=3, paths=range(4),
                                dim=1, n_steps=grid_z.total_steps_N)
         path_z = theta_em_path(frozen, grid_z, noise=stream_z)
         assert np.all(path_z.values == 2.5)
@@ -180,7 +180,7 @@ def test_criterion_02_degeneracy_suite():
     #     nodes because the coarse member consumes the summed increments.
     pure = builtin_problem("additive_noise", a1=0.0, a2=0.0, eps=0.3)
     pair = LevelPair.for_problem(pure, level=4, M=2, theta=0.0)
-    stream_p = pair.noise_stream(master_seed=7, path_index=np.arange(256))
+    stream_p = pair.noise_stream(master_seed=7, paths=range(256))
     coupled = simulate_coupled(pair, stream_p)
     diff = np.abs(coupled.state_difference())
     ref = 1.0 + np.abs(coupled.coarse_on_grid)
@@ -441,7 +441,7 @@ def test_criterion_07b_tamed_moments_bounded(tamed_rates):
                             h_coarse=problem.horizon * 2.0 ** -(level - 1),
                             delta=0.25)
         stream = NoiseStream(master_seed=0, level=level,
-                             path_index=np.arange(4000), dim=1,
+                             paths=range(4000), dim=1,
                              n_steps=grid.total_steps_N)
         path = theta_em_path(problem, grid, noise=stream, taming=taming)
         body = path.values[grid.steps_per_delay_m:]
@@ -456,7 +456,7 @@ def test_criterion_07b_tamed_moments_bounded(tamed_rates):
 def test_criterion_07c_untamed_explicit_explodes():
     problem = builtin_problem("cubic_onesided", eps=1e-4)
     grid = GridSpec.for_problem(problem, theta=0.0, level=3)
-    stream = NoiseStream(master_seed=0, level=3, path_index=np.arange(4000),
+    stream = NoiseStream(master_seed=0, level=3, paths=range(4000),
                          dim=1, n_steps=grid.total_steps_N)
     with np.errstate(over="ignore", invalid="ignore"):
         path = theta_em_path(problem, grid, noise=stream, taming=None)

@@ -116,7 +116,7 @@ def test_skeleton_matches_zero_noise_scheme_bitwise(theta):
     problem = builtin_problem("linear_scalar").with_noise_scale(0.0)
     grid = GridSpec.for_problem(problem, theta=theta, level=4)
     skeleton = deterministic_skeleton(problem, grid)
-    stream = NoiseStream(master_seed=9, level=4, path_index=np.arange(3),
+    stream = NoiseStream(master_seed=9, level=4, paths=range(3),
                          dim=problem.dim_noise,
                          n_steps=grid.total_steps_N)
     driven = theta_em_path(problem, grid, noise=stream)
@@ -453,7 +453,7 @@ def test_strong_error_tames_each_level_by_its_own_rule():
              for lv in (ref, *levels)}
     n_ref = grids[ref].total_steps_N
     stream = NoiseStream(master_seed=seed, level=ref,
-                         path_index=np.arange(n_paths),
+                         paths=range(n_paths),
                          dim=problem.dim_noise, n_steps=n_ref)
     dw = stream.gaussian_increment(range(n_ref)).reshape(
         n_ref, n_paths, problem.dim_noise) * np.sqrt(grids[ref].step_h)

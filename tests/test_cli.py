@@ -547,6 +547,21 @@ def test_tamed_run_records_delta_column(tmp_path):
         "mean_delta", "var_delta"}
 
 
+def test_tamed_mlmc_runs_from_base_level_one(tmp_path, capsys):
+    # The base plan at level 1 tames with the step of level 0 and the
+    # level-2 pair's coarse member too, so every plan of the run exists.
+    cfg_file = tmp_path / "t.conf"
+    cfg_file.write_text("tau=0.5\n", encoding="utf-8")
+    out = tmp_path / "tamed.csv"
+    code = _run(["--config", str(cfg_file), "--experiment", "mlmc",
+                 "--problem", "cubic_onesided", "--theta", "0.5",
+                 "--delta", "0.5", "--base-level", "1", "--max-level", "4",
+                 "--samples", "200", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    rows = list(csv.DictReader(io.StringIO(out.read_text(encoding="utf-8"))))
+    assert sorted({int(row["level"]) for row in rows}) == [1, 2, 3, 4]
+
+
 @pytest.mark.parametrize("problem, theta", [("cubic_onesided", "0.5"),
                                             ("linear_scalar", "0.0")])
 def test_tamed_strong_sweep_runs_and_records_delta(tmp_path, problem, theta):

@@ -32,7 +32,7 @@ from mlmc_sdde.scheme import (
 )
 
 
-def _stream_for(pair, seed=0, paths=np.arange(16)):
+def _stream_for(pair, seed=0, paths=range(16)):
     return pair.noise_stream(seed, paths)
 
 
@@ -82,6 +82,25 @@ def test_level_pair_tamed_needs_level_two():
     assert taming_for_level(p, untamed.level, untamed.M, untamed.delta) is None
 
 
+def test_level_pair_refuses_a_coarse_grid_that_does_not_nest():
+    p = builtin_problem("linear_scalar")
+
+    def grid(level, M=2, theta=0.0):
+        return GridSpec.for_problem(p, theta=theta, level=level, M=M)
+
+    for M, fine, coarse in [
+            (2, grid(3), grid(4)),  # coarser than fine: no step ratio
+            (2, grid(3), grid(3)),  # the fine grid twice
+            (4, grid(3, M=4), grid(2)),  # the level-2 grid of M = 2
+            (2, grid(3, theta=0.5), grid(2))]:  # another theta
+        with pytest.raises(ValueError, match="does not nest in fine grid"):
+            LevelPair(problem=p, M=M, level=3, grid_fine=fine,
+                      grid_coarse=coarse)
+    pair = LevelPair(problem=p, M=4, level=3, grid_fine=grid(3, M=4),
+                     grid_coarse=grid(2, M=4))
+    assert pair == LevelPair.for_problem(p, 3, M=4)
+
+
 def test_level_pair_rejects_bad_m():
     p = builtin_problem("linear_scalar")
     with pytest.raises(ValueError):
@@ -111,15 +130,15 @@ def test_zero_drift_additive_pair_agrees_at_coarse_nodes(M, theta):
 
 
 @pytest.mark.parametrize("name, M, level, theta, delta, paths", [
-    ("linear_scalar", 2, 4, 0.0, None, np.arange(8)),
-    ("linear_scalar", 2, 4, 0.5, None, np.arange(8)),
-    ("linear_scalar", 4, 3, 0.0, None, np.arange(8)),
-    ("linear_scalar", 4, 3, 0.5, None, np.arange(8)),
-    ("cubic_onesided", 2, 4, 0.5, 0.5, np.arange(8)),
-    ("linear_scalar", 2, 4, 0.5, None, 5),
+    ("linear_scalar", 2, 4, 0.0, None, range(8)),
+    ("linear_scalar", 2, 4, 0.5, None, range(8)),
+    ("linear_scalar", 4, 3, 0.0, None, range(8)),
+    ("linear_scalar", 4, 3, 0.5, None, range(8)),
+    ("cubic_onesided", 2, 4, 0.5, 0.5, range(8)),
+    ("linear_scalar", 2, 4, 0.5, None, range(5, 6)),
     # 3000 paths are drawn 21 steps at a time, so the draw blocks end
     # inside the 4-step blocks of the coarse increments.
-    ("linear_scalar", 4, 3, 0.0, None, np.arange(3000)),
+    ("linear_scalar", 4, 3, 0.0, None, range(3000)),
 ], ids=["0.0", "0.5", "M4-0.0", "M4-0.5", "tamed-0.5", "scalar-path",
         "M4-block-edge"])
 def test_pair_members_match_standalone_paths_bitwise(name, M, level, theta,
@@ -141,34 +160,28 @@ def test_pair_members_match_standalone_paths_bitwise(name, M, level, theta,
     for k in range(1, M):
         csum = csum + xi[k::M]
     dw = math.sqrt(pair.grid_fine.step_h) * csum
-    if np.ndim(paths) == 0:
-        # One path index draws (N, d): run it as a batch of one path.
-        dw = dw[:, None]
     coarse_alone = theta_em_path(
         p, pair.grid_coarse, noise=dw,
         taming=taming_for_level(p, level - 1, M, delta))
-    alone = coarse_alone.values
-    np.testing.assert_array_equal(out.coarse.values,
-                                  alone[:, 0] if np.ndim(paths) == 0 else alone)
-    assert out.fine.values.shape[1:] == ((1,) if np.ndim(paths) == 0
-                                         else (len(paths), 1))
+    np.testing.assert_array_equal(out.coarse.values, coarse_alone.values)
+    assert out.fine.values.shape[1:] == (len(paths), 1)
 
 
 def test_pair_skeleton_matches_single_grid_skeletons():
     p = builtin_problem("linear_scalar", eps=0.0)
     pair = LevelPair.for_problem(p, level=5, M=2, theta=0.5)
-    stream = pair.noise_stream(0, 0)
+    stream = pair.noise_stream(0, range(1))
     out = simulate_coupled(pair, stream)
     fine_skel = theta_em_path(p, pair.grid_fine)
     coarse_skel = theta_em_path(p, pair.grid_coarse)
-    np.testing.assert_array_equal(out.fine.values, fine_skel.values)
-    np.testing.assert_array_equal(out.coarse.values, coarse_skel.values)
+    np.testing.assert_array_equal(out.fine.values[:, 0], fine_skel.values)
+    np.testing.assert_array_equal(out.coarse.values[:, 0], coarse_skel.values)
 
 
 def test_fine_on_coarse_grid_alignment():
     p = builtin_problem("linear_scalar", eps=0.2)
     pair = LevelPair.for_problem(p, level=3, M=2)
-    stream = _stream_for(pair, seed=3, paths=np.arange(4))
+    stream = _stream_for(pair, seed=3, paths=range(4))
     out = simulate_coupled(pair, stream)
     fg = out.fine_on_coarse_grid
     n_coarse = pair.grid_coarse.total_steps_N
@@ -183,7 +196,7 @@ def test_fine_on_coarse_grid_alignment():
 def test_coupled_payoff_delta_recomputes():
     p = builtin_problem("linear_scalar", eps=0.4)
     pair = LevelPair.for_problem(p, level=3, M=2, theta=0.5)
-    stream = _stream_for(pair, seed=9, paths=np.arange(32))
+    stream = _stream_for(pair, seed=9, paths=range(32))
     out = simulate_coupled(pair, stream)
     payoff = builtin_payoff("tanh")
     delta, fine = coupled_payoff_delta(out, payoff)
@@ -209,9 +222,9 @@ def test_fine_member_is_the_single_level_path_of_its_level(name, theta,
     p = builtin_problem(name, eps=0.3)
     pair = LevelPair.for_problem(p, level=4, M=2, theta=theta, delta=delta)
     grid = pair.grid_fine
-    paths = np.arange(5, 12)
+    paths = range(5, 12)
     out = simulate_coupled(pair, pair.noise_stream(8, paths))
-    single = NoiseStream(master_seed=8, level=4, path_index=paths, dim=1,
+    single = NoiseStream(master_seed=8, level=4, paths=paths, dim=1,
                          n_steps=grid.total_steps_N)
     alone = theta_em_path(p, grid, noise=single,
                           taming=taming_for_level(p, 4, 2, delta))
@@ -241,11 +254,11 @@ def test_base_plan_payoffs_are_the_fines_of_the_pair(name, theta, delta):
 def test_simulate_coupled_validates_stream():
     p = builtin_problem("linear_scalar")
     pair = LevelPair.for_problem(p, level=3, M=2)
-    bad_dim = NoiseStream(master_seed=0, level=3, path_index=0, dim=2,
+    bad_dim = NoiseStream(master_seed=0, level=3, paths=range(1), dim=2,
                           n_steps=8)
     with pytest.raises(ValueError, match="dim"):
         simulate_coupled(pair, bad_dim)
-    short = NoiseStream(master_seed=0, level=3, path_index=0, dim=1,
+    short = NoiseStream(master_seed=0, level=3, paths=range(1), dim=1,
                         n_steps=4)
     with pytest.raises(ValueError, match="fine steps"):
         simulate_coupled(pair, short)
@@ -261,7 +274,7 @@ def test_simulate_coupled_validates_stream():
 def test_an_empty_stream_batch_runs_to_empty_paths(name, theta, delta):
     p = builtin_problem(name)
     pair = LevelPair.for_problem(p, level=4, M=2, theta=theta, delta=delta)
-    empty = pair.noise_stream(3, np.arange(0))
+    empty = pair.noise_stream(3, range(0))
     alone = theta_em_path(p, pair.grid_fine, noise=empty,
                           taming=taming_for_level(p, 4, 2, delta))
     out = simulate_coupled(pair, empty)
@@ -316,7 +329,7 @@ def test_pair_difference_shrinks_with_level():
     sups = []
     for level in (3, 5, 7):
         pair = LevelPair.for_problem(p, level=level, M=2, theta=0.5)
-        stream = pair.noise_stream(7, np.arange(256))
+        stream = pair.noise_stream(7, range(256))
         out = simulate_coupled(pair, stream)
         diff = out.state_difference()
         sups.append(np.max(np.mean(np.sum(diff**2, axis=-1), axis=-1)))
@@ -329,14 +342,14 @@ def test_pair_difference_shrinks_with_level():
 def test_tamed_pair_stays_bounded_where_untamed_explodes():
     p = builtin_problem("cubic_onesided", x0=5.0, eps=1e-4)
     pair = LevelPair.for_problem(p, level=4, M=2, theta=0.0, delta=0.25)
-    stream = pair.noise_stream(1, np.arange(64))
+    stream = pair.noise_stream(1, range(64))
     out = simulate_coupled(pair, stream)
     assert np.all(np.isfinite(out.fine.values))
     assert np.all(np.isfinite(out.coarse.values))
     assert np.max(np.abs(out.fine.values)) < 50.0
 
     untamed_grid = GridSpec.for_problem(p, theta=0.0, level=3)
-    single = NoiseStream(master_seed=1, level=3, path_index=np.arange(4),
+    single = NoiseStream(master_seed=1, level=3, paths=range(4),
                          dim=1, n_steps=untamed_grid.total_steps_N)
     with np.errstate(over="ignore", invalid="ignore"):
         wild = theta_em_path(p, untamed_grid, noise=single)
@@ -357,7 +370,7 @@ def _interval_stat(problem, level, n_paths, seed, squared):
     maximised over (n, k).
     """
     pair = LevelPair.for_problem(problem, level, M=2, theta=0.0)
-    stream = pair.noise_stream(seed, np.arange(n_paths))
+    stream = pair.noise_stream(seed, range(n_paths))
     coupled = simulate_coupled(pair, stream)
     vf = coupled.fine.values[coupled.fine.m:]
     base = vf[:-1:pair.M]
@@ -429,7 +442,7 @@ def test_window_pair_is_tail_of_full_pair_bitwise(name, M, level, theta,
     p = builtin_problem(name, eps=eps)
     pair = LevelPair.for_problem(p, level=level, M=M, theta=theta,
                                  delta=delta)
-    for paths in (np.arange(5), 2):
+    for paths in (range(5), range(2, 3)):
         stream = _stream_for(pair, seed=9, paths=paths)
         full = simulate_coupled(pair, stream)
         window = simulate_coupled(pair, stream, full_path=False)
@@ -454,7 +467,7 @@ def test_window_pair_memory_does_not_grow_with_its_steps(level):
     p = builtin_problem("linear_scalar")
     pair = LevelPair.for_problem(p, level=level, M=2)
     paths = 4096
-    stream = _stream_for(pair, paths=np.arange(paths))
+    stream = _stream_for(pair, paths=range(paths))
     tracemalloc.start()
     try:
         simulate_coupled(pair, stream, full_path=False)

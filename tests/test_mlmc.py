@@ -132,7 +132,7 @@ def test_streaming_matches_two_pass_oracle(monkeypatch):
     monkeypatch.setattr(mlmc, "CHUNK_SIZE", 256)
     s = estimate_level(prob, TANH, level=4, theta=0.0, n_samples=n, seed=9)
     pair = LevelPair.for_problem(prob, 4, theta=0.0)
-    coupled = simulate_coupled(pair, pair.noise_stream(9, np.arange(n)))
+    coupled = simulate_coupled(pair, pair.noise_stream(9, range(n)))
     deltas, fines = coupled_payoff_delta(coupled, TANH)
     assert s.samples == n
     assert math.isclose(s.mean_delta, float(np.mean(deltas)), rel_tol=1e-12)
@@ -197,7 +197,7 @@ def test_single_level_matches_direct_monte_carlo(monkeypatch):
     s = single_level_estimate(prob, TANH, level=5, theta=0.5, n_samples=n,
                               seed=21)
     grid = GridSpec.for_problem(prob, theta=0.5, level=5)
-    stream = NoiseStream(master_seed=21, level=5, path_index=np.arange(n),
+    stream = NoiseStream(master_seed=21, level=5, paths=range(n),
                          dim=1, n_steps=grid.total_steps_N)
     path = theta_em_path(prob, grid, noise=stream)
     vals = TANH.eval(path.terminal)
@@ -411,10 +411,67 @@ def test_argument_validation():
 
 
 def test_tamed_base_level_floor():
-    prob = builtin_problem("cubic_onesided")
-    with pytest.raises(AdmissibilityError, match="base_level >= 2"):
-        mlmc_estimate(prob, TANH, base_level=1, max_level=4, delta=0.25,
-                      target_se=0.1)
+    # A tamed base level tames with the step of the level below it, so
+    # base level 0 is refused and base level 1 runs.
+    short = builtin_problem("cubic_onesided", tau=0.5, horizon=0.5)
+    with pytest.raises(AdmissibilityError,
+                       match="tamed base level needs level >= 1"):
+        mlmc_estimate(short, TANH, base_level=0, max_level=3, theta=0.5,
+                      delta=0.5, samples_per_level=[8] * 4)
+    est = mlmc_estimate(builtin_problem("cubic_onesided", tau=0.5), TANH,
+                        base_level=1, max_level=4, theta=0.5, delta=0.5,
+                        samples_per_level=[200] * 4)
+    assert [s.level for s in est.levels] == [1, 2, 3, 4]
+    assert math.isfinite(est.value) and math.isfinite(est.std_error)
+
+
+# Every tamed plan's coarsest member tames with the step of the level
+# below it, which must be a level: a tamed base level needs level >= 1 and
+# a tamed pair level >= 2.  At tau = T = 0.5 level 0 has a grid, and level
+# 1 an M-divisible delay offset, so only that floor refuses these.
+_SHORT_CUBIC = builtin_problem("cubic_onesided", tau=0.5, horizon=0.5)
+_TAMED = dict(theta=0.5, delta=0.5)
+
+
+@pytest.mark.parametrize("call, plan", [
+    (lambda: single_level_estimate(_SHORT_CUBIC, TANH, 0, n_samples=10,
+                                   **_TAMED), "base level"),
+    (lambda: estimate_level(_SHORT_CUBIC, TANH, 1, n_samples=10, **_TAMED),
+     "pair"),
+    (lambda: mlmc_estimate(_SHORT_CUBIC, TANH, 0, 3,
+                           samples_per_level=[10] * 4, **_TAMED),
+     "base level"),
+    (lambda: LevelPair.for_problem(_SHORT_CUBIC, 0, coupled=False, **_TAMED),
+     "base level"),
+    (lambda: LevelPair.for_problem(_SHORT_CUBIC, 1, **_TAMED), "pair"),
+], ids=["single_level_estimate", "estimate_level", "mlmc_estimate",
+        "for_problem-base", "for_problem-pair"])
+def test_tamed_plan_below_the_floor_is_refused_before_any_path(
+        monkeypatch, call, plan):
+    def fail(*args, **kwargs):
+        raise AssertionError("ran past the tamed floor")
+
+    monkeypatch.setattr(mlmc, "_run_chunks", fail)
+    monkeypatch.setattr(GridSpec, "for_problem", fail)
+    floor = 1 if plan == "base level" else 2
+    with pytest.raises(AdmissibilityError,
+                       match=f"a tamed {plan} needs level >= {floor}: its "
+                       "coarsest member tames with the step of level -1"):
+        call()
+
+
+def test_tamed_base_level_one_estimate_is_the_sum_of_its_levels():
+    p = builtin_problem("cubic_onesided", tau=0.5)
+    est = mlmc_estimate(p, TANH, 1, 4, samples_per_level=[50] * 4, seed=4,
+                        **_TAMED)
+    levels = (single_level_estimate(p, TANH, 1, n_samples=50, seed=4,
+                                    **_TAMED),
+              *(estimate_level(p, TANH, level, n_samples=50, seed=4,
+                               **_TAMED) for level in (2, 3, 4)))
+    assert est.levels == levels
+    assert est.value == levels[0].mean_delta + sum(
+        s.mean_delta for s in levels[1:])
+    assert math.isfinite(est.value)
 
 
 def test_tamed_mlmc_runs():

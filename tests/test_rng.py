@@ -143,10 +143,10 @@ def _oracle_normal(seed, level, path, step, comp, dim):
 
 def test_increment_equals_ndtri_of_oracle_words():
     # Path 0 at step 0 positions the generator one below counter zero.
-    paths = np.arange(6)
+    paths = range(6)
     for dim in (1, 3, 5, 9):
         for seed in (42, _MASK):
-            got = NoiseStream(master_seed=seed, level=2, path_index=paths,
+            got = NoiseStream(master_seed=seed, level=2, paths=paths,
                               dim=dim).gaussian_increment(range(3))
             assert got.shape == (3, 6, dim)
             want = [[[_oracle_normal(seed, 2, p, j, c, dim)
@@ -162,7 +162,7 @@ def test_multiblock_dimension_layout():
     step, key = 5, (2**63, 9)
     for dim in (5, 9):
         z = NoiseStream(master_seed=key[0], level=key[1],
-                        path_index=np.arange(3, 7),
+                        paths=range(3, 7),
                         dim=dim).gaussian_increment(step)
         lo, hi = 3 * dim, 7 * dim
         words = [w for b in range(lo // 4, -(-hi // 4))
@@ -172,9 +172,9 @@ def test_multiblock_dimension_layout():
             np.array(words[skip:skip + hi - lo], dtype=np.uint64)))
         np.testing.assert_array_equal(z.reshape(-1), expected)
         single = NoiseStream(master_seed=key[0], level=key[1],
-                             path_index=123456, dim=dim)
+                             paths=range(123456, 123457), dim=dim)
         np.testing.assert_array_equal(
-            single.gaussian_increment(step),
+            single.gaussian_increment(step)[0],
             [_oracle_normal(*key, 123456, step, c, dim) for c in range(dim)])
 
 
@@ -183,7 +183,7 @@ def test_multiblock_dimension_layout():
 # ---------------------------------------------------------------------------
 
 def test_query_order_is_irrelevant():
-    stream = NoiseStream(master_seed=11, level=3, path_index=0, dim=2,
+    stream = NoiseStream(master_seed=11, level=3, paths=range(1), dim=2,
                          n_steps=32)
     forward = {j: stream.gaussian_increment(j) for j in range(32)}
     rng = np.random.default_rng(0)
@@ -193,9 +193,10 @@ def test_query_order_is_irrelevant():
 
 
 def test_distinct_coordinates_give_distinct_draws():
-    base = dict(master_seed=5, level=1, path_index=3, dim=3)
+    base = dict(master_seed=5, level=1, paths=range(3, 4), dim=3)
     z = NoiseStream(**base).gaussian_increment(3)
-    for change in [dict(master_seed=6), dict(level=2), dict(path_index=4)]:
+    for change in [dict(master_seed=6), dict(level=2),
+                   dict(paths=range(4, 5))]:
         other = NoiseStream(**{**base, **change}).gaussian_increment(3)
         assert not np.array_equal(z, other)
     s = NoiseStream(**base)
@@ -205,31 +206,32 @@ def test_distinct_coordinates_give_distinct_draws():
 
 def test_batch_rows_match_scalar_streams():
     batch = NoiseStream(master_seed=9, level=4,
-                        path_index=np.arange(17, 25), dim=3)
+                        paths=range(17, 25), dim=3)
     z = batch.gaussian_increment(13)
     assert z.shape == (8, 3)
     for i, p in enumerate(range(17, 25)):
-        single = NoiseStream(master_seed=9, level=4, path_index=p, dim=3)
-        np.testing.assert_array_equal(z[i], single.gaussian_increment(13))
+        single = NoiseStream(master_seed=9, level=4, paths=range(p, p + 1),
+                             dim=3)
+        np.testing.assert_array_equal(z[i], single.gaussian_increment(13)[0])
 
 
 @pytest.mark.parametrize("dim", [1, 3, 4, 5, 9])
 def test_sub_batch_draws_equal_rows_of_the_full_batch(dim):
     # Chunk boundaries never change a draw, including batches that start
     # in the middle of a block and scalar paths.
-    full = NoiseStream(master_seed=_MASK, level=6, path_index=np.arange(13),
+    full = NoiseStream(master_seed=_MASK, level=6, paths=range(13),
                        dim=dim).gaussian_increment(range(4))
     for a, b in [(0, 13), (1, 2), (1, 4), (2, 7), (3, 13), (5, 6), (6, 11),
                  (12, 13)]:
         part = NoiseStream(master_seed=_MASK, level=6,
-                           path_index=np.arange(a, b), dim=dim)
+                           paths=range(a, b), dim=dim)
         np.testing.assert_array_equal(part.gaussian_increment(range(4)),
                                       full[:, a:b])
     for p in (0, 1, 5, 12):
-        scalar = NoiseStream(master_seed=_MASK, level=6, path_index=p,
-                             dim=dim)
+        scalar = NoiseStream(master_seed=_MASK, level=6,
+                             paths=range(p, p + 1), dim=dim)
         np.testing.assert_array_equal(scalar.gaussian_increment(range(4)),
-                                      full[:, p])
+                                      full[:, p:p + 1])
 
 
 def test_estimate_level_draws_do_not_depend_on_chunk_size(monkeypatch):
@@ -238,7 +240,7 @@ def test_estimate_level_draws_do_not_depend_on_chunk_size(monkeypatch):
 
     def record(self, j):
         out = original(self, j)
-        for i, p in enumerate(np.atleast_1d(self.path_index)):
+        for i, p in enumerate(self.paths):
             per_path.setdefault(int(p), []).append(out[:, i].copy())
         return out
 
@@ -259,7 +261,7 @@ def test_estimate_level_draws_do_not_depend_on_chunk_size(monkeypatch):
 
 
 def test_out_of_range_requests_raise():
-    stream = NoiseStream(master_seed=0, level=0, path_index=0, dim=1,
+    stream = NoiseStream(master_seed=0, level=0, paths=range(1), dim=1,
                          n_steps=4)
     with pytest.raises(IndexError):
         stream.gaussian_increment(4)
@@ -271,33 +273,82 @@ def test_out_of_range_requests_raise():
     with pytest.raises(ValueError):
         stream.gaussian_increment(range(0, 4, 2))
     with pytest.raises(ValueError):
-        NoiseStream(master_seed=-1, level=0, path_index=0, dim=1)
+        NoiseStream(master_seed=-1, level=0, paths=range(1), dim=1)
     with pytest.raises(ValueError):
-        NoiseStream(master_seed=0, level=-1, path_index=0, dim=1)
+        NoiseStream(master_seed=0, level=-1, paths=range(1), dim=1)
     with pytest.raises(ValueError):
-        NoiseStream(master_seed=0, level=0, path_index=-2, dim=1)
+        NoiseStream(master_seed=0, level=0, paths=range(-2, -1), dim=1)
 
 
 def test_gapped_batch_and_block_counter_overflow_raise():
-    for paths in (np.array([0, 2]), np.array([3, 2]), np.array([4, 4])):
-        with pytest.raises(ValueError, match="consecutive"):
-            NoiseStream(master_seed=0, level=0, path_index=paths, dim=1)
+    # A range with gaps, or descending, has a step other than 1.
+    for paths in (range(0, 4, 2), range(3, 1, -1)):
+        with pytest.raises(ValueError, match="step 1"):
+            NoiseStream(master_seed=0, level=0, paths=paths, dim=1)
     # Block counters are one word: (max path + 1) * dim <= 4 * 2**64.
     with pytest.raises(ValueError, match="block counter"):
-        NoiseStream(master_seed=0, level=0, path_index=2**63 - 1, dim=9)
+        NoiseStream(master_seed=0, level=0, paths=range(2**63 - 1, 2**63),
+                    dim=9)
     with pytest.raises(ValueError, match="block counter"):
-        NoiseStream(master_seed=0, level=0, path_index=np.uint64(_MASK),
+        NoiseStream(master_seed=0, level=0, paths=range(_MASK, _MASK + 1),
                     dim=5)
-    last = NoiseStream(master_seed=1, level=2, path_index=np.uint64(_MASK),
+    last = NoiseStream(master_seed=1, level=2, paths=range(_MASK, _MASK + 1),
                        dim=4)
     np.testing.assert_array_equal(
-        last.gaussian_increment(7),
+        last.gaussian_increment(7)[0],
         [_oracle_normal(1, 2, _MASK, 7, c, 4) for c in range(4)])
+
+
+def test_paths_are_a_range_of_step_one_from_a_start_at_least_zero():
+    for paths in (3, np.arange(4), [0, 1], (0, 1)):
+        with pytest.raises(TypeError, match="paths must be a range"):
+            NoiseStream(master_seed=0, level=0, paths=paths, dim=1)
+    for paths in (range(0, 4, 2), range(3, 0, -1), range(-1, 2),
+                  range(-3, -3)):
+        with pytest.raises(ValueError, match="need step 1, start >= 0"):
+            NoiseStream(master_seed=0, level=0, paths=paths, dim=1)
+    # The overflow bound's edge: the last path whose words all sit in a
+    # block below 2**64, (path + 1) * dim <= 4 * 2**64, is drawn as the
+    # oracle draws it, and the path after it is refused.
+    for dim in (1, 4, 5):
+        stop = (4 << 64) // dim
+        last = NoiseStream(master_seed=3, level=1, paths=range(stop - 1, stop),
+                           dim=dim)
+        np.testing.assert_array_equal(
+            last.gaussian_increment(2)[0],
+            [_oracle_normal(3, 1, stop - 1, 2, c, dim) for c in range(dim)])
+        with pytest.raises(ValueError, match="block counter"):
+            NoiseStream(master_seed=3, level=1, paths=range(stop, stop + 1),
+                        dim=dim)
+    # An empty range draws an empty batch, wherever it starts.
+    for paths in (range(0), range(7, 7), range(7, 2)):
+        empty = NoiseStream(master_seed=3, level=1, paths=paths, dim=3,
+                            n_steps=4)
+        assert empty.n_paths == 0
+        assert empty.gaussian_increment(2).shape == (0, 3)
+        assert empty.gaussian_increment(range(4)).shape == (4, 0, 3)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 5])
+def test_each_batch_row_is_the_one_path_stream_of_its_path(dim):
+    # A batch starting mid-block: every row, at one step or a step range,
+    # is the draw of the one-path stream of that path, path axis kept.
+    batch = NoiseStream(master_seed=77, level=5, paths=range(6, 15), dim=dim,
+                        n_steps=8)
+    z = batch.gaussian_increment(range(2, 7))
+    assert z.shape == (5, 9, dim)
+    for i, p in enumerate(batch.paths):
+        one = NoiseStream(master_seed=77, level=5, paths=range(p, p + 1),
+                          dim=dim, n_steps=8)
+        assert one.n_paths == 1
+        np.testing.assert_array_equal(one.gaussian_increment(range(2, 7)),
+                                      z[:, i:i + 1])
+        np.testing.assert_array_equal(one.gaussian_increment(4), z[2, i:i + 1])
 
 
 def test_moments_are_standard_normal():
     stream = NoiseStream(master_seed=2025, level=0,
-                         path_index=np.arange(20000), dim=2)
+                         paths=range(20000), dim=2)
     draws = stream.gaussian_increment(range(6))
     flat = draws.reshape(-1)
     n = flat.size
@@ -319,16 +370,16 @@ def test_moments_are_standard_normal():
 
 @pytest.mark.parametrize("length", [1, 31, 32, 63, 64, 70])
 @pytest.mark.parametrize("dim", [1, 4, 5])
-@pytest.mark.parametrize("paths", [np.arange(6), np.array([0, 5, 6, 7, 100]),
-                                   9], ids=["consecutive", "gaps", "scalar"])
+@pytest.mark.parametrize("paths", [range(6), range(0, 10, 5), range(9, 10)],
+                         ids=["consecutive", "gaps", "scalar"])
 @pytest.mark.parametrize("seed, start", [(77, 3), (_MASK, 0)])
 def test_step_range_equals_stacked_steps(length, dim, paths, seed, start):
-    if np.ndim(paths) and np.any(np.diff(paths) != 1):
+    if paths.step != 1:
         # Draws come one run of consecutive paths at a time.
-        with pytest.raises(ValueError, match="consecutive"):
-            NoiseStream(master_seed=seed, level=4, path_index=paths, dim=dim)
+        with pytest.raises(ValueError, match="step 1"):
+            NoiseStream(master_seed=seed, level=4, paths=paths, dim=dim)
         return
-    stream = NoiseStream(master_seed=seed, level=4, path_index=paths,
+    stream = NoiseStream(master_seed=seed, level=4, paths=paths,
                          dim=dim)
     steps = range(start, start + length)
     got = stream.gaussian_increment(steps)
@@ -350,30 +401,30 @@ def test_every_draw_passes_through_gaussian_increment_once(monkeypatch):
 
     monkeypatch.setattr(NoiseStream, "gaussian_increment", counted)
     prob = builtin_problem("linear_scalar")
-    paths = np.arange(5)
+    paths = range(5)
 
     grid = GridSpec.for_problem(prob, theta=0.0, level=6)
-    stream = NoiseStream(master_seed=1, level=6, path_index=paths, dim=1,
+    stream = NoiseStream(master_seed=1, level=6, paths=paths, dim=1,
                          n_steps=grid.total_steps_N)
     theta_em_path(prob, grid, noise=stream)
-    assert sum(sizes) == paths.size * 64
+    assert sum(sizes) == len(paths) * 64
 
     sizes.clear()
     pair = LevelPair.for_problem(prob, 6)
     simulate_coupled(pair, pair.noise_stream(1, paths))
-    assert sum(sizes) == paths.size * 64
+    assert sum(sizes) == len(paths) * 64
 
     sizes.clear()
     result = strong_error_rate(prob, builtin_payoff("identity"),
-                               level_sweep=(3, 4, 5), n_paths=paths.size)
+                               level_sweep=(3, 4, 5), n_paths=len(paths))
     assert result.ref_level == 8
-    assert sum(sizes) == paths.size * 2**8
+    assert sum(sizes) == len(paths) * 2**8
 
 
 def test_gaussian_increment_returns_a_new_array_each_call():
     # Callers scale the block in place (the step loop multiplies by
     # sqrt(h)); that must not reach the draws of a later call.
-    stream = NoiseStream(master_seed=5, level=3, path_index=np.arange(2, 9),
+    stream = NoiseStream(master_seed=5, level=3, paths=range(2, 9),
                          dim=2)
     for j in (range(1, 5), 3):
         first = stream.gaussian_increment(j)

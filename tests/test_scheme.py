@@ -315,7 +315,7 @@ def test_explicit_path_matches_hand_rolled_loop_bitwise():
     p = builtin_problem("linear_scalar", eps=eps)
     g = GridSpec.for_problem(p, theta=0.0, level=3)
     h, m, N = g.step_h, g.steps_per_delay_m, g.total_steps_N
-    stream = NoiseStream(master_seed=77, level=3, path_index=4, dim=1,
+    stream = NoiseStream(master_seed=77, level=3, paths=range(4, 5), dim=1,
                          n_steps=N)
     path = theta_em_path(p, g, noise=stream)
 
@@ -324,19 +324,19 @@ def test_explicit_path_matches_hand_rolled_loop_bitwise():
     for n in range(N):
         x = vals[m + n]
         y = vals[n]
-        dw = sqh * stream.gaussian_increment(n)[0]
+        dw = sqh * stream.gaussian_increment(n)[0, 0]
         fx = a1 * x + a2 * y
         gx = b1 * x + b2 * y
         vals[m + n + 1] = (x + h * fx) + eps * (gx * dw)
 
-    np.testing.assert_array_equal(path.values[:, 0], vals)
+    np.testing.assert_array_equal(path.values[:, 0, 0], vals)
 
 
 def test_zero_noise_equals_skeleton_bitwise():
     p = builtin_problem("linear_scalar", eps=0.0)
     g = GridSpec.for_problem(p, theta=0.5, level=4)
     stream = NoiseStream(master_seed=1, level=0,
-                         path_index=np.arange(3), dim=1, n_steps=16)
+                         paths=range(3), dim=1, n_steps=16)
     with_stream = theta_em_path(p, g, noise=stream)
     skeleton = theta_em_path(p, g, noise=None)
     assert with_stream.values.shape == (16 + 4 + 1, 3, 1)
@@ -350,11 +350,12 @@ def test_zero_dynamics_path_is_constant():
     p = builtin_problem("zero_dynamics", x0=2.5, eps=0.5)
     for theta in (0.0, 0.5, 1.0):
         g = GridSpec.for_problem(p, theta=theta, level=3)
-        stream = NoiseStream(master_seed=9, level=3, path_index=0, dim=1,
+        stream = NoiseStream(master_seed=9, level=3, paths=range(1), dim=1,
                              n_steps=8)
         path = theta_em_path(p, g, noise=stream)
         rows = g.total_steps_N + g.steps_per_delay_m + 1
-        np.testing.assert_array_equal(path.values, np.full((rows, 1), 2.5))
+        np.testing.assert_array_equal(path.values,
+                                      np.full((rows, 1, 1), 2.5))
 
 
 def test_implicit_path_satisfies_stage_equation():
@@ -362,7 +363,7 @@ def test_implicit_path_satisfies_stage_equation():
     g = GridSpec.for_problem(p, theta=0.5, level=4)
     h, m, N = g.step_h, g.steps_per_delay_m, g.total_steps_N
     stream = NoiseStream(master_seed=21, level=4,
-                         path_index=np.arange(8), dim=1, n_steps=N)
+                         paths=range(8), dim=1, n_steps=N)
     path = theta_em_path(p, g, noise=stream)
     V = path.values
     sqh = math.sqrt(h)
@@ -468,7 +469,7 @@ def test_increment_array_drive_matches_stream_drive(monkeypatch):
         g = GridSpec.for_problem(p, theta=theta, level=level)
         N = g.total_steps_N
         stream = NoiseStream(master_seed=5, level=level,
-                             path_index=np.arange(6), dim=1, n_steps=N)
+                             paths=range(6), dim=1, n_steps=N)
         dw = np.stack(
             [math.sqrt(g.step_h) * stream.gaussian_increment(n)
              for n in range(N)]
@@ -506,7 +507,7 @@ def test_path_takes_increments_from_any_iterable_of_rows(theta):
 def test_path_rejects_mismatched_noise():
     p = builtin_problem("linear_scalar")
     g = GridSpec.for_problem(p, theta=0.0, level=3)
-    wrong_dim = NoiseStream(master_seed=0, level=0, path_index=0, dim=2)
+    wrong_dim = NoiseStream(master_seed=0, level=0, paths=range(1), dim=2)
     with pytest.raises(ValueError, match="dim"):
         theta_em_path(p, g, noise=wrong_dim)
     with pytest.raises(ValueError, match="shape"):
@@ -537,7 +538,7 @@ def test_single_step_second_moment_scaling():
             g = GridSpec.for_problem(problem, theta=0.0, level=int(lvl))
             stream = NoiseStream(
                 master_seed=100 + int(lvl), level=int(lvl),
-                path_index=np.arange(n_paths), dim=1,
+                paths=range(n_paths), dim=1,
                 n_steps=g.total_steps_N,
             )
             path = theta_em_path(problem, g, noise=stream)
@@ -563,7 +564,7 @@ def test_second_moment_stays_bounded_on_long_run():
     p = builtin_problem("linear_scalar", eps=0.5, tau=0.25, horizon=4.0)
     g = GridSpec.for_problem(p, theta=0.5, level=6)  # h = 4/64
     stream = NoiseStream(master_seed=17, level=0,
-                         path_index=np.arange(2000), dim=1,
+                         paths=range(2000), dim=1,
                          n_steps=g.total_steps_N)
     path = theta_em_path(p, g, noise=stream)
     second_moment = np.mean(path.values[..., 0] ** 2, axis=-1)
@@ -583,7 +584,7 @@ def _window_cases():
     g_cub = GridSpec.for_problem(cub, theta=0.5, level=4)
     # Level 3: N = 8, m = 2, so the ring of m + 1 rows wraps mid-cycle.
     g_3 = GridSpec.for_problem(lin, theta=0.0, level=3)
-    batch = NoiseStream(master_seed=5, level=4, path_index=np.arange(6),
+    batch = NoiseStream(master_seed=5, level=4, paths=range(6),
                         dim=1, n_steps=16)
     rng = np.random.default_rng(0)
     return {
@@ -591,8 +592,9 @@ def _window_cases():
         "tamed-implicit": (cub, g_cub, batch,
                            TamedDrift(cub.drift, h_coarse=2.0**-3,
                                       delta=0.5)),
+        # A one-path stream, batched like any other.
         "scalar-path": (lin, g_lin, NoiseStream(master_seed=5, level=4,
-                                                path_index=3, dim=1,
+                                                paths=range(3, 4), dim=1,
                                                 n_steps=16), None),
         "array-noise": (lin, g_lin, 0.25 * rng.standard_normal((16, 4, 1)),
                         None),
