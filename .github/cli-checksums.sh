@@ -2,7 +2,7 @@
 # CLI output checksums, run from the root of the repository:
 #   bash .github/cli-checksums.sh
 #
-# The seven default experiments and seventeen other configurations at
+# The seven default experiments and eighteen other configurations at
 # one seed, and the --help text at 80 columns (its line breaks
 # follow COLUMNS): each file must have the sha256 recorded in
 # .github/cli-sha256.txt, so a byte change fails unless the same
@@ -21,8 +21,11 @@
 # the rates-moment run reads horizon = 2 from a --config file: the
 # one run of the config-file layer and of a horizon other than 1.
 # A rates-variance run reads the config-only keys eps0 and payoff
-# from a second --config file.  The three run again on one
-# thread.  The [result] block of each run's
+# from a second --config file.  The tamed theta = 0.5 rates-variance
+# run is the one variance sweep on the implicit stage and on taming,
+# where a pair's coarse member tames by its own level's rule, the law
+# its term of the uncoupled baseline stands for.  The four run again
+# on one thread.  The [result] block of each run's
 # summary, without its wall_seconds line, is checked as
 # <name>.result.txt, and its [config] block, without the out line (a
 # temporary path) and the jobs line (the host's CPU count by
@@ -75,6 +78,9 @@ printf 'eps0=1e-4\npayoff=identity\n' > "$out/eps0.conf"
 cli --config "$out/eps0.conf" --experiment rates-variance --base-level 3 --max-level 5 --samples 2000 --out "$out/rates-variance-config.csv"
 cli --config "$out/eps0.conf" --experiment rates-variance --base-level 3 --max-level 5 --samples 2000 --jobs 1 --out "$out/jobs1/rates-variance-config.csv"
 cmp "$out/rates-variance-config.csv" "$out/jobs1/rates-variance-config.csv"
+cli --experiment rates-variance --problem cubic_onesided --theta 0.5 --delta 0.5 --samples 2000 --out "$out/rates-variance-tamed.csv"
+cli --experiment rates-variance --problem cubic_onesided --theta 0.5 --delta 0.5 --samples 2000 --jobs 1 --out "$out/jobs1/rates-variance-tamed.csv"
+cmp "$out/rates-variance-tamed.csv" "$out/jobs1/rates-variance-tamed.csv"
 printf 'tau=0.5\n' > "$out/tau.conf"
 cli --config "$out/tau.conf" --experiment mlmc --problem cubic_onesided --theta 0.5 --delta 0.5 --base-level 1 --max-level 4 --samples 200 --out "$out/mlmc-tamed-base1.csv"
 COLUMNS=80 PYTHONPATH=src python -m mlmc_sdde.cli --help > "$out/help.txt"

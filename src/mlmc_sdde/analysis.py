@@ -8,10 +8,10 @@ and fits ordinary least squares lines through the log-log points.
 Seeding convention: every cell draws from its own substream family.  The
 master seed of a cell is ``seed + 1_000_003 * lane + index`` modulo
 ``2**64``, where the lane separates roles (0 level-sweep pairs, 1
-noise-sweep pairs, 2 independent fine runs, 3 independent coarse runs, 4
-deviation cells) and the index enumerates cells within a lane.  Together
-with the per-level stream keying this makes all cells pairwise disjoint,
-so results are independent of evaluation order and of worker count.
+noise-sweep pairs, 4 deviation cells) and the index enumerates cells
+within a lane.  Together with the per-level stream keying this makes all
+cells pairwise disjoint, so results are independent of evaluation order
+and of worker count.
 
 A cell whose paths blow up (non-finite values) raises ``ValueError``,
 and one whose solve stalls ``NonConvergence``, naming the experiment, the
@@ -385,11 +385,11 @@ def _two_sweeps(experiment, problem, theta, delta, M, level_sweep,
     """The level and noise sweeps of :func:`coupled_moment_rates` and
     :func:`coupled_variance_rates`.
 
-    ``cell(problem, level, master_seed, k)`` returns a dict of statistics,
-    ``k`` enumerating the cells of both sweeps.  Returns ``(h_values,
-    eps_values, level_columns, eps_columns, records)``, a column holding
-    one statistic over a sweep as a tuple.  A noise scale that is not in
-    (0, 1] is refused, naming ``experiment``, before any cell runs.
+    ``cell(problem, level, master_seed)`` returns a dict of statistics.
+    Returns ``(h_values, eps_values, level_columns, eps_columns,
+    records)``, a column holding one statistic over a sweep as a tuple.
+    A noise scale that is not in (0, 1] is refused, naming
+    ``experiment``, before any cell runs.
     """
     _refuse_few_paths(experiment, n_paths)
     levels = sorted(int(lv) for lv in level_sweep)
@@ -403,8 +403,7 @@ def _two_sweeps(experiment, problem, theta, delta, M, level_sweep,
     runs = [(problem, lv, _cell_seed(seed, 0)) for lv in levels]
     runs += [(problem.with_noise_scale(eps), levels[-1],
               _cell_seed(seed, 1, i)) for i, eps in enumerate(eps_values)]
-    results = _run_cells([lambda k=k, run=run: cell(*run, k)
-                          for k, run in enumerate(runs)], jobs)
+    results = _run_cells([lambda run=run: cell(*run) for run in runs], jobs)
     records = tuple(
         _record(experiment, lv, level_step(problem, lv, M),
                 cell_problem.noise_scale, theta, delta, stat, value,
@@ -462,7 +461,7 @@ def coupled_moment_rates(
     """
     sup, term = "coupled_sup_sq_moment", "coupled_terminal_sq_moment"
 
-    def cell(cell_problem, level, master_seed, k):
+    def cell(cell_problem, level, master_seed):
         return dict(zip((sup, term), _pair_sq_moments(
             cell_problem, level, M, theta, delta, n_paths, master_seed)))
 
@@ -485,33 +484,30 @@ def coupled_moment_rates(
 
 
 # ---------------------------------------------------------------------------
-# Coupled variance vs uncoupled oracle
+# Coupled variance vs the variance of independent members
 # ---------------------------------------------------------------------------
 
-def _payoff_var(problem, psi, level, M, theta, delta, n_paths, *seeds):
-    """Variance of the payoff difference of levels ``level`` and
-    ``level - 1``: over coupled pairs on one seed or, given two, over
-    INDEPENDENT runs of the two levels, the fine one on the first seed."""
-    coupled = len(seeds) == 1
-    where = "rates-variance" if coupled else "rates-variance uncoupled"
-    payoffs = []
-    for lv, cell_seed in zip((level, level - 1), seeds):
-        plan = LevelPair.for_problem(problem, lv, M=M, theta=theta,
-                                     delta=delta, coupled=coupled)
-        payoffs += _cell_samples(
-            lambda a, b: plan.payoffs(psi, cell_seed, a, b)[:1],
-            where, plan, n_paths)
-    deltas = payoffs[0] if coupled else payoffs[0] - payoffs[1]
-    return float(np.var(deltas, ddof=1))
+def _payoff_vars(problem, psi, level, M, theta, delta, n_paths, seed):
+    """Variances of the payoff difference of levels ``level`` and
+    ``level - 1`` over ``n_paths`` coupled pairs and, from the same
+    samples, for INDEPENDENT members: ``Var psi_f + Var psi_c``, where
+    ``psi_c = psi_f - delta``."""
+    pair = LevelPair.for_problem(problem, level, M=M, theta=theta, delta=delta)
+    deltas, fines = _cell_samples(lambda a, b: pair.payoffs(psi, seed, a, b),
+                                  "rates-variance", pair, n_paths)
+    return {"var_delta_coupled": float(np.var(deltas, ddof=1)),
+            "var_delta_uncoupled": float(np.var(fines, ddof=1)
+                                         + np.var(fines - deltas, ddof=1))}
 
 
 @dataclass(frozen=True)
 class VarianceRates:
     """Variance decay of the coupled payoff difference, two sweeps.
 
-    ``h_uncoupled``/``eps_uncoupled`` hold the same statistic from
-    independent (uncoupled) fine/coarse runs, the baseline the coupling
-    is supposed to beat pointwise.
+    ``h_uncoupled``/``eps_uncoupled`` hold the baseline the coupling is
+    supposed to beat pointwise: the variance the difference would have
+    for independent (uncoupled) fine and coarse members, ``Var psi_f +
+    Var psi_c`` over the members of the same pairs.
     """
 
     h_slope: RateFit
@@ -539,26 +535,22 @@ def coupled_variance_rates(
 ) -> VarianceRates:
     """Var(psi(fine(T)) - psi(coarse(T))) against step size and noise.
 
-    Sweeps mirror :func:`coupled_moment_rates`.  Each cell also runs an
-    uncoupled oracle (independent fine and coarse paths, fresh
-    substreams) whose difference variance does not benefit from shared
-    noise; the coupled value should sit below it everywhere.  The level
-    sweep needs ``problem.noise_scale > 0``: without noise the coupled
-    variance is exactly 0, and the h fit takes its log.
+    Sweeps mirror :func:`coupled_moment_rates`.  Each cell also reports
+    the variance the difference would have for independent fine and
+    coarse members, ``Var psi_f + Var psi_c``, which does not benefit
+    from shared noise; each member of a pair has the law of its level's
+    own run, so both terms come from the pair's samples.  The coupled
+    value should sit below it everywhere.  The level sweep needs
+    ``problem.noise_scale > 0``: without noise the coupled variance is
+    exactly 0, and the h fit takes its log.
     """
     if not problem.noise_scale > 0.0:
         raise ValueError("rates-variance: the level sweep needs a noise "
                          f"scale > 0, got {problem.noise_scale:g}")
 
-    def cell(cell_problem, level, master_seed, k):
-        return {
-            "var_delta_coupled": _payoff_var(
-                cell_problem, psi, level, M, theta, delta, n_paths,
-                master_seed),
-            "var_delta_uncoupled": _payoff_var(
-                cell_problem, psi, level, M, theta, delta, n_paths,
-                _cell_seed(seed, 2, k), _cell_seed(seed, 3, k)),
-        }
+    def cell(cell_problem, level, master_seed):
+        return _payoff_vars(cell_problem, psi, level, M, theta, delta,
+                            n_paths, master_seed)
 
     h_values, eps_values, h, e, records = _two_sweeps(
         "rates-variance", problem, theta, delta, M, level_sweep, eps_sweep,

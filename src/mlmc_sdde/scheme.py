@@ -645,8 +645,12 @@ def _lockstep(problem: SddeProblem, members: list,
                 paths[k] = stepper.send(
                     dw if dw is None or scale == 1.0 else scale * dw)
     if j < N or xi is not None:
-        raise ValueError(f"noise must give N = {N} increments of "
-                         f"shape (P, d) = ({shape[0]}, {dnoise})")
+        # Without a 2-D first increment the batch size is unknown, so the
+        # message names the shape it received instead.
+        got = "none" if xi is None else np.shape(xi)
+        raise ValueError(f"noise must give N = {N} increments of shape (P, d) "
+                         + (f"= ({n_paths}, {dnoise})" if n_paths is not None
+                            else f"with d = {dnoise}, got {got}"))
     return paths
 
 

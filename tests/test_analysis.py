@@ -23,6 +23,7 @@ from mlmc_sdde.analysis import (
     strong_error_rate,
 )
 from mlmc_sdde.coupling import LevelPair
+from mlmc_sdde.mlmc import single_level_estimate
 from mlmc_sdde.model import builtin_payoff, builtin_problem
 from mlmc_sdde.rng import NoiseStream
 from mlmc_sdde.scheme import GridSpec, taming_for_level, theta_em_path
@@ -323,6 +324,43 @@ def test_variance_rates_coupled_beats_uncoupled_pointwise():
     assert stats == {"var_delta_coupled", "var_delta_uncoupled"}
 
 
+@pytest.mark.parametrize("name, theta, delta", [
+    ("linear_scalar", 0.0, None),
+    ("cubic_onesided", 0.5, 0.5),
+])
+def test_uncoupled_baseline_is_the_members_variances(name, theta, delta):
+    problem = builtin_problem(name)
+    psi = builtin_payoff("tanh")
+    level, n, seed = 4, 20000, 11
+    cell = analysis._payoff_vars(problem, psi, level, 2, theta, delta, n,
+                                 seed)
+    # The cell's numbers are the variances of the pairs' payoffs at its
+    # seed: the difference, and the fine plus the coarse member.
+    deltas, fines = LevelPair.for_problem(
+        problem, level, M=2, theta=theta, delta=delta).payoffs(psi, seed, 0, n)
+    coarse = fines - deltas
+    assert cell == {
+        "var_delta_coupled": float(np.var(deltas, ddof=1)),
+        "var_delta_uncoupled": float(np.var(fines, ddof=1)
+                                     + np.var(coarse, ddof=1)),
+    }
+    # Reference: independent runs of the two levels, the coarse one on
+    # another seed.  Var psi_f comes from the same paths on both sides (a
+    # pair's fine member is the level run at its seed), so the two differ
+    # by two independent estimates of Var psi_c from n samples each.  Each
+    # has standard error Var psi_c * sqrt((kappa - 1) / n), kappa the
+    # kurtosis of psi_c (about 3 and 5 here: 1.0% and 1.4% at n = 20000),
+    # so their difference has sqrt(2) times that; allow four of those.
+    fine_ref = single_level_estimate(problem, psi, level, 2, theta, delta,
+                                     n, seed).var_delta
+    coarse_ref = single_level_estimate(problem, psi, level - 1, 2, theta,
+                                       delta, n, seed + 1).var_delta
+    kappa = np.mean((coarse - coarse.mean()) ** 4) / np.var(coarse) ** 2
+    tol = 4.0 * np.sqrt(2.0) * coarse_ref * np.sqrt((kappa - 1.0) / n)
+    assert cell["var_delta_uncoupled"] == pytest.approx(
+        fine_ref + coarse_ref, rel=0, abs=tol)
+
+
 def test_variance_rates_refuse_a_noise_free_level_sweep(monkeypatch):
     # Without noise the coupled payoff variance is exactly 0, so the h fit
     # failed on its log after every cell had run; the moment sweep keeps
@@ -618,7 +656,7 @@ def test_cell_chunks_bound_memory_and_keep_values(monkeypatch):
     # temporaries, plus the one draw block the fine member reads.
     pair_chunk = 8 * (1024 * (64 + 65 + 17 + 16) + scheme._BLOCK_DRAWS)
     cells = [
-        (analysis._payoff_var,
+        (analysis._payoff_vars,
          (problem, psi, 4, 4, 0.0, None, 4000, 5),
          lambda whole_peak: pair_chunk),
         (analysis._pair_sq_moments,
@@ -674,7 +712,7 @@ def test_multi_chunk_cells_equal_one_batch_at_theta_zero(monkeypatch,
     monkeypatch.setattr(analysis, "_CHUNK_DRAWS", 192)
     chunked = run_all("chunked")
     assert chunked == whole
-    assert len(seen) == 2 * 6 + 2 * 6 + 4 + 2
+    assert len(seen) == 6 + 6 + 4 + 2
     for where, paths, size in seen:
         assert -(-paths // size) >= 3 and paths % size, where
 

@@ -527,6 +527,19 @@ def test_path_rejects_mismatched_noise():
             theta_em_path(quiet, g, noise=noise)
 
 
+def test_increments_without_a_batch_axis_are_named_by_their_shape():
+    # A first increment that is not 2-D leaves the batch size unknown; the
+    # message used to print P = 1, a batch size nobody gave, and now names
+    # the shape it received.
+    p = builtin_problem("linear_scalar")
+    g = GridSpec.for_problem(p, theta=0.0, level=3)
+    for noise, got in ((np.zeros((8, 3)), r"\(3,\)"), (iter([]), "none")):
+        with pytest.raises(ValueError, match=(
+                r"^noise must give N = 8 increments of shape \(P, d\) "
+                rf"with d = 1, got {got}$")):
+            theta_em_path(p, g, noise=noise)
+
+
 def test_single_step_second_moment_scaling():
     # max_n E|X_{n+1} - X_n|^2 scales like h^2 without noise and like h
     # with order-one additive noise.
