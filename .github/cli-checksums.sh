@@ -2,7 +2,7 @@
 # CLI output checksums, run from the root of the repository:
 #   bash .github/cli-checksums.sh
 #
-# The seven default experiments and eighteen other configurations at
+# The seven default experiments and nineteen other configurations at
 # one seed, and the --help text at 80 columns (its line breaks
 # follow COLUMNS): each file must have the sha256 recorded in
 # .github/cli-sha256.txt, so a byte change fails unless the same
@@ -34,7 +34,10 @@
 # the noise-free runs, where a stream is never drawn.  The tamed mlmc
 # run from base level 1 reads tau = 0.5 from a third --config file: the
 # lowest base level a tamed estimate admits, whose plan tames with the
-# step of level 0.
+# step of level 0.  The theta = 0.5 mlmc run on additive_noise is the
+# one run of a state-independent diffusion, where X = x + eps * Y holds
+# exactly, the problem an exactness check of antithetic levels runs
+# on; it runs again on one thread.
 set -e
 sums="$PWD/.github/cli-sha256.txt"
 out=$(mktemp -d)
@@ -83,6 +86,9 @@ cli --experiment rates-variance --problem cubic_onesided --theta 0.5 --delta 0.5
 cmp "$out/rates-variance-tamed.csv" "$out/jobs1/rates-variance-tamed.csv"
 printf 'tau=0.5\n' > "$out/tau.conf"
 cli --config "$out/tau.conf" --experiment mlmc --problem cubic_onesided --theta 0.5 --delta 0.5 --base-level 1 --max-level 4 --samples 200 --out "$out/mlmc-tamed-base1.csv"
+cli --experiment mlmc --problem additive_noise --theta 0.5 --samples 2000 --out "$out/mlmc-additive.csv"
+cli --experiment mlmc --problem additive_noise --theta 0.5 --samples 2000 --jobs 1 --out "$out/jobs1/mlmc-additive.csv"
+cmp "$out/mlmc-additive.csv" "$out/jobs1/mlmc-additive.csv"
 COLUMNS=80 PYTHONPATH=src python -m mlmc_sdde.cli --help > "$out/help.txt"
 for f in "$out"/*.csv.summary.txt; do
   sed -n '/^\[result\]$/,${/^wall_seconds = /!p}' "$f" > "${f%.csv.summary.txt}.result.txt"

@@ -87,6 +87,15 @@ def _refuse_few_paths(experiment: str, n_paths: int) -> None:
         raise ValueError(f"{experiment}: n_paths must be >= 2, got {n_paths}")
 
 
+def _refuse_sweep(experiment: str, sweep: str, values) -> None:
+    # A rate is a slope through three or more points, so a sweep needs two
+    # distinct values; a repeated value is a replicate.
+    if len(values) < 3 or len(set(values)) < 2:
+        raise ValueError(
+            f"{experiment}: {sweep} needs >= 3 values, >= 2 of them "
+            f"distinct, got {', '.join(f'{v:g}' for v in values) or 'none'}")
+
+
 def _refuse_noise_scales(experiment: str, eps_values, zero_ok=False) -> None:
     # A problem takes a noise scale in [0, 1]; a sweep refuses a scale out
     # of its range, or NaN, naming the experiment, before any work.
@@ -178,6 +187,9 @@ class RateFit:
             )
         if np.any(x <= 0.0) or np.any(y <= 0.0):
             raise ValueError("rate regression requires positive x and y")
+        if np.unique(x).size < 2:
+            raise ValueError(
+                f"rate regression requires >= 2 distinct x, got {x[0]:g} only")
         lx, ly = np.log(x), np.log(y)
         design = np.column_stack([lx, np.ones_like(lx)])
         (slope, intercept), *_ = np.linalg.lstsq(design, ly, rcond=None)
@@ -388,22 +400,29 @@ def _two_sweeps(experiment, problem, theta, delta, M, level_sweep,
     ``cell(problem, level, master_seed)`` returns a dict of statistics.
     Returns ``(h_values, eps_values, level_columns, eps_columns,
     records)``, a column holding one statistic over a sweep as a tuple.
-    A noise scale that is not in (0, 1] is refused, naming
-    ``experiment``, before any cell runs.
+    A sweep of fewer than three values or two distinct ones, and a noise
+    scale that is not in (0, 1], are refused, naming ``experiment``,
+    before any cell runs; a statistic that is not positive is refused
+    after the cells, naming its cell.
     """
     _refuse_few_paths(experiment, n_paths)
     levels = sorted(int(lv) for lv in level_sweep)
-    if len(levels) < 3:
-        raise ValueError("level_sweep needs >= 3 levels")
+    _refuse_sweep(experiment, "level_sweep", levels)
     eps_values = [float(e) for e in eps_sweep]
-    if len(eps_values) < 3:
-        raise ValueError("eps_sweep needs >= 3 noise scales")
+    _refuse_sweep(experiment, "eps_sweep", eps_values)
     _refuse_noise_scales(experiment, eps_values)  # the eps fit takes logs
 
     runs = [(problem, lv, _cell_seed(seed, 0)) for lv in levels]
     runs += [(problem.with_noise_scale(eps), levels[-1],
               _cell_seed(seed, 1, i)) for i, eps in enumerate(eps_values)]
     results = _run_cells([lambda run=run: cell(*run) for run in runs], jobs)
+    for i, ((cell_problem, lv, _), stats) in enumerate(zip(runs, results)):
+        for stat, value in stats.items():
+            if not value > 0.0:  # the fits take logs
+                where = (f"level {lv}; the h" if i < len(levels) else
+                         f"eps {cell_problem.noise_scale:g}; the eps")
+                raise ValueError(f"{experiment}: {stat} is {value:g} at "
+                                 f"{where} fit takes its log")
     records = tuple(
         _record(experiment, lv, level_step(problem, lv, M),
                 cell_problem.noise_scale, theta, delta, stat, value,
@@ -623,8 +642,7 @@ def strong_error_rate(
     """
     _refuse_few_paths("rates-strong", n_paths)
     levels = sorted(int(lv) for lv in level_sweep)
-    if len(levels) < 3:
-        raise ValueError("level_sweep needs >= 3 levels")
+    _refuse_sweep("rates-strong", "level_sweep", levels)
     ref_level = levels[-1] + _REF_OFFSET
     plans = {lv: LevelPair.for_problem(problem, lv, M=M, theta=theta,
                                        delta=delta, coupled=False)
@@ -692,6 +710,10 @@ def strong_error_rate(
     # Each level's per-chunk sums, added in chunk order.
     errors = [sum(float(np.sum(part)) for part in parts) / n_paths
               for parts in zip(*chunks)]
+    for lv, err in zip(levels, errors):
+        if not err > 0.0:
+            raise ValueError(f"rates-strong: strong_error_sq is {err:g} at "
+                             f"level {lv}; the h fit takes its log")
     records = tuple(
         _record("rates-strong", lv, h, eps, theta, delta,
                 "strong_error_sq", err, n_paths, seed)

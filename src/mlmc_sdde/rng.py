@@ -16,11 +16,13 @@ C implementation, ``numpy.random.Philox``.  The key is
 counter ``(i // 4, j, 0, 0)``, with ``i = p * dim + c``.  A stream draws
 for a ``range`` of consecutive paths, so its draws at one step are
 consecutive words of consecutive blocks, and one ``random_raw`` call
-returns them: the generator's documented ``state`` counter is set one
-below the first block (numpy increments the counter before it
-generates), and the batch's words are sliced out of the returned blocks,
-from the middle of a block where the batch starts there.  The draws keep
-the path axis for a range of one path too.
+returns them.  A call builds one generator with its documented
+``counter`` one below the first block of its first step (numpy
+increments the counter before it generates), and after each step's
+blocks ``advance`` moves that 256-bit counter on to the block one below
+the same first block at the next step.  The batch's words are sliced out
+of the returned blocks, from the middle of a block where the batch
+starts there.  The draws keep the path axis for a range of one path too.
 
 Words map to uniforms in (0, 1) via the top 52 bits,
 ``u = ((w >> 12) + 0.5) * 2**-52`` (both endpoints of the word range land
@@ -60,20 +62,6 @@ def uniforms_from_words(words: np.ndarray) -> np.ndarray:
     return ((w >> np.uint64(12)).astype(np.float64) + 0.5) * _INV52
 
 
-def _seek(gen: Philox, state: dict, counter: int) -> None:
-    """Make the block at ``counter`` the next one ``gen`` generates.
-
-    ``state`` is a state of ``gen`` with an empty word buffer; its
-    counter is set one below ``counter`` (modulo 2**256), because numpy
-    increments the counter before it generates.
-    """
-    below = (counter - 1) % _MOD256
-    state["state"]["counter"] = np.array(
-        [(below >> shift) & _MASK64 for shift in (0, 64, 128, 192)],
-        dtype=np.uint64)
-    gen.state = state
-
-
 def _draws(key: tuple[int, int], steps: range, paths: range,
            dim: int) -> np.ndarray:
     """Normals of ``paths`` at ``steps``, shape (len(steps), len(paths),
@@ -81,14 +69,14 @@ def _draws(key: tuple[int, int], steps: range, paths: range,
     ``ndtri`` maps straight into that step's row."""
     width = len(paths) * dim
     first_block, skip = divmod(paths.start * dim, 4)
-    n_words = 4 * -(-(skip + width) // 4)
-    gen = Philox(key=key[0] | key[1] << 64)
-    state = gen.state
+    n_blocks = -(-(skip + width) // 4)
+    gen = Philox(key=key[0] | key[1] << 64,
+                 counter=(first_block + (steps.start << 64) - 1) % _MOD256)
     normals = np.empty((len(steps), width))
-    for row, j in enumerate(steps):
-        _seek(gen, state, first_block + (j << 64))
-        ndtri(uniforms_from_words(gen.random_raw(n_words)[skip:skip + width]),
-              out=normals[row])
+    for row in normals:
+        ndtri(uniforms_from_words(
+            gen.random_raw(4 * n_blocks)[skip:skip + width]), out=row)
+        gen.advance((1 << 64) - n_blocks)
     return normals.reshape(len(steps), len(paths), dim)
 
 

@@ -67,6 +67,10 @@ def test_rate_fit_validation():
         RateFit.from_data([1.0, 0.0, 0.25], [1.0, 0.5, 0.25])
     with pytest.raises(ValueError, match="equal length"):
         RateFit.from_data([1.0, 0.5, 0.25], [1.0, 0.5])
+    # One distinct x is a vertical design: lstsq used to return its
+    # minimum-norm answer as a slope.
+    with pytest.raises(ValueError, match="2 distinct x, got 0.1 only"):
+        RateFit.from_data([0.1, 0.1, 0.1], [1.0, 2.0, 3.0])
 
 
 def test_rate_fit_r_squared_stays_in_unit_interval():
@@ -271,6 +275,72 @@ def test_two_sweeps_refuse_a_noise_scale_not_above_zero(experiment, eps,
         _SWEEPS[experiment](builtin_problem("linear_scalar"),
                             builtin_payoff("identity"), 8,
                             eps_sweep=[0.125, eps, 0.25])
+
+
+@pytest.mark.parametrize("experiment, sweep, got, run", [
+    ("rates-moment", "eps_sweep", "0.1, 0.1, 0.1",
+     lambda p, psi: coupled_moment_rates(p, level_sweep=[3, 4, 5],
+                                         eps_sweep=[0.1, 0.1, 0.1],
+                                         n_paths=8)),
+    ("rates-moment", "level_sweep", "4, 4, 4",
+     lambda p, psi: coupled_moment_rates(p, level_sweep=[4, 4, 4],
+                                         eps_sweep=[0.1, 0.2, 0.4],
+                                         n_paths=8)),
+    ("rates-variance", "level_sweep", "5, 5, 5",
+     lambda p, psi: coupled_variance_rates(p, psi, level_sweep=[5, 5, 5],
+                                           eps_sweep=[0.1, 0.2, 0.4],
+                                           n_paths=8)),
+    ("rates-strong", "level_sweep", "3, 3, 3",
+     lambda p, psi: strong_error_rate(p, psi, level_sweep=[3, 3, 3],
+                                      n_paths=8)),
+], ids=["moment-eps", "moment-level", "variance-level", "strong-level"])
+def test_sweeps_refuse_fewer_than_two_distinct_values(experiment, sweep, got,
+                                                      run, monkeypatch):
+    # A rate needs two distinct x; the eps sweep (0.1, 0.1, 0.1) used to
+    # run and report lstsq's minimum-norm answer as its slope.
+    _no_sweep_work(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{experiment}: {sweep} needs >= 3 "
+                                         f"values, >= 2 of them distinct, "
+                                         f"got {got}$"):
+        run(builtin_problem("linear_scalar"), builtin_payoff("identity"))
+
+
+def test_repeated_sweep_values_are_replicates():
+    # Two distinct values suffice; the repeated scale runs as its own cell.
+    result = coupled_moment_rates(builtin_problem("linear_scalar"),
+                                  level_sweep=[3, 3, 4],
+                                  eps_sweep=[0.1, 0.1, 0.2], n_paths=8)
+    assert result.eps_values == (0.1, 0.1, 0.2)
+    assert result.eps_sup[0] != result.eps_sup[1]
+    assert len(result.h_values) == 3
+
+
+@pytest.mark.parametrize("experiment, stat", [
+    ("rates-moment", "coupled_sup_sq_moment"),
+    ("rates-variance", "var_delta_coupled"),
+    ("rates-strong", "strong_error_sq"),
+])
+def test_a_zero_statistic_names_the_experiment_and_the_level(experiment,
+                                                             stat):
+    # Without dynamics every statistic is 0; the fits used to fail with
+    # only "rate regression requires positive x and y".
+    with pytest.raises(ValueError, match=f"^{experiment}: {stat} is 0 at "
+                                         "level 3; the h fit takes its log$"):
+        _SWEEPS[experiment](builtin_problem("zero_dynamics"),
+                            builtin_payoff("identity"), 8)
+
+
+def test_a_zero_statistic_of_the_noise_sweep_names_its_scale(monkeypatch):
+    def payoff_vars(problem, *args):
+        value = 0.0 if problem.noise_scale == 0.2 else 1.0
+        return {"var_delta_coupled": value, "var_delta_uncoupled": 1.0}
+
+    monkeypatch.setattr(analysis, "_payoff_vars", payoff_vars)
+    with pytest.raises(ValueError, match="^rates-variance: var_delta_coupled "
+                                         "is 0 at eps 0.2; the eps fit "
+                                         "takes its log$"):
+        _SWEEPS["rates-variance"](builtin_problem("linear_scalar"),
+                                  builtin_payoff("identity"), 8)
 
 
 def _no_sweep_work(monkeypatch):

@@ -251,6 +251,35 @@ def test_noise_scale_out_of_range_in_a_sweep_exits_two_without_output(
     assert list(tmp_path.iterdir()) == []
 
 
+def test_eps_sweep_of_one_distinct_scale_exits_two_without_output(tmp_path,
+                                                                 capsys):
+    # It used to exit 0 with lstsq's minimum-norm answer as eps_slope.
+    out = tmp_path / "sweep.csv"
+    assert _run(["--experiment", "rates-moment", "--eps", "0.1,0.1,0.1",
+                 "--samples", "8", "--jobs", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: rates-moment: eps_sweep needs >= 3 values, >= 2 of them "
+        "distinct, got 0.1, 0.1, 0.1\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("experiment, stat", [
+    ("rates-moment", "coupled_sup_sq_moment"),
+    ("rates-variance", "var_delta_coupled"),
+    ("rates-strong", "strong_error_sq"),
+])
+def test_zero_statistic_exits_two_naming_what_failed(experiment, stat,
+                                                     tmp_path, capsys):
+    out = tmp_path / "zero.csv"
+    assert _run(["--experiment", experiment, "--problem", "zero_dynamics",
+                 "--samples", "8", "--max-level", "5", "--jobs", "1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {experiment}: {stat} is 0 at level 3; the h fit takes "
+        "its log\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_noise_free_level_sweep_refused_by_rates_variance_only(tmp_path,
                                                                capsys):
     cfg_file = tmp_path / "run.cfg"

@@ -18,7 +18,7 @@ from mlmc_sdde.analysis import strong_error_rate
 from mlmc_sdde.coupling import LevelPair, simulate_coupled
 from mlmc_sdde.mlmc import estimate_level
 from mlmc_sdde.model import builtin_payoff, builtin_problem
-from mlmc_sdde.rng import NoiseStream, _seek, uniforms_from_words
+from mlmc_sdde.rng import NoiseStream, uniforms_from_words
 from mlmc_sdde.scheme import GridSpec, theta_em_path
 
 # ---------------------------------------------------------------------------
@@ -75,16 +75,16 @@ def test_oracle_matches_reference_vectors():
 
 
 def _stream_block(ctr, key):
-    """Block at ``ctr`` from numpy's Philox positioned through ``state``,
-    the way the stream positions it."""
-    gen = Philox(key=key[0] | key[1] << 64)
-    _seek(gen, gen.state, sum(w << (64 * i) for i, w in enumerate(ctr)))
+    """Block at ``ctr`` from numpy's Philox built with its ``counter`` one
+    below ``ctr``, the way the stream positions it."""
+    below = (sum(w << (64 * i) for i, w in enumerate(ctr)) - 1) % (1 << 256)
+    gen = Philox(key=key[0] | key[1] << 64, counter=below)
     return tuple(int(w) for w in gen.random_raw(4))
 
 
 def test_vectorised_block_matches_oracle_on_kat():
-    # Counter (0, 0, 0, 0) is positioned one below it: the decrement
-    # borrows through all four words.
+    # Counter (0, 0, 0, 0) is positioned one below it, at 2**256 - 1:
+    # the decrement borrows through all four words.
     for ctr, key, expected in _KAT:
         assert _stream_block(ctr, key) == expected
 
@@ -327,6 +327,22 @@ def test_paths_are_a_range_of_step_one_from_a_start_at_least_zero():
         assert empty.n_paths == 0
         assert empty.gaussian_increment(2).shape == (0, 3)
         assert empty.gaussian_increment(range(4)).shape == (4, 0, 3)
+
+
+@pytest.mark.parametrize("dim", [1, 4, 5])
+def test_last_admissible_path_over_a_step_range_matches_oracle(dim):
+    # The last path the block counter admits, (path + 1) * dim <=
+    # 4 * 2**64, has its words in the top blocks of the path word (block
+    # 2**64 - 1 at dim 1 and 4), so each step's blocks and the ``advance``
+    # to the next step run the 256-bit counter over the top of the path
+    # word into the step word.
+    stop = (4 << 64) // dim
+    last = NoiseStream(master_seed=_MASK, level=3,
+                       paths=range(stop - 1, stop), dim=dim)
+    got = last.gaussian_increment(range(6))
+    want = [[[_oracle_normal(_MASK, 3, stop - 1, j, c, dim)
+              for c in range(dim)]] for j in range(6)]
+    np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("dim", [1, 3, 5])
