@@ -37,7 +37,9 @@
 # step of level 0.  The theta = 0.5 mlmc run on additive_noise is the
 # one run of a state-independent diffusion, where X = x + eps * Y holds
 # exactly, the problem an exactness check of antithetic levels runs
-# on; it runs again on one thread.
+# on; it runs again on one thread.  So does the tamed theta = 0.5
+# deviation sweep, the one threaded sweep whose cells run the implicit
+# stage and taming about the skeleton's centre.
 set -e
 sums="$PWD/.github/cli-sha256.txt"
 out=$(mktemp -d)
@@ -63,6 +65,8 @@ cli --experiment rates-strong --theta 0.5 --samples 3000 --out "$out/rates-stron
 cli --experiment rates-strong --theta 0.5 --samples 3000 --jobs 1 --out "$out/jobs1/rates-strong-theta.csv"
 cmp "$out/rates-strong-theta.csv" "$out/jobs1/rates-strong-theta.csv"
 cli --experiment deviation --problem cubic_onesided --theta 0.5 --delta 0.5 --samples 6000 --out "$out/deviation-tamed.csv"
+cli --experiment deviation --problem cubic_onesided --theta 0.5 --delta 0.5 --samples 6000 --jobs 1 --out "$out/jobs1/deviation-tamed.csv"
+cmp "$out/deviation-tamed.csv" "$out/jobs1/deviation-tamed.csv"
 cli --experiment mlmc --M 4 --base-level 2 --max-level 4 --samples 6000 --out "$out/mlmc-M4.csv"
 cli --experiment mlmc --M 4 --base-level 2 --max-level 4 --samples 6000 --jobs 1 --out "$out/jobs1/mlmc-M4.csv"
 cmp "$out/mlmc-M4.csv" "$out/jobs1/mlmc-M4.csv"

@@ -87,13 +87,17 @@ def _refuse_few_paths(experiment: str, n_paths: int) -> None:
         raise ValueError(f"{experiment}: n_paths must be >= 2, got {n_paths}")
 
 
+def _listed(values) -> str:
+    # A sweep as a refusal names it: its values, or none.
+    return ", ".join(f"{v:g}" for v in values) or "none"
+
+
 def _refuse_sweep(experiment: str, sweep: str, values) -> None:
     # A rate is a slope through three or more points, so a sweep needs two
     # distinct values; a repeated value is a replicate.
     if len(values) < 3 or len(set(values)) < 2:
-        raise ValueError(
-            f"{experiment}: {sweep} needs >= 3 values, >= 2 of them "
-            f"distinct, got {', '.join(f'{v:g}' for v in values) or 'none'}")
+        raise ValueError(f"{experiment}: {sweep} needs >= 3 values, >= 2 of "
+                         f"them distinct, got {_listed(values)}")
 
 
 def _refuse_noise_scales(experiment: str, eps_values, zero_ok=False) -> None:
@@ -328,10 +332,9 @@ def small_noise_deviation(
     _refuse_noise_scales("deviation", eps_values, zero_ok=True)
     positive = [e for e in eps_values if e > 0.0]
     if len(positive) < 3 or max(positive) / min(positive) < 10.0:
-        raise ValueError(
-            "eps_sweep needs >= 3 positive values spanning at least one "
-            "decade"
-        )
+        raise ValueError("deviation: eps_sweep needs >= 3 positive values "
+                         "spanning at least one decade, got "
+                         + _listed(eps_values))
     plan = LevelPair.for_problem(problem, level, M=M, theta=theta,
                                  delta=delta, coupled=False)
     try:
@@ -357,10 +360,9 @@ def small_noise_deviation(
     fit_pairs = [(e, d) for e, d in zip(eps_values, deviations)
                  if e > 0.0 and d > 0.0]
     if len(fit_pairs) < 3:
-        raise ValueError(
-            "fewer than 3 cells produced a positive deviation; no rate "
-            "to fit"
-        )
+        raise ValueError("deviation: fewer than 3 cells of eps_sweep "
+                         f"{_listed(eps_values)} produced a positive "
+                         "deviation; no rate to fit")
     fit = RateFit.from_data([p[0] for p in fit_pairs],
                             [p[1] for p in fit_pairs])
 

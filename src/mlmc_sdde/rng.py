@@ -16,13 +16,16 @@ C implementation, ``numpy.random.Philox``.  The key is
 counter ``(i // 4, j, 0, 0)``, with ``i = p * dim + c``.  A stream draws
 for a ``range`` of consecutive paths, so its draws at one step are
 consecutive words of consecutive blocks, and one ``random_raw`` call
-returns them.  A call builds one generator with its documented
-``counter`` one below the first block of its first step (numpy
-increments the counter before it generates), and after each step's
-blocks ``advance`` moves that 256-bit counter on to the block one below
-the same first block at the next step.  The batch's words are sliced out
-of the returned blocks, from the middle of a block where the batch
-starts there.  The draws keep the path axis for a range of one path too.
+returns them.  It is asked in one way only: for a ``range`` of
+consecutive steps inside the ``n_steps`` of its declared grid, at most
+``2**64``, the span of the step word.  A call builds one generator with
+its documented ``counter`` one below the first block of its first step
+(numpy increments the counter before it generates), and after each
+step's blocks ``advance`` moves that 256-bit counter on to the block one
+below the same first block at the next step.  The batch's words are
+sliced out of the returned blocks, from the middle of a block where the
+batch starts there.  The draws keep the step and path axes for a range
+of one step or one path too.
 
 Words map to uniforms in (0, 1) via the top 52 bits,
 ``u = ((w >> 12) + 0.5) * 2**-52`` (both endpoints of the word range land
@@ -97,33 +100,35 @@ class NoiseStream:
         ``ValueError``.  An empty range draws an empty batch.
     dim : int
         Number of normal components per increment.
-    n_steps : int, optional
-        Number of steps on the declared grid.  When set, requests outside
-        ``0 <= step < n_steps`` raise ``IndexError``.
+    n_steps : int
+        Number of steps on the declared grid, ``1 <= n_steps <= 2**64``
+        (the step word), else ``ValueError``.
 
     Notes
     -----
-    ``gaussian_increment(j)`` returns the i.i.d. N(0, I_dim) vectors of
-    the ``P = len(paths)`` paths at step ``j``, shape (P, dim), one path
-    included.  The object holds no mutable state, so draws may be
-    requested in any order and from any thread with identical results.
+    ``gaussian_increment(steps)`` returns the i.i.d. N(0, I_dim) vectors
+    of the ``P = len(paths)`` paths at a ``range`` of steps inside
+    ``[0, n_steps)``, shape (len(steps), P, dim).  The object holds no
+    mutable state, so draws may be requested in any order and from any
+    thread with identical results.
     """
 
     master_seed: int
     level: int
     paths: range
     dim: int
-    n_steps: int | None = None
+    n_steps: int
 
     def __post_init__(self):
         if not 0 <= int(self.master_seed) <= _MASK64:
-            raise ValueError("master_seed must fit in an unsigned 64-bit word")
+            raise ValueError("master_seed must fit in an unsigned 64-bit "
+                             f"word, got {self.master_seed}")
         if int(self.level) < 0:
             raise ValueError("level must be non-negative")
         if int(self.dim) < 1:
             raise ValueError("dim must be >= 1")
-        if self.n_steps is not None and int(self.n_steps) < 1:
-            raise ValueError("n_steps must be >= 1 when given")
+        if not 1 <= int(self.n_steps) <= 1 << 64:
+            raise ValueError(f"n_steps {self.n_steps} not in [1, 2**64]")
         if not isinstance(self.paths, range):
             raise TypeError(f"paths must be a range, got {self.paths!r}")
         if self.paths.step != 1 or self.paths.start < 0:
@@ -133,31 +138,21 @@ class NoiseStream:
                 f"paths up to {self.paths.stop - 1} at dim {self.dim} "
                 "overflow the 64-bit block counter")
 
-    def _check(self, j: int) -> None:
-        if not 0 <= j <= _MASK64 or (
-            self.n_steps is not None and j >= self.n_steps
-        ):
-            bound = self.n_steps if self.n_steps is not None else "inf"
-            raise IndexError(f"step {j} outside [0, {bound}) for this stream")
-
-    def gaussian_increment(self, j: int | range) -> np.ndarray:
-        """N(0, I_dim) vectors of the paths at step ``j``, shape
-        (n_paths, dim).
-
-        ``j`` may also be a ``range`` of consecutive steps; the result is
-        then the per-step draws stacked along a new leading axis, equal
-        bit for bit to ``np.stack([gaussian_increment(i) for i in j])``.
-        Every call returns a new array, which the caller may overwrite.
-        """
-        steps = j if isinstance(j, range) else range(int(j), int(j) + 1)
+    def gaussian_increment(self, steps: range) -> np.ndarray:
+        """N(0, I_dim) vectors of the paths at ``steps``, a ``range`` of
+        step 1 inside ``[0, n_steps)``, shape (len(steps), n_paths, dim),
+        in a new array that the caller may overwrite.  Anything else is
+        refused before any draw: ``TypeError`` (not a range),
+        ``ValueError`` (a step other than 1) or ``IndexError`` (outside
+        the grid)."""
+        if not isinstance(steps, range):
+            raise TypeError(f"steps must be a range, got {steps!r}")
         if steps.step != 1:
             raise ValueError(f"step range {steps} must have step 1")
-        if steps:
-            self._check(steps.start)
-            self._check(steps[-1])
-        z = _draws((int(self.master_seed), int(self.level)), steps,
-                   self.paths, int(self.dim))
-        return z if isinstance(j, range) else z[0]
+        if steps and not (steps.start >= 0 and steps.stop <= self.n_steps):
+            raise IndexError(f"steps {steps} outside [0, {self.n_steps})")
+        return _draws((int(self.master_seed), int(self.level)), steps,
+                      self.paths, int(self.dim))
 
     @property
     def n_paths(self) -> int:

@@ -582,17 +582,18 @@ def _lockstep(problem: SddeProblem, members: list,
 
     ``noise`` comes in three forms:
 
-    * a :class:`NoiseStream` of the problem's noise dimension that covers
-      the finest grid, else ``ValueError``.  Its paths are the batch, one
-      path included.  Each draw is scaled by the square root of the
-      finest step.  The stream is read a block of steps at a time, and
-      not at all when the problem's eps is 0.
+    * a :class:`NoiseStream` of the problem's noise dimension whose
+      ``n_steps`` covers the finest grid, else ``ValueError``.  Its paths
+      are the batch, one path included.  Each draw is scaled by the
+      square root of the finest step.  The stream is read a block of
+      steps at a time, and not at all when the problem's eps is 0.
     * the Brownian increments ``dW`` themselves, already scaled: any
       iterable of ``(P, d)`` arrays, one per fine step, a ``(N, P, d)``
       array included, taken as they are and read as the steps run.  The
       first array sets the batch size ``P``.  Exactly ``N`` of them are
       needed, else ``ValueError``, at eps = 0 too, where the steps ignore
-      them.
+      them; its message ends with the shape received at the first
+      wrong step, or ``none``, and that step.
     * ``None``, which reads nothing and runs the drift-only steps,
       whatever the problem's eps.
 
@@ -607,7 +608,7 @@ def _lockstep(problem: SddeProblem, members: list,
         if noise.dim != dnoise:
             raise ValueError(f"noise stream dim {noise.dim} != problem "
                              f"dim_noise {dnoise}")
-        if noise.n_steps is not None and noise.n_steps < N:
+        if noise.n_steps < N:
             raise ValueError(f"stream covers {noise.n_steps} fine steps, "
                              f"grid needs {N}")
         n_paths = noise.n_paths
@@ -645,12 +646,12 @@ def _lockstep(problem: SddeProblem, members: list,
                 paths[k] = stepper.send(
                     dw if dw is None or scale == 1.0 else scale * dw)
     if j < N or xi is not None:
-        # Without a 2-D first increment the batch size is unknown, so the
-        # message names the shape it received instead.
+        # Without a 2-D first increment the batch size is unknown.
+        want = (f"= ({n_paths}, {dnoise})" if n_paths is not None
+                else f"with d = {dnoise}")
         got = "none" if xi is None else np.shape(xi)
         raise ValueError(f"noise must give N = {N} increments of shape (P, d) "
-                         + (f"= ({n_paths}, {dnoise})" if n_paths is not None
-                            else f"with d = {dnoise}, got {got}"))
+                         f"{want}, got {got} at step {j}")
     return paths
 
 

@@ -153,7 +153,7 @@ def test_criterion_02_degeneracy_suite():
     vals = np.full(n_steps + m + 1, x0)
     for n in range(n_steps):
         x, y = vals[m + n], vals[n]
-        dw = sqh * stream.gaussian_increment(n)[0, 0]
+        dw = sqh * stream.gaussian_increment(range(n, n + 1))[0, 0, 0]
         vals[m + n + 1] = (x + h * (a1 * x + a2 * y)) + eps * ((b1 * x + b2 * y) * dw)
     np.testing.assert_array_equal(path.values[:, 0, 0], vals)
 

@@ -280,6 +280,32 @@ def test_zero_statistic_exits_two_naming_what_failed(experiment, stat,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args, error", [
+    (["--eps", "0.1,0.2,0.3"],
+     "deviation: eps_sweep needs >= 3 positive values spanning at least "
+     "one decade, got 0.1, 0.2, 0.3"),
+    (["--problem", "zero_dynamics"],
+     "deviation: fewer than 3 cells of eps_sweep 0.002, 0.005, 0.01, "
+     "0.02, 0.05 produced a positive deviation; no rate to fit"),
+], ids=["narrow-sweep", "zero-dynamics"])
+def test_deviation_refusals_name_the_experiment_and_the_sweep(
+        args, error, tmp_path, capsys):
+    out = tmp_path / "deviation.csv"
+    assert _run(["--experiment", "deviation", "--samples", "8", "--jobs",
+                 "1", "--out", str(out)] + args) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_seed_outside_the_word_exits_two_naming_it(tmp_path, capsys):
+    out = tmp_path / "path.csv"
+    assert _run(["--experiment", "path", "--samples", "8", "--seed", "-1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: master_seed must fit in an unsigned 64-bit word, got -1\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_noise_free_level_sweep_refused_by_rates_variance_only(tmp_path,
                                                                capsys):
     cfg_file = tmp_path / "run.cfg"

@@ -8,6 +8,8 @@ because numpy advances the counter before generating, so the stream
 positions it one below the block it wants.
 """
 
+import re
+
 import numpy as np
 import pytest
 from numpy.random import Philox
@@ -147,7 +149,7 @@ def test_increment_equals_ndtri_of_oracle_words():
     for dim in (1, 3, 5, 9):
         for seed in (42, _MASK):
             got = NoiseStream(master_seed=seed, level=2, paths=paths,
-                              dim=dim).gaussian_increment(range(3))
+                              dim=dim, n_steps=3).gaussian_increment(range(3))
             assert got.shape == (3, 6, dim)
             want = [[[_oracle_normal(seed, 2, p, j, c, dim)
                       for c in range(dim)] for p in range(6)]
@@ -161,9 +163,9 @@ def test_multiblock_dimension_layout():
     # blocks and starts wherever the previous path ended.
     step, key = 5, (2**63, 9)
     for dim in (5, 9):
-        z = NoiseStream(master_seed=key[0], level=key[1],
-                        paths=range(3, 7),
-                        dim=dim).gaussian_increment(step)
+        z = NoiseStream(master_seed=key[0], level=key[1], paths=range(3, 7),
+                        dim=dim, n_steps=step + 1).gaussian_increment(
+                            range(step, step + 1))
         lo, hi = 3 * dim, 7 * dim
         words = [w for b in range(lo // 4, -(-hi // 4))
                  for w in philox_oracle((b, step, 0, 0), key)]
@@ -172,9 +174,10 @@ def test_multiblock_dimension_layout():
             np.array(words[skip:skip + hi - lo], dtype=np.uint64)))
         np.testing.assert_array_equal(z.reshape(-1), expected)
         single = NoiseStream(master_seed=key[0], level=key[1],
-                             paths=range(123456, 123457), dim=dim)
+                             paths=range(123456, 123457), dim=dim,
+                             n_steps=step + 1)
         np.testing.assert_array_equal(
-            single.gaussian_increment(step)[0],
+            single.gaussian_increment(range(step, step + 1))[0, 0],
             [_oracle_normal(*key, 123456, step, c, dim) for c in range(dim)])
 
 
@@ -185,34 +188,37 @@ def test_multiblock_dimension_layout():
 def test_query_order_is_irrelevant():
     stream = NoiseStream(master_seed=11, level=3, paths=range(1), dim=2,
                          n_steps=32)
-    forward = {j: stream.gaussian_increment(j) for j in range(32)}
+    forward = {j: stream.gaussian_increment(range(j, j + 1))
+               for j in range(32)}
     rng = np.random.default_rng(0)
     for j in rng.permutation(32):
-        np.testing.assert_array_equal(stream.gaussian_increment(int(j)),
-                                      forward[j])
+        np.testing.assert_array_equal(
+            stream.gaussian_increment(range(j, j + 1)), forward[j])
 
 
 def test_distinct_coordinates_give_distinct_draws():
-    base = dict(master_seed=5, level=1, paths=range(3, 4), dim=3)
-    z = NoiseStream(**base).gaussian_increment(3)
+    base = dict(master_seed=5, level=1, paths=range(3, 4), dim=3, n_steps=5)
+    z = NoiseStream(**base).gaussian_increment(range(3, 4))
     for change in [dict(master_seed=6), dict(level=2),
                    dict(paths=range(4, 5))]:
-        other = NoiseStream(**{**base, **change}).gaussian_increment(3)
+        other = NoiseStream(**{**base, **change}).gaussian_increment(
+            range(3, 4))
         assert not np.array_equal(z, other)
     s = NoiseStream(**base)
-    assert not np.array_equal(z, s.gaussian_increment(2))
-    assert not np.array_equal(z, s.gaussian_increment(4))
+    assert not np.array_equal(z, s.gaussian_increment(range(2, 3)))
+    assert not np.array_equal(z, s.gaussian_increment(range(4, 5)))
 
 
 def test_batch_rows_match_scalar_streams():
     batch = NoiseStream(master_seed=9, level=4,
-                        paths=range(17, 25), dim=3)
-    z = batch.gaussian_increment(13)
-    assert z.shape == (8, 3)
+                        paths=range(17, 25), dim=3, n_steps=14)
+    z = batch.gaussian_increment(range(13, 14))
+    assert z.shape == (1, 8, 3)
     for i, p in enumerate(range(17, 25)):
         single = NoiseStream(master_seed=9, level=4, paths=range(p, p + 1),
-                             dim=3)
-        np.testing.assert_array_equal(z[i], single.gaussian_increment(13)[0])
+                             dim=3, n_steps=14)
+        np.testing.assert_array_equal(
+            z[0, i], single.gaussian_increment(range(13, 14))[0, 0])
 
 
 @pytest.mark.parametrize("dim", [1, 3, 4, 5, 9])
@@ -220,16 +226,16 @@ def test_sub_batch_draws_equal_rows_of_the_full_batch(dim):
     # Chunk boundaries never change a draw, including batches that start
     # in the middle of a block and scalar paths.
     full = NoiseStream(master_seed=_MASK, level=6, paths=range(13),
-                       dim=dim).gaussian_increment(range(4))
+                       dim=dim, n_steps=4).gaussian_increment(range(4))
     for a, b in [(0, 13), (1, 2), (1, 4), (2, 7), (3, 13), (5, 6), (6, 11),
                  (12, 13)]:
         part = NoiseStream(master_seed=_MASK, level=6,
-                           paths=range(a, b), dim=dim)
+                           paths=range(a, b), dim=dim, n_steps=4)
         np.testing.assert_array_equal(part.gaussian_increment(range(4)),
                                       full[:, a:b])
     for p in (0, 1, 5, 12):
         scalar = NoiseStream(master_seed=_MASK, level=6,
-                             paths=range(p, p + 1), dim=dim)
+                             paths=range(p, p + 1), dim=dim, n_steps=4)
         np.testing.assert_array_equal(scalar.gaussian_increment(range(4)),
                                       full[:, p:p + 1])
 
@@ -238,8 +244,8 @@ def test_estimate_level_draws_do_not_depend_on_chunk_size(monkeypatch):
     original = NoiseStream.gaussian_increment
     per_path = {}
 
-    def record(self, j):
-        out = original(self, j)
+    def record(self, steps):
+        out = original(self, steps)
         for i, p in enumerate(self.paths):
             per_path.setdefault(int(p), []).append(out[:, i].copy())
         return out
@@ -264,68 +270,107 @@ def test_out_of_range_requests_raise():
     stream = NoiseStream(master_seed=0, level=0, paths=range(1), dim=1,
                          n_steps=4)
     with pytest.raises(IndexError):
-        stream.gaussian_increment(4)
+        stream.gaussian_increment(range(4, 5))
     with pytest.raises(IndexError):
-        stream.gaussian_increment(-1)
+        stream.gaussian_increment(range(-1, 0))
     for steps in (range(2, 5), range(-1, 2)):
         with pytest.raises(IndexError):
             stream.gaussian_increment(steps)
     with pytest.raises(ValueError):
         stream.gaussian_increment(range(0, 4, 2))
     with pytest.raises(ValueError):
-        NoiseStream(master_seed=-1, level=0, paths=range(1), dim=1)
+        NoiseStream(master_seed=-1, level=0, paths=range(1), dim=1,
+                    n_steps=1)
     with pytest.raises(ValueError):
-        NoiseStream(master_seed=0, level=-1, paths=range(1), dim=1)
+        NoiseStream(master_seed=0, level=-1, paths=range(1), dim=1,
+                    n_steps=1)
     with pytest.raises(ValueError):
-        NoiseStream(master_seed=0, level=0, paths=range(-2, -1), dim=1)
+        NoiseStream(master_seed=0, level=0, paths=range(-2, -1), dim=1,
+                    n_steps=1)
+
+
+def test_a_stream_is_asked_for_a_range_of_steps_inside_its_grid(monkeypatch):
+    # A request is a range of step 1 inside [0, n_steps), refused before
+    # any draw otherwise; n_steps is required and fits the step word.
+    def no_draw(*args):
+        raise AssertionError("a refused request drew")
+
+    monkeypatch.setattr("mlmc_sdde.rng._draws", no_draw)
+    stream = NoiseStream(master_seed=0, level=0, paths=range(2), dim=1,
+                         n_steps=8)
+    for steps in (3, np.int64(3), [3, 4], slice(3, 5)):
+        with pytest.raises(TypeError, match="^steps must be a range, got "):
+            stream.gaussian_increment(steps)
+    with pytest.raises(IndexError,
+                       match=r"^steps range\(7, 9\) outside \[0, 8\)$"):
+        stream.gaussian_increment(range(7, 9))
+    with pytest.raises(TypeError, match="n_steps"):
+        NoiseStream(master_seed=0, level=0, paths=range(2), dim=1)
+    for n_steps in (0, 2**64 + 1):
+        with pytest.raises(ValueError, match=(
+                rf"^n_steps {n_steps} not in \[1, 2\*\*64\]$")):
+            NoiseStream(master_seed=0, level=0, paths=range(2), dim=1,
+                        n_steps=n_steps)
+    top = NoiseStream(master_seed=0, level=0, paths=range(2), dim=1,
+                      n_steps=2**64)
+    with pytest.raises(IndexError, match=re.escape(
+            f"steps range({2**64 - 1}, {2**64 + 1}) outside [0, {2**64})")):
+        top.gaussian_increment(range(2**64 - 1, 2**64 + 1))
+    with pytest.raises(ValueError, match=(
+            "^master_seed must fit in an unsigned 64-bit word, got -1$")):
+        NoiseStream(master_seed=-1, level=0, paths=range(2), dim=1,
+                    n_steps=8)
 
 
 def test_gapped_batch_and_block_counter_overflow_raise():
     # A range with gaps, or descending, has a step other than 1.
     for paths in (range(0, 4, 2), range(3, 1, -1)):
         with pytest.raises(ValueError, match="step 1"):
-            NoiseStream(master_seed=0, level=0, paths=paths, dim=1)
+            NoiseStream(master_seed=0, level=0, paths=paths, dim=1,
+                        n_steps=1)
     # Block counters are one word: (max path + 1) * dim <= 4 * 2**64.
     with pytest.raises(ValueError, match="block counter"):
         NoiseStream(master_seed=0, level=0, paths=range(2**63 - 1, 2**63),
-                    dim=9)
+                    dim=9, n_steps=1)
     with pytest.raises(ValueError, match="block counter"):
         NoiseStream(master_seed=0, level=0, paths=range(_MASK, _MASK + 1),
-                    dim=5)
+                    dim=5, n_steps=1)
     last = NoiseStream(master_seed=1, level=2, paths=range(_MASK, _MASK + 1),
-                       dim=4)
+                       dim=4, n_steps=8)
     np.testing.assert_array_equal(
-        last.gaussian_increment(7)[0],
+        last.gaussian_increment(range(7, 8))[0, 0],
         [_oracle_normal(1, 2, _MASK, 7, c, 4) for c in range(4)])
 
 
 def test_paths_are_a_range_of_step_one_from_a_start_at_least_zero():
     for paths in (3, np.arange(4), [0, 1], (0, 1)):
         with pytest.raises(TypeError, match="paths must be a range"):
-            NoiseStream(master_seed=0, level=0, paths=paths, dim=1)
+            NoiseStream(master_seed=0, level=0, paths=paths, dim=1,
+                        n_steps=1)
     for paths in (range(0, 4, 2), range(3, 0, -1), range(-1, 2),
                   range(-3, -3)):
         with pytest.raises(ValueError, match="need step 1, start >= 0"):
-            NoiseStream(master_seed=0, level=0, paths=paths, dim=1)
+            NoiseStream(master_seed=0, level=0, paths=paths, dim=1,
+                        n_steps=1)
     # The overflow bound's edge: the last path whose words all sit in a
     # block below 2**64, (path + 1) * dim <= 4 * 2**64, is drawn as the
     # oracle draws it, and the path after it is refused.
     for dim in (1, 4, 5):
         stop = (4 << 64) // dim
         last = NoiseStream(master_seed=3, level=1, paths=range(stop - 1, stop),
-                           dim=dim)
+                           dim=dim, n_steps=3)
         np.testing.assert_array_equal(
-            last.gaussian_increment(2)[0],
+            last.gaussian_increment(range(2, 3))[0, 0],
             [_oracle_normal(3, 1, stop - 1, 2, c, dim) for c in range(dim)])
         with pytest.raises(ValueError, match="block counter"):
             NoiseStream(master_seed=3, level=1, paths=range(stop, stop + 1),
-                        dim=dim)
+                        dim=dim, n_steps=3)
     # An empty range draws an empty batch, wherever it starts.
     for paths in (range(0), range(7, 7), range(7, 2)):
         empty = NoiseStream(master_seed=3, level=1, paths=paths, dim=3,
                             n_steps=4)
         assert empty.n_paths == 0
-        assert empty.gaussian_increment(2).shape == (0, 3)
+        assert empty.gaussian_increment(range(2, 3)).shape == (1, 0, 3)
         assert empty.gaussian_increment(range(4)).shape == (4, 0, 3)
 
 
@@ -335,14 +380,16 @@ def test_last_admissible_path_over_a_step_range_matches_oracle(dim):
     # 4 * 2**64, has its words in the top blocks of the path word (block
     # 2**64 - 1 at dim 1 and 4), so each step's blocks and the ``advance``
     # to the next step run the 256-bit counter over the top of the path
-    # word into the step word.
+    # word into the step word.  A grid of 2**64 steps, the whole step
+    # word, also admits its last steps, where the step word is at its top.
     stop = (4 << 64) // dim
     last = NoiseStream(master_seed=_MASK, level=3,
-                       paths=range(stop - 1, stop), dim=dim)
-    got = last.gaussian_increment(range(6))
-    want = [[[_oracle_normal(_MASK, 3, stop - 1, j, c, dim)
-              for c in range(dim)]] for j in range(6)]
-    np.testing.assert_array_equal(got, want)
+                       paths=range(stop - 1, stop), dim=dim, n_steps=2**64)
+    for steps in (range(6), range(2**64 - 6, 2**64)):
+        got = last.gaussian_increment(steps)
+        want = [[[_oracle_normal(_MASK, 3, stop - 1, j, c, dim)
+                  for c in range(dim)]] for j in steps]
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("dim", [1, 3, 5])
@@ -359,12 +406,13 @@ def test_each_batch_row_is_the_one_path_stream_of_its_path(dim):
         assert one.n_paths == 1
         np.testing.assert_array_equal(one.gaussian_increment(range(2, 7)),
                                       z[:, i:i + 1])
-        np.testing.assert_array_equal(one.gaussian_increment(4), z[2, i:i + 1])
+        np.testing.assert_array_equal(one.gaussian_increment(range(4, 5)),
+                                      z[2:3, i:i + 1])
 
 
 def test_moments_are_standard_normal():
     stream = NoiseStream(master_seed=2025, level=0,
-                         paths=range(20000), dim=2)
+                         paths=range(20000), dim=2, n_steps=6)
     draws = stream.gaussian_increment(range(6))
     flat = draws.reshape(-1)
     n = flat.size
@@ -393,13 +441,15 @@ def test_step_range_equals_stacked_steps(length, dim, paths, seed, start):
     if paths.step != 1:
         # Draws come one run of consecutive paths at a time.
         with pytest.raises(ValueError, match="step 1"):
-            NoiseStream(master_seed=seed, level=4, paths=paths, dim=dim)
+            NoiseStream(master_seed=seed, level=4, paths=paths, dim=dim,
+                        n_steps=start + length)
         return
     stream = NoiseStream(master_seed=seed, level=4, paths=paths,
-                         dim=dim)
+                         dim=dim, n_steps=start + length)
     steps = range(start, start + length)
     got = stream.gaussian_increment(steps)
-    want = np.stack([stream.gaussian_increment(j) for j in steps])
+    want = np.concatenate([stream.gaussian_increment(range(j, j + 1))
+                           for j in steps])
     assert got.shape == want.shape
     assert np.array_equal(got, want)
 
@@ -410,8 +460,8 @@ def test_every_draw_passes_through_gaussian_increment_once(monkeypatch):
     sizes = []
     original = NoiseStream.gaussian_increment
 
-    def counted(self, j):
-        out = original(self, j)
+    def counted(self, steps):
+        out = original(self, steps)
         sizes.append(out.size)
         return out
 
@@ -441,11 +491,11 @@ def test_gaussian_increment_returns_a_new_array_each_call():
     # Callers scale the block in place (the step loop multiplies by
     # sqrt(h)); that must not reach the draws of a later call.
     stream = NoiseStream(master_seed=5, level=3, paths=range(2, 9),
-                         dim=2)
-    for j in (range(1, 5), 3):
-        first = stream.gaussian_increment(j)
+                         dim=2, n_steps=5)
+    for steps in (range(1, 5), range(3, 4)):
+        first = stream.gaussian_increment(steps)
         want = first.copy()
         first *= 0.5
-        again = stream.gaussian_increment(j)
+        again = stream.gaussian_increment(steps)
         assert not np.shares_memory(first, again)
         assert np.array_equal(again, want)

@@ -11,6 +11,7 @@ hand-rolled loops.
 import dataclasses
 import math
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -324,7 +325,7 @@ def test_explicit_path_matches_hand_rolled_loop_bitwise():
     for n in range(N):
         x = vals[m + n]
         y = vals[n]
-        dw = sqh * stream.gaussian_increment(n)[0, 0]
+        dw = sqh * stream.gaussian_increment(range(n, n + 1))[0, 0, 0]
         fx = a1 * x + a2 * y
         gx = b1 * x + b2 * y
         vals[m + n + 1] = (x + h * fx) + eps * (gx * dw)
@@ -370,7 +371,7 @@ def test_implicit_path_satisfies_stage_equation():
     for n in range(N):
         x, y = V[m + n], V[n]
         xn, yn = V[m + n + 1], V[n + 1]
-        dw = sqh * stream.gaussian_increment(n)
+        dw = sqh * stream.gaussian_increment(range(n, n + 1))[0]
         lhs = xn - g.theta * h * p.drift(xn, yn)
         rhs = (
             x + (1 - g.theta) * h * p.drift(x, y)
@@ -457,9 +458,9 @@ def test_increment_array_drive_matches_stream_drive(monkeypatch):
     blocks = []
     draw = NoiseStream.gaussian_increment
 
-    def spy(self, j):
-        blocks.append(len(j))
-        return draw(self, j)
+    def spy(self, steps):
+        blocks.append(len(steps))
+        return draw(self, steps)
 
     monkeypatch.setattr(scheme, "_BLOCK_DRAWS", 18)
     cub = builtin_problem("cubic_onesided")
@@ -470,10 +471,7 @@ def test_increment_array_drive_matches_stream_drive(monkeypatch):
         N = g.total_steps_N
         stream = NoiseStream(master_seed=5, level=level,
                              paths=range(6), dim=1, n_steps=N)
-        dw = np.stack(
-            [math.sqrt(g.step_h) * stream.gaussian_increment(n)
-             for n in range(N)]
-        )
+        dw = math.sqrt(g.step_h) * stream.gaussian_increment(range(N))
         for full_path in (True, False):
             with monkeypatch.context() as patch:
                 patch.setattr(NoiseStream, "gaussian_increment", spy)
@@ -507,36 +505,59 @@ def test_path_takes_increments_from_any_iterable_of_rows(theta):
 def test_path_rejects_mismatched_noise():
     p = builtin_problem("linear_scalar")
     g = GridSpec.for_problem(p, theta=0.0, level=3)
-    wrong_dim = NoiseStream(master_seed=0, level=0, paths=range(1), dim=2)
+    wrong_dim = NoiseStream(master_seed=0, level=0, paths=range(1), dim=2,
+                            n_steps=8)
     with pytest.raises(ValueError, match="dim"):
         theta_em_path(p, g, noise=wrong_dim)
-    with pytest.raises(ValueError, match="shape"):
-        theta_em_path(p, g, noise=np.zeros((4, 1)))  # N mismatch
+    short = NoiseStream(master_seed=0, level=0, paths=range(1), dim=1,
+                        n_steps=7)
+    with pytest.raises(ValueError, match="^stream covers 7 fine steps, "
+                                         "grid needs 8$"):
+        theta_em_path(p, g, noise=short)
+    # An N mismatch of a 2-D array: its rows are (1,) increments.
+    with pytest.raises(ValueError, match=r"with d = 1, got \(1,\) at step 0$"):
+        theta_em_path(p, g, noise=np.zeros((4, 1)))
     # Iterators of too few, too many or wrongly shaped increments; the
-    # grid needs N = 8 of shape (P, 1).
-    row = np.zeros((2, 1))
-    for rows in ([row] * 7, [row] * 9, [row] * 3 + [np.zeros((3, 1))] * 5,
-                 [np.zeros((2, 2))] * 8, []):
-        with pytest.raises(ValueError, match=r"N = 8 .* shape \(P, d\)"):
+    # grid needs N = 8 of shape (P, 1).  Every refusal ends with the shape
+    # received, or none, and the step it arrived at.
+    row, row3 = np.zeros((2, 1)), np.zeros((3, 1))
+    for rows, want, end in (
+            ([row] * 7, "(2, 1)", "none at step 7"),
+            ([row] * 9, "(2, 1)", "(2, 1) at step 8"),
+            ([row] * 3 + [row3] * 5, "(2, 1)", "(3, 1) at step 3"),
+            ([row3] * 4 + [row] * 4, "(3, 1)", "(2, 1) at step 4"),
+            ([row3] * 7, "(3, 1)", "none at step 7"),
+            ([row3] * 9, "(3, 1)", "(3, 1) at step 8"),
+            ([np.zeros((2, 2))] * 8, "(2, 1)", "(2, 2) at step 0")):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"noise must give N = 8 increments of shape (P, d) = {want}, "
+                f"got {end}") + "$"):
             theta_em_path(p, g, noise=iter(rows))
+    with pytest.raises(ValueError, match=r"N = 8 .* shape \(P, d\) with "
+                                         r"d = 1, got none at step 0$"):
+        theta_em_path(p, g, noise=iter([]))
     # At eps = 0 the steps ignore the increments, which are still checked.
     quiet = builtin_problem("linear_scalar", eps=0.0)
-    for noise in (np.zeros((7, 2, 1)), iter([row] * 9),
-                  iter([row] * 4 + [np.zeros((2,))] + [row] * 3)):
-        with pytest.raises(ValueError, match=r"N = 8 .* shape \(P, d\)"):
+    for noise, end in ((np.zeros((7, 2, 1)), "none at step 7"),
+                       (iter([row] * 9), r"\(2, 1\) at step 8"),
+                       (iter([row] * 4 + [np.zeros((2,))] + [row] * 3),
+                        r"\(2,\) at step 4")):
+        with pytest.raises(ValueError, match=(
+                rf"^noise must give N = 8 increments of shape \(P, d\) = "
+                rf"\(2, 1\), got {end}$")):
             theta_em_path(quiet, g, noise=noise)
 
 
 def test_increments_without_a_batch_axis_are_named_by_their_shape():
     # A first increment that is not 2-D leaves the batch size unknown; the
     # message used to print P = 1, a batch size nobody gave, and now names
-    # the shape it received.
+    # the shape it received and the step, as every refusal does.
     p = builtin_problem("linear_scalar")
     g = GridSpec.for_problem(p, theta=0.0, level=3)
     for noise, got in ((np.zeros((8, 3)), r"\(3,\)"), (iter([]), "none")):
         with pytest.raises(ValueError, match=(
                 r"^noise must give N = 8 increments of shape \(P, d\) "
-                rf"with d = 1, got {got}$")):
+                rf"with d = 1, got {got} at step 0$")):
             theta_em_path(p, g, noise=noise)
 
 
