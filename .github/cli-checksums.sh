@@ -2,7 +2,7 @@
 # CLI output checksums, run from the root of the repository:
 #   bash .github/cli-checksums.sh
 #
-# The seven default experiments and nineteen other configurations at
+# The seven default experiments and twenty other configurations at
 # one seed, and the --help text at 80 columns (its line breaks
 # follow COLUMNS): each file must have the sha256 recorded in
 # .github/cli-sha256.txt, so a byte change fails unless the same
@@ -12,8 +12,9 @@
 # run: the default mlmc run meets its target SE with the pilot
 # alone, and this one tops levels up.  The theta > 0 strong-error
 # sweep runs two chunks, the last one short.  The M = 4 runs read draw
-# blocks that end inside a coarse step: the mlmc one in chunks of
-# 4096 and 1904 paths, the coupled one at 3000 paths.
+# blocks that end inside a coarse step: the mlmc one in its 1808-path
+# chunk (after one of 8192 paths), whose 18-step blocks end inside a
+# 4-step coarse step, the coupled one at 3000 paths.
 # They also cover a pair's running coarse sum carried across a block.  The
 # target-SE mlmc run at 0.000856 tops the base level up by one
 # sample over its pilot, which runs as a top-up of two.  The tamed
@@ -39,7 +40,9 @@
 # exactly, the problem an exactness check of antithetic levels runs
 # on; it runs again on one thread.  So does the tamed theta = 0.5
 # deviation sweep, the one threaded sweep whose cells run the implicit
-# stage and taming about the skeleton's centre.
+# stage and taming about the skeleton's centre.  The tamed theta = 0.5
+# mlmc run at 9000 samples folds each level in two chunks, of 8192 and
+# 808 paths: the one multi-chunk tamed fold.  It runs again on one thread.
 set -e
 sums="$PWD/.github/cli-sha256.txt"
 out=$(mktemp -d)
@@ -52,6 +55,9 @@ for e in path coupled mlmc rates-strong rates-moment rates-variance deviation; d
   cmp "$out/$e.csv" "$out/jobs1/$e.csv"
 done
 cli --experiment mlmc --problem cubic_onesided --theta 0.5 --delta 0.5 --samples 200 --out "$out/mlmc-tamed.csv"
+cli --experiment mlmc --problem cubic_onesided --theta 0.5 --delta 0.5 --samples 9000 --out "$out/mlmc-tamed-9000.csv"
+cli --experiment mlmc --problem cubic_onesided --theta 0.5 --delta 0.5 --samples 9000 --jobs 1 --out "$out/jobs1/mlmc-tamed-9000.csv"
+cmp "$out/mlmc-tamed-9000.csv" "$out/jobs1/mlmc-tamed-9000.csv"
 cli --experiment mlmc --problem cubic_onesided --theta 0.5 --delta 0.5 --target-se 2e-4 --out "$out/mlmc-tamed-se.csv"
 cli --experiment mlmc --problem cubic_onesided --theta 0.5 --delta 0.5 --target-se 2e-4 --jobs 1 --out "$out/jobs1/mlmc-tamed-se.csv"
 cmp "$out/mlmc-tamed-se.csv" "$out/jobs1/mlmc-tamed-se.csv"
@@ -67,8 +73,8 @@ cmp "$out/rates-strong-theta.csv" "$out/jobs1/rates-strong-theta.csv"
 cli --experiment deviation --problem cubic_onesided --theta 0.5 --delta 0.5 --samples 6000 --out "$out/deviation-tamed.csv"
 cli --experiment deviation --problem cubic_onesided --theta 0.5 --delta 0.5 --samples 6000 --jobs 1 --out "$out/jobs1/deviation-tamed.csv"
 cmp "$out/deviation-tamed.csv" "$out/jobs1/deviation-tamed.csv"
-cli --experiment mlmc --M 4 --base-level 2 --max-level 4 --samples 6000 --out "$out/mlmc-M4.csv"
-cli --experiment mlmc --M 4 --base-level 2 --max-level 4 --samples 6000 --jobs 1 --out "$out/jobs1/mlmc-M4.csv"
+cli --experiment mlmc --M 4 --base-level 2 --max-level 4 --samples 10000 --out "$out/mlmc-M4.csv"
+cli --experiment mlmc --M 4 --base-level 2 --max-level 4 --samples 10000 --jobs 1 --out "$out/jobs1/mlmc-M4.csv"
 cmp "$out/mlmc-M4.csv" "$out/jobs1/mlmc-M4.csv"
 cli --experiment coupled --M 4 --base-level 3 --samples 3000 --out "$out/coupled-M4.csv"
 cli --experiment mlmc --target-se 0.000856 --out "$out/mlmc-topup-one.csv"

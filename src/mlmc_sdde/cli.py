@@ -7,12 +7,13 @@ deterministic: the same configuration and seed produce byte-identical
 CSV regardless of ``--jobs``.  Only the rates-moment, rates-variance and
 deviation sweeps use threads, over cells with per-cell substreams; path,
 coupled, mlmc and rates-strong run on one thread.  Path batches run in
-chunks: MLMC levels fold chunks of 4096 paths, rates-strong sums chunks
-of 2048 paths, and every other batch (the path and coupled runs reuse the
-cells of the deviation and rates-moment sweeps) runs
-``max(1, 2**24 // (N * d))`` paths of N fine steps and d noise components
-per chunk, which bounds the states a full-path chunk stores; the noise is
-read one 256 KiB draw block at a time.
+chunks: MLMC levels fold chunks of 8192 paths, or of 4096 where the delay
+windows would hold more than 2**20 states (from level 9 at tau = 1/4),
+rates-strong sums chunks of 2048 paths, and every other batch (the path
+and coupled runs reuse the cells of the deviation and rates-moment
+sweeps) runs ``max(1, 2**24 // (N * d))`` paths of N fine steps and d
+noise components per chunk, which bounds the states a full-path chunk
+stores; the noise is read one 256 KiB draw block at a time.
 
 Configuration is layered: per-experiment defaults (``DEFAULTS``), then a
 ``--config`` file of flat ``key=value`` lines, then command-line flags.

@@ -16,11 +16,10 @@ so that sharded and serial runs agree to high relative accuracy.
 The package's one chunk runner and one thread map live here too.  The
 chunk runner folds the chunks of a run in order on the calling thread,
 for MLMC levels and the strong-error sweep of :mod:`mlmc_sdde.analysis`
-alike: on 2 cores, two threads over the chunks of a 5-level MLMC run
-with 20 000 samples per level took 2.14 s against 1.80 s, and over the
-chunks of the default strong-error sweep they gained nothing and held
-more memory.  Only the independent cells of the moment, variance and
-deviation sweeps run on the thread map.
+alike: on 2 cores, threads over the chunks of MLMC levels were slower
+than one thread, and over the chunks of the default strong-error sweep
+they gained nothing and held more memory.  Only the independent cells of
+the moment, variance and deviation sweeps run on the thread map.
 """
 
 from __future__ import annotations
@@ -40,10 +39,15 @@ from .scheme import NonConvergence
 __all__ = ["LevelStats", "MlmcEstimate", "estimate_level",
            "single_level_estimate", "mlmc_estimate"]
 
-# Paths are always processed in fixed chunks of this many indices and the
-# per-chunk statistics merged in chunk order, so the result is a pure
-# function of (seed, sample count).  Read at call time.
-CHUNK_SIZE = 4096
+# Paths are always processed in fixed chunks and the per-chunk statistics
+# merged in chunk order, so the result is a pure function of (seed, sample
+# count).  A level folds chunks of CHUNK_SIZE paths when its members' delay
+# windows hold at most WINDOW_STATES states (8 MiB of float64) at that
+# width, else chunks of CHUNK_SIZE // 2: with tau = 1/4 and T = 1 at M = 2,
+# 8192 paths up to level 8 and 4096 from level 9.  A wider chunk spreads
+# the fixed cost of each step over more paths.  Read at call time.
+CHUNK_SIZE = 8192
+WINDOW_STATES = 2**20
 
 # The pilot samples per level and the per-level sample cap of a target-SE
 # estimate.  Read at call time.
@@ -236,16 +240,26 @@ def _run_chunks(chunk_fn: Callable[[int, int], tuple[np.ndarray, ...]],
             for a in range(start, stop, chunk_size)]
 
 
+def _chunk_width(plan: LevelPair) -> int:
+    """The paths per chunk of ``plan``'s fold: ``CHUNK_SIZE`` when its
+    members' delay windows hold at most ``WINDOW_STATES`` states at that
+    width, else ``CHUNK_SIZE // 2`` (at least 1)."""
+    rows = sum(grid.steps_per_delay_m + 1 for grid, _, _ in plan.members)
+    if CHUNK_SIZE * rows * plan.problem.dim_state <= WINDOW_STATES:
+        return CHUNK_SIZE
+    return max(1, CHUNK_SIZE // 2)
+
+
 def _fold(plan: LevelPair, psi: Payoff, seed: int, start: int,
           n_samples: int) -> LevelStats:
     """The statistics of :meth:`LevelPair.payoffs` over the paths
-    ``[start, start + n_samples)``, in chunks of ``CHUNK_SIZE``, merged in
-    chunk order; at least 2 samples, else ``ValueError``."""
+    ``[start, start + n_samples)``, in chunks of :func:`_chunk_width`,
+    merged in chunk order; at least 2 samples, else ``ValueError``."""
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     chunks = _run_chunks(
         lambda a, b: plan.payoffs(psi, seed, a, b),
-        f"level {plan.level}", start, start + n_samples, CHUNK_SIZE)
+        f"level {plan.level}", start, start + n_samples, _chunk_width(plan))
     return reduce(LevelStats.merge, [
         LevelStats.from_samples(plan.level, deltas, fines, plan.cost_per_path)
         for deltas, fines in chunks])

@@ -335,15 +335,15 @@ def implicit_step_solve(
     and must fall below ``tol_abs``; the step size is never adapted here.
     The returned array is the last one the drift was evaluated at, with
     ``delayed`` as its second argument, which lets the step loop reuse
-    that evaluation.  No input and no array the drift returned is ever
-    written.
+    that evaluation; it is ``x0`` itself when ``x0`` already meets the
+    tolerance.  No input and no array the drift returned is ever written.
     """
     y = np.asarray(y_target, dtype=float)
     d = np.asarray(delayed, dtype=float)
     th = theta * h
     if th == 0.0:
         return y.copy()
-    x = np.array(y if x0 is None else x0, dtype=float)
+    x = y.copy() if x0 is None else np.asarray(x0, dtype=float)
     if y.shape[-1] > 1:
         return _iterate(y, d, drift, th, x, tol_abs, max_iter, secant=False)
     try:
@@ -353,15 +353,18 @@ def implicit_step_solve(
 
 
 def _iterate(y, d, drift, th, x, tol_abs, max_iter, secant):
-    # Every iterate, g and residual is a fresh array that nothing writes
-    # once made, so no input and no array the drift returned is written.
+    # An array is written only while it is formed, and only one made
+    # here; once kept (as x, or as the previous g and r) it is not
+    # written again.  So no input and no array the drift returned is
+    # written.
     fp_budget = min(60, max_iter)
     prev_res = np.inf
     used = 0
     g_prev = r_prev = sq_prev = None
     for _ in range(fp_budget):
         t = drift(x, d) * th
-        r = x - t - y
+        r = x - t
+        r -= y
         sq = _row_sum(r * r)
         res = math.sqrt(sq.max(initial=0.0))
         used += 1
@@ -372,7 +375,8 @@ def _iterate(y, d, drift, th, x, tol_abs, max_iter, secant):
         if res > 0.9 * prev_res and used >= 5:
             break  # too slow, hand over to Newton
         prev_res = res
-        g = t + y
+        g = t
+        g += y
         if r_prev is None:
             x = g
         else:
@@ -382,9 +386,10 @@ def _iterate(y, d, drift, th, x, tol_abs, max_iter, secant):
             plain = sq > sq_prev
             plain |= dr == 0.0
             np.copyto(dr, np.inf, where=plain)
+            gamma = np.divide(r, dr, out=dr)
             dg = g - g_prev
-            dg *= r / dr
-            x = g - dg
+            dg *= gamma
+            x = np.subtract(g, dg, out=dg)
         if secant:
             g_prev, r_prev, sq_prev = g, r, sq
     if not np.all(np.isfinite(x)):
@@ -481,7 +486,14 @@ def _step(x, x_del, x_del_next, h, theta, drift, diffusion, eps, dw, fx):
     base = x + (1.0 - theta) * h * fx if theta > 0.0 else x + h * fx
     if dw is not None and eps != 0.0:
         gx = diffusion(x, x_del)
-        base = base + eps * np.einsum("...ij,...j->...i", gx, dw)
+        if gx.shape[-1] == 1:
+            # The einsum's bits: it adds the one product to +0.0, which
+            # turns a product of -0.0 into +0.0.
+            gdw = gx[..., 0] * dw
+            gdw += 0.0
+        else:
+            gdw = np.einsum("...ij,...j->...i", gx, dw)
+        base = base + eps * gdw
     if theta == 0.0:
         return base, None
     x0 = base + theta * h * fx

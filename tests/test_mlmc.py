@@ -2,13 +2,14 @@
 
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlmc_sdde import mlmc
+from mlmc_sdde import mlmc, scheme
 from mlmc_sdde.coupling import LevelPair, coupled_payoff_delta, simulate_coupled
 from mlmc_sdde.mlmc import (
     LevelStats,
@@ -176,6 +177,80 @@ def test_chunks_run_in_order_on_the_calling_thread():
     assert calls == [(5, 9, here), (9, 13, here), (13, 15, here)]
     assert [c[0].tolist() for c in chunks] == [
         [5.0, 6.0, 7.0, 8.0], [9.0, 10.0, 11.0, 12.0], [13.0, 14.0]]
+
+
+class _Widths(Exception):
+    """Raised by the ``_run_chunks`` spy once it has seen a width."""
+
+
+@pytest.fixture
+def fold_widths(monkeypatch):
+    """The chunk width a fold asks ``_run_chunks`` for, by fold call; the
+    spy stops the fold before any path runs."""
+    def spy(chunk_fn, where, start, stop, chunk_size):
+        raise _Widths(chunk_size)
+
+    monkeypatch.setattr(mlmc, "_run_chunks", spy)
+
+    def width(fold, *args, **kwargs):
+        with pytest.raises(_Widths) as caught:
+            fold(*args, **kwargs)
+        return caught.value.args[0]
+
+    return width
+
+
+@pytest.mark.parametrize("level, width", [(7, 8192), (8, 8192),
+                                          (9, 4096), (12, 4096)])
+def test_levels_with_small_delay_windows_fold_wider_chunks(fold_widths,
+                                                           level, width):
+    # At tau = 1/4 a pair's windows hold (2^(l-2) + 1 + 2^(l-3) + 1) rows:
+    # 8192 paths of them are at most 2^20 states up to level 8.  A base
+    # level of the same level holds fewer, and takes the same width here.
+    p = builtin_problem("linear_scalar")
+    assert fold_widths(estimate_level, p, TANH, level, n_samples=10) == width
+    assert fold_widths(single_level_estimate, p, TANH, level,
+                       n_samples=10) == width
+    assert fold_widths(estimate_level, builtin_problem("cubic_onesided"),
+                       TANH, level, n_samples=10, **_TAMED) == width
+
+
+def test_a_patched_chunk_size_sets_the_width(monkeypatch, fold_widths):
+    # A patched CHUNK_SIZE is the width wherever the windows fit at that
+    # width (at 256 paths, level 12's 1538 rows do), and half of it where
+    # they do not.
+    p = builtin_problem("linear_scalar")
+    monkeypatch.setattr(mlmc, "CHUNK_SIZE", 256)
+    assert [fold_widths(estimate_level, p, TANH, level, n_samples=10)
+            for level in (3, 12)] == [256, 256]
+    monkeypatch.setattr(mlmc, "CHUNK_SIZE", 2**16)
+    assert fold_widths(estimate_level, p, TANH, 3, n_samples=10) == 2**16
+    assert fold_widths(estimate_level, p, TANH, 7, n_samples=10) == 2**15
+    monkeypatch.setattr(mlmc, "CHUNK_SIZE", 1)
+    assert fold_widths(estimate_level, p, TANH, 3, n_samples=10) == 1
+
+
+def test_a_wide_tamed_chunk_holds_its_windows_and_few_rows_more():
+    # One 8192-path chunk of the level-7 tamed pair holds its two delay
+    # windows (33 + 17 rows of 8192 states), one draw block
+    # (_BLOCK_DRAWS / 8192 = 4 rows) and the temporaries of a step, its
+    # stage solve and the tamed drift, which 24 rows cover.
+    p = builtin_problem("cubic_onesided")
+    pair = LevelPair.for_problem(p, 7, **_TAMED)
+    paths = 8192
+    assert mlmc._chunk_width(pair) == paths
+    pair.payoffs(TANH, 3, 0, 2)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        pair.payoffs(TANH, 3, 0, paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    windows = sum(grid.steps_per_delay_m + 1 for grid, _, _ in pair.members)
+    assert windows == 50
+    block_rows = scheme._BLOCK_DRAWS // paths
+    bound = (windows + block_rows + 24) * paths * 8
+    assert peak <= bound, (peak, bound)
 
 
 def test_small_sample_count_rejected():

@@ -429,6 +429,77 @@ def test_implicit_steps_reuse_the_stage_drift_exactly(monkeypatch, full_path):
     assert path.values.tobytes() == want.tobytes()
 
 
+def _einsum_calls(monkeypatch):
+    calls = []
+    einsum = np.einsum
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    return calls
+
+
+def test_two_noise_components_step_through_einsum(monkeypatch):
+    # A diffusion of two noise columns takes its product g(x, y) dW by
+    # einsum; the run equals, bit for bit, the hand-rolled implicit loop
+    # of the test above.
+    def drift(x, y):
+        return -x + 0.5 * np.sin(y)
+
+    def diffusion(x, y):
+        return np.stack([0.3 * x + 0.1 * y, 0.2 * np.cos(y)], axis=-1)
+
+    p = SddeProblem(
+        dim_state=1, dim_noise=2, drift=drift, diffusion=diffusion,
+        delay=0.25, horizon=1.0, noise_scale=0.5,
+        initial_segment=lambda t: (1.0 + t)[:, None],
+        regularity=GlobalLipschitz(alpha=1.1), name="two-noise",
+    )
+    g = GridSpec.for_problem(p, theta=0.5, level=5)
+    h, m, N, theta = g.step_h, g.steps_per_delay_m, g.total_steps_N, g.theta
+    dw = math.sqrt(h) * np.random.default_rng(5).standard_normal((N, 6, 2))
+    vals = np.empty((N + m + 1, 6, 1))
+    vals[:m + 1] = p.initial_segment(h * np.arange(-m, 1))[:, None, :]
+    for n in range(N):
+        x, x_del = vals[m + n], vals[n]
+        fx = drift(x, x_del)
+        base = x + (1.0 - theta) * h * fx
+        base = base + p.noise_scale * np.einsum(
+            "...ij,...j->...i", diffusion(x, x_del), dw[n])
+        vals[m + n + 1] = implicit_step_solve(base, vals[n + 1], drift,
+                                              theta, h,
+                                              x0=base + theta * h * fx)
+    calls = _einsum_calls(monkeypatch)
+    path = theta_em_path(p, g, noise=dw)
+    assert calls == ["...ij,...j->...i"] * N
+    assert path.values.tobytes() == vals.tobytes()
+
+
+def test_one_noise_component_product_is_the_einsum_bitwise(monkeypatch):
+    # With one noise column the step multiplies g(x, y)[..., 0] by dW,
+    # with the einsum's bits, signed zeros too: einsum adds the product to
+    # +0.0, so a step from x = -0.0 with a product of -0.0 ends at +0.0.
+    def drift(x, y):
+        return -0.0 * np.abs(x)  # -0.0 wherever x is finite
+
+    def diffusion(x, y):
+        return x[..., None] * (1.0 + y[..., None] ** 2)
+
+    x = np.array([[-0.0], [0.0], [-0.0], [1.5], [-2.0], [0.25]])
+    y = np.array([[1.0], [-1.0], [0.0], [0.5], [3.0], [-0.75]])
+    dw = np.array([[0.5], [0.5], [-0.0], [-1.25], [0.0], [2.0]])
+    want = x + 0.1 * drift(x, y) + 0.3 * np.einsum(
+        "...ij,...j->...i", diffusion(x, y), dw)
+    assert np.signbit(want[0, 0]) == np.signbit(0.0)  # the einsum's +0.0
+    calls = _einsum_calls(monkeypatch)
+    got, fx = scheme._step(x, y, y, 0.1, 0.0, drift, diffusion, 0.3, dw,
+                           None)
+    assert calls == [] and fx is None
+    assert got.tobytes() == want.tobytes()
+
+
 def test_history_occupies_buffer_head():
     def xi(t):
         return (1.0 + t)[:, None]  # linear-in-time history
