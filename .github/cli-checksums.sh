@@ -2,7 +2,7 @@
 # CLI output checksums, run from the root of the repository:
 #   bash .github/cli-checksums.sh
 #
-# The seven default experiments and twenty other configurations at
+# The seven default experiments and twenty-one other configurations at
 # one seed, and the --help text at 80 columns (its line breaks
 # follow COLUMNS): each file must have the sha256 recorded in
 # .github/cli-sha256.txt, so a byte change fails unless the same
@@ -43,6 +43,9 @@
 # stage and taming about the skeleton's centre.  The tamed theta = 0.5
 # mlmc run at 9000 samples folds each level in two chunks, of 8192 and
 # 808 paths: the one multi-chunk tamed fold.  It runs again on one thread.
+# The deviation sweep at --eps 0,0.002,0.005,0.01,0.02,0.05 is the one run
+# with an eps = 0 cell, recorded with deviation 0 and kept out of the fit;
+# it runs again on one thread.
 set -e
 sums="$PWD/.github/cli-sha256.txt"
 out=$(mktemp -d)
@@ -99,6 +102,9 @@ cli --config "$out/tau.conf" --experiment mlmc --problem cubic_onesided --theta 
 cli --experiment mlmc --problem additive_noise --theta 0.5 --samples 2000 --out "$out/mlmc-additive.csv"
 cli --experiment mlmc --problem additive_noise --theta 0.5 --samples 2000 --jobs 1 --out "$out/jobs1/mlmc-additive.csv"
 cmp "$out/mlmc-additive.csv" "$out/jobs1/mlmc-additive.csv"
+cli --experiment deviation --eps 0,0.002,0.005,0.01,0.02,0.05 --out "$out/deviation-eps0.csv"
+cli --experiment deviation --eps 0,0.002,0.005,0.01,0.02,0.05 --jobs 1 --out "$out/jobs1/deviation-eps0.csv"
+cmp "$out/deviation-eps0.csv" "$out/jobs1/deviation-eps0.csv"
 COLUMNS=80 PYTHONPATH=src python -m mlmc_sdde.cli --help > "$out/help.txt"
 for f in "$out"/*.csv.summary.txt; do
   sed -n '/^\[result\]$/,${/^wall_seconds = /!p}' "$f" > "${f%.csv.summary.txt}.result.txt"

@@ -9,9 +9,13 @@ Seeding convention: every cell draws from its own substream family.  The
 master seed of a cell is ``seed + 1_000_003 * lane + index`` modulo
 ``2**64``, where the lane separates roles (0 level-sweep pairs, 1
 noise-sweep pairs, 4 deviation cells) and the index enumerates cells
-within a lane.  Together with the per-level stream keying this makes all
-cells pairwise disjoint, so results are independent of evaluation order
-and of worker count.
+within a lane; in lane 0, whose cells the per-level stream keying
+already separates, the index counts the earlier cells of the same level,
+so a repeated level runs as a replicate.  Together with the per-level
+stream keying this makes all cells pairwise disjoint, so results are
+independent of evaluation order and of worker count.  The strong sweep
+runs every level on one reference path (lane 0, index 0), so there a
+repeated level repeats its error.
 
 A cell whose paths blow up (non-finite values) raises ``ValueError``,
 and one whose solve stalls ``NonConvergence``, naming the experiment, the
@@ -21,12 +25,12 @@ does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .coupling import LevelPair, coupled_payoff_delta
+from .coupling import CoupledPair, LevelPair, coupled_payoff_delta
 from .mlmc import _refuse_blown_up, _run_cells, _run_chunks
 from .model import Payoff, SddeProblem
 from .scheme import (
@@ -35,7 +39,6 @@ from .scheme import (
     NonConvergence,
     TamedDrift,
     _stream_increments,
-    level_step,
     theta_em_path,
 )
 
@@ -94,7 +97,8 @@ def _listed(values) -> str:
 
 def _refuse_sweep(experiment: str, sweep: str, values) -> None:
     # A rate is a slope through three or more points, so a sweep needs two
-    # distinct values; a repeated value is a replicate.
+    # distinct values; a repeated value is a replicate, but for a level of
+    # the strong sweep, whose levels all run on one reference path.
     if len(values) < 3 or len(set(values)) < 2:
         raise ValueError(f"{experiment}: {sweep} needs >= 3 values, >= 2 of "
                          f"them distinct, got {_listed(values)}")
@@ -112,56 +116,42 @@ def _refuse_noise_scales(experiment: str, eps_values, zero_ok=False) -> None:
                              f"<= 1, got {eps:g}")
 
 
-def _cell_samples(chunk_fn: Callable[[int, int], tuple[np.ndarray, ...]],
-                  experiment: str, plan: LevelPair,
-                  n_paths: int) -> tuple[np.ndarray, ...]:
-    """The samples of :func:`_run_chunks` over the paths ``[0, n_paths)``
-    of a cell run by ``plan``, in chunks sized by ``_CHUNK_DRAWS``, each
-    sample joined along the path axis."""
+def _cell_samples(plan: LevelPair, seed: int, n_paths: int, experiment: str,
+                  read: Callable[..., tuple[np.ndarray, ...]], *,
+                  full_path: bool = True) -> tuple[np.ndarray, ...]:
+    """``read`` of the run of ``plan`` on the paths ``[0, n_paths)`` of the
+    substreams ``(seed, level, path)``, in chunks sized by
+    ``_CHUNK_DRAWS``, each of its samples joined along the path axis.
+
+    ``read`` takes what :meth:`LevelPair.run` returns, with
+    ``full_path``, and gives per-path samples, one value per path along
+    their last axis; see :func:`mlmc._run_chunks` for the refusals."""
     size = max(1, _CHUNK_DRAWS // (plan.grid_fine.total_steps_N
                                    * plan.problem.dim_noise))
     where = (f"{experiment} level {plan.level} "
              f"(eps {plan.problem.noise_scale:g})")
-    chunks = _run_chunks(chunk_fn, where, 0, n_paths, size)
+    chunks = _run_chunks(
+        lambda a, b: read(plan.run(plan.noise_stream(seed, range(a, b)),
+                                   full_path=full_path)),
+        where, 0, n_paths, size)
     return tuple(parts[0] if len(parts) == 1
                  else np.concatenate(parts, axis=-1) for parts in zip(*chunks))
 
 
-def _path_samples(problem, level, M, theta, delta, seed, n_paths,
-                  experiment, centre=None):
+def _sup_sq(path: DelayBuffer, centre: np.ndarray | None = None):
     """Terminal states ``(a, P)`` and ``sup_n |X_n - centre_n|^2`` ``(P,)``
-    over the nodes of ``n_paths`` level paths; ``centre`` is a state per
-    grid node ``(N + 1, a)``, or ``None`` for the origin."""
-    plan = LevelPair.for_problem(problem, level, M=M, theta=theta,
-                                 delta=delta, coupled=False)
-
-    def chunk(a, b):
-        path = plan.run(plan.noise_stream(seed, range(a, b)),
-                        full_path=True)
-        body = path.values[path.m:]
-        diff = body if centre is None else body - centre[:, None, :]
-        return body[-1].T, np.sum(diff * diff, axis=-1).max(axis=0)
-
-    return _cell_samples(chunk, experiment, plan, n_paths)
+    over the nodes of a full path; ``centre`` is a state per grid node
+    ``(N + 1, a)``, or ``None`` for the origin."""
+    body = path.values[path.m:]
+    diff = body if centre is None else body - centre[:, None, :]
+    return body[-1].T, np.sum(diff * diff, axis=-1).max(axis=0)
 
 
-def _pair_samples(problem, level, M, theta, delta, seed, n_paths,
-                  experiment, psi=None):
-    """``|fine - coarse|^2`` at every coarse node ``(N_c + 1, P)`` of
-    ``n_paths`` coupled pairs and, given a payoff ``psi``, the payoff
-    difference ``(P,)``."""
-    pair = LevelPair.for_problem(problem, level, M=M, theta=theta, delta=delta)
-
-    def chunk(a, b):
-        coupled = pair.run(pair.noise_stream(seed, range(a, b)),
-                           full_path=True)
-        diff = coupled.state_difference()
-        sq = np.sum(diff * diff, axis=-1)
-        if psi is None:
-            return (sq,)
-        return sq, coupled_payoff_delta(coupled, psi)[0]
-
-    return _cell_samples(chunk, experiment, pair, n_paths)
+def _pair_sq(coupled: CoupledPair):
+    """``|fine - coarse|^2`` at every coarse node ``(N_c + 1, P)`` of a
+    full-path pair."""
+    diff = coupled.state_difference()
+    return (np.sum(diff * diff, axis=-1),)
 
 
 @dataclass(frozen=True)
@@ -320,9 +310,12 @@ def small_noise_deviation(
 ) -> DeviationResult:
     """Mean-square sup-distance between noisy paths and the skeleton.
 
-    Runs one cell per noise scale at a fixed grid level and fits
-    ``log E[sup_n |X - Z|^2]`` against ``log eps`` over the positive
-    sweep entries (at least three spanning a decade are required).  With
+    Runs one cell per noise scale at a fixed grid level, the skeleton's
+    plan at that scale, and fits ``log E[sup_n |X - Z|^2]`` against
+    ``log eps`` over the positive sweep entries (at least three spanning a
+    decade are required).  A cell at eps = 0 is recorded and left out of
+    the fit; a positive scale whose deviation is not positive is refused,
+    naming it, since the fit takes its log.  With
     taming (``delta`` set) the result also carries a fitted dominating
     envelope ``A * (M h)^delta + B * eps^2``, the shape of the tamed
     scheme's deviation bound.
@@ -343,10 +336,10 @@ def small_noise_deviation(
         raise exc.within(f"deviation level {level} skeleton") from exc
 
     def cell(i: int, eps: float) -> float:
-        _, sup_sq = _path_samples(
-            problem.with_noise_scale(eps), level, M, theta, delta,
+        _, sup_sq = _cell_samples(
+            replace(plan, problem=problem.with_noise_scale(eps)),
             _cell_seed(seed, 4, i), n_paths, "deviation",
-            centre=skeleton.values[skeleton.m:])
+            lambda path: _sup_sq(path, skeleton.values[skeleton.m:]))
         return float(sup_sq.mean())
 
     deviations = _run_cells([lambda i=i, eps=eps: cell(i, eps)
@@ -357,12 +350,11 @@ def small_noise_deviation(
         for eps, dev in zip(eps_values, deviations)
     ]
 
-    fit_pairs = [(e, d) for e, d in zip(eps_values, deviations)
-                 if e > 0.0 and d > 0.0]
-    if len(fit_pairs) < 3:
-        raise ValueError("deviation: fewer than 3 cells of eps_sweep "
-                         f"{_listed(eps_values)} produced a positive "
-                         "deviation; no rate to fit")
+    for eps, dev in zip(eps_values, deviations):
+        if eps > 0.0 and not dev > 0.0:
+            raise ValueError(f"deviation: deviation_sup_sq is {dev:g} at eps "
+                             f"{eps:g}; the eps fit takes its log")
+    fit_pairs = [(e, d) for e, d in zip(eps_values, deviations) if e > 0.0]
     fit = RateFit.from_data([p[0] for p in fit_pairs],
                             [p[1] for p in fit_pairs])
 
@@ -386,26 +378,21 @@ def small_noise_deviation(
 # Coupled pair statistics
 # ---------------------------------------------------------------------------
 
-def _pair_sq_moments(problem, level, M, theta, delta, n_paths, master_seed):
-    """(sup over coarse nodes, terminal) of E|fine - coarse|^2."""
-    sq, = _pair_samples(problem, level, M, theta, delta, master_seed,
-                        n_paths, "rates-moment")
-    per_node = sq.mean(axis=-1)
-    return float(per_node.max()), float(per_node[-1])
-
-
 def _two_sweeps(experiment, problem, theta, delta, M, level_sweep,
                 eps_sweep, n_paths, seed, jobs, cell):
     """The level and noise sweeps of :func:`coupled_moment_rates` and
     :func:`coupled_variance_rates`.
 
-    ``cell(problem, level, master_seed)`` returns a dict of statistics.
-    Returns ``(h_values, eps_values, level_columns, eps_columns,
-    records)``, a column holding one statistic over a sweep as a tuple.
-    A sweep of fewer than three values or two distinct ones, and a noise
-    scale that is not in (0, 1], are refused, naming ``experiment``,
-    before any cell runs; a statistic that is not positive is refused
-    after the cells, naming its cell.
+    ``cell(plan, master_seed)`` returns a dict of statistics of a cell
+    run by ``plan``.  Each level's pair plan is built once; the noise
+    cells run the finest level's plan at their scales.  A repeated level
+    is a replicate: its k-th repeat runs on index k of lane 0.  Returns
+    ``(h_values, eps_values, level_columns, eps_columns, records)``, a
+    column holding one statistic over a sweep as a tuple.  A sweep of
+    fewer than three values or two distinct ones, and a noise scale that
+    is not in (0, 1], are refused, naming ``experiment``, before any
+    cell runs; a statistic that is not positive is refused after the
+    cells, naming its cell.
     """
     _refuse_few_paths(experiment, n_paths)
     levels = sorted(int(lv) for lv in level_sweep)
@@ -414,26 +401,31 @@ def _two_sweeps(experiment, problem, theta, delta, M, level_sweep,
     _refuse_sweep(experiment, "eps_sweep", eps_values)
     _refuse_noise_scales(experiment, eps_values)  # the eps fit takes logs
 
-    runs = [(problem, lv, _cell_seed(seed, 0)) for lv in levels]
-    runs += [(problem.with_noise_scale(eps), levels[-1],
+    plans = {lv: LevelPair.for_problem(problem, lv, M=M, theta=theta,
+                                       delta=delta) for lv in levels}
+    runs = [(plans[lv], _cell_seed(seed, 0, levels[:i].count(lv)))
+            for i, lv in enumerate(levels)]
+    runs += [(replace(plans[levels[-1]],
+                      problem=problem.with_noise_scale(eps)),
               _cell_seed(seed, 1, i)) for i, eps in enumerate(eps_values)]
     results = _run_cells([lambda run=run: cell(*run) for run in runs], jobs)
-    for i, ((cell_problem, lv, _), stats) in enumerate(zip(runs, results)):
+    for i, ((plan, _), stats) in enumerate(zip(runs, results)):
         for stat, value in stats.items():
             if not value > 0.0:  # the fits take logs
-                where = (f"level {lv}; the h" if i < len(levels) else
-                         f"eps {cell_problem.noise_scale:g}; the eps")
+                where = (f"level {plan.level}; the h" if i < len(levels) else
+                         f"eps {plan.problem.noise_scale:g}; the eps")
                 raise ValueError(f"{experiment}: {stat} is {value:g} at "
                                  f"{where} fit takes its log")
     records = tuple(
-        _record(experiment, lv, level_step(problem, lv, M),
-                cell_problem.noise_scale, theta, delta, stat, value,
+        _record(experiment, plan.level, plan.grid_fine.step_h,
+                plan.problem.noise_scale, theta, delta, stat, value,
                 n_paths, seed)
-        for (cell_problem, lv, _), stats in zip(runs, results)
+        for (plan, _), stats in zip(runs, results)
         for stat, value in stats.items()
     )
-    coarse = 0 if delta is None else 1  # see coupled_moment_rates
-    h_values = tuple(level_step(problem, lv - coarse, M) for lv in levels)
+    # The fine step untamed, the coarse step tamed: see coupled_moment_rates.
+    h_values = tuple((plans[lv].grid_fine if delta is None
+                      else plans[lv].grid_coarse).step_h for lv in levels)
 
     def columns(stats):
         return {key: tuple(s[key] for s in stats) for key in stats[0]}
@@ -482,9 +474,11 @@ def coupled_moment_rates(
     """
     sup, term = "coupled_sup_sq_moment", "coupled_terminal_sq_moment"
 
-    def cell(cell_problem, level, master_seed):
-        return dict(zip((sup, term), _pair_sq_moments(
-            cell_problem, level, M, theta, delta, n_paths, master_seed)))
+    def cell(plan, master_seed):
+        sq, = _cell_samples(plan, master_seed, n_paths, "rates-moment",
+                            _pair_sq)
+        per_node = sq.mean(axis=-1)
+        return {sup: float(per_node.max()), term: float(per_node[-1])}
 
     h_values, eps_values, h, e, records = _two_sweeps(
         "rates-moment", problem, theta, delta, M, level_sweep, eps_sweep,
@@ -507,19 +501,6 @@ def coupled_moment_rates(
 # ---------------------------------------------------------------------------
 # Coupled variance vs the variance of independent members
 # ---------------------------------------------------------------------------
-
-def _payoff_vars(problem, psi, level, M, theta, delta, n_paths, seed):
-    """Variances of the payoff difference of levels ``level`` and
-    ``level - 1`` over ``n_paths`` coupled pairs and, from the same
-    samples, for INDEPENDENT members: ``Var psi_f + Var psi_c``, where
-    ``psi_c = psi_f - delta``."""
-    pair = LevelPair.for_problem(problem, level, M=M, theta=theta, delta=delta)
-    deltas, fines = _cell_samples(lambda a, b: pair.payoffs(psi, seed, a, b),
-                                  "rates-variance", pair, n_paths)
-    return {"var_delta_coupled": float(np.var(deltas, ddof=1)),
-            "var_delta_uncoupled": float(np.var(fines, ddof=1)
-                                         + np.var(fines - deltas, ddof=1))}
-
 
 @dataclass(frozen=True)
 class VarianceRates:
@@ -569,14 +550,21 @@ def coupled_variance_rates(
         raise ValueError("rates-variance: the level sweep needs a noise "
                          f"scale > 0, got {problem.noise_scale:g}")
 
-    def cell(cell_problem, level, master_seed):
-        return _payoff_vars(cell_problem, psi, level, M, theta, delta,
-                            n_paths, master_seed)
+    coupled, uncoupled = "var_delta_coupled", "var_delta_uncoupled"
+
+    def cell(plan, master_seed):
+        # psi_c = psi_f - delta: the pair's coarse member, whose term of
+        # the baseline is its variance over the same pairs.
+        deltas, fines = _cell_samples(
+            plan, master_seed, n_paths, "rates-variance",
+            lambda pair: coupled_payoff_delta(pair, psi), full_path=False)
+        return {coupled: float(np.var(deltas, ddof=1)),
+                uncoupled: float(np.var(fines, ddof=1)
+                                 + np.var(fines - deltas, ddof=1))}
 
     h_values, eps_values, h, e, records = _two_sweeps(
         "rates-variance", problem, theta, delta, M, level_sweep, eps_sweep,
         n_paths, seed, jobs, cell)
-    coupled, uncoupled = "var_delta_coupled", "var_delta_uncoupled"
     return VarianceRates(
         h_slope=RateFit.from_data(h_values, h[coupled]),
         eps_slope=RateFit.from_data(eps_values, e[coupled]),
@@ -638,8 +626,9 @@ def strong_error_rate(
     by that level's rule when ``delta`` is set.  At eps = 0 the reference
     and every level run on the chunk's stream, which then draws nothing,
     so each runs the drift-only skeleton of its level and no increment
-    is held.  The chunks of paths run in order on the calling thread.
-    Fits
+    is held.  A repeated level is a copy, not a replicate: it runs on the
+    same reference path and gives the same error.  The chunks of paths
+    run in order on the calling thread.  Fits
     ``log E|psi(X_ref(T)) - psi(X_l(T))|^2`` against ``log h_l``.
     """
     _refuse_few_paths("rates-strong", n_paths)

@@ -10,10 +10,10 @@ coupled, mlmc and rates-strong run on one thread.  Path batches run in
 chunks: MLMC levels fold chunks of 8192 paths, or of 4096 where the delay
 windows would hold more than 2**20 states (from level 9 at tau = 1/4),
 rates-strong sums chunks of 2048 paths, and every other batch (the path
-and coupled runs reuse the cells of the deviation and rates-moment
-sweeps) runs ``max(1, 2**24 // (N * d))`` paths of N fine steps and d
-noise components per chunk, which bounds the states a full-path chunk
-stores; the noise is read one 256 KiB draw block at a time.
+and coupled runs are one cell each, run by the sweeps' cell runner) runs
+``max(1, 2**24 // (N * d))`` paths of N fine steps and d noise
+components per chunk, which bounds the states a full-path chunk stores;
+the noise is read one 256 KiB draw block at a time.
 
 Configuration is layered: per-experiment defaults (``DEFAULTS``), then a
 ``--config`` file of flat ``key=value`` lines, then command-line flags.
@@ -52,14 +52,16 @@ import numpy as np
 
 from .analysis import (
     _COLUMNS as CSV_COLUMNS,
-    _pair_samples,
-    _path_samples,
+    _cell_samples,
+    _pair_sq,
     _record,
+    _sup_sq,
     coupled_moment_rates,
     coupled_variance_rates,
     small_noise_deviation,
     strong_error_rate,
 )
+from .coupling import LevelPair, coupled_payoff_delta
 from .mlmc import mlmc_estimate
 from .model import SddeProblem, builtin_payoff, builtin_problem
 from .scheme import AdmissibilityError, NonConvergence, level_step
@@ -412,23 +414,27 @@ def _build_payoff(cfg: RunConfig):
 
 
 def _run_path(cfg: RunConfig, problem: SddeProblem):
-    terminal, sup_sq = _path_samples(problem, cfg.base_level, cfg.M,
-                                     cfg.theta, cfg.delta, cfg.seed,
-                                     cfg.samples, cfg.experiment)
+    plan = LevelPair.for_problem(problem, cfg.base_level, M=cfg.M,
+                                 theta=cfg.theta, delta=cfg.delta,
+                                 coupled=False)
+    terminal, sup_sq = _cell_samples(plan, cfg.seed, cfg.samples,
+                                     cfg.experiment, _sup_sq)
     stats = (
         ("terminal_mean", float(terminal[0].mean())),
         ("terminal_variance", float(np.var(terminal[0], ddof=1))),
         ("terminal_second_moment", float(np.sum(terminal**2, axis=0).mean())),
         ("sup_second_moment", float(sup_sq.mean())),
     )
-    return _cell_output(cfg, problem, stats)
+    return _cell_output(cfg, plan, stats)
 
 
 def _run_coupled(cfg: RunConfig, problem: SddeProblem):
     psi = _build_payoff(cfg)
-    sq, deltas = _pair_samples(problem, cfg.base_level, cfg.M, cfg.theta,
-                               cfg.delta, cfg.seed, cfg.samples,
-                               cfg.experiment, psi)
+    plan = LevelPair.for_problem(problem, cfg.base_level, M=cfg.M,
+                                 theta=cfg.theta, delta=cfg.delta)
+    sq, deltas = _cell_samples(
+        plan, cfg.seed, cfg.samples, cfg.experiment,
+        lambda pair: (*_pair_sq(pair), coupled_payoff_delta(pair, psi)[0]))
     per_node = sq.mean(axis=-1)
     stats = (
         ("coupled_sup_sq_moment", float(per_node.max())),
@@ -436,16 +442,16 @@ def _run_coupled(cfg: RunConfig, problem: SddeProblem):
         ("mean_delta", float(deltas.mean())),
         ("var_delta", float(np.var(deltas, ddof=1))),
     )
-    records, summary = _cell_output(cfg, problem, stats)
+    records, summary = _cell_output(cfg, plan, stats)
     return records, [f"payoff = {psi.name}"] + summary
 
 
-def _cell_output(cfg: RunConfig, problem: SddeProblem, stats):
-    """Records and summary lines of a one-cell run at ``base_level``."""
-    h = level_step(problem, cfg.base_level, cfg.M)
+def _cell_output(cfg: RunConfig, plan: LevelPair, stats):
+    """Records and summary lines of a one-cell run by ``plan``."""
     records = [
-        _record(cfg.experiment, cfg.base_level, h, problem.noise_scale,
-                cfg.theta, cfg.delta, name, value, cfg.samples, cfg.seed)
+        _record(cfg.experiment, plan.level, plan.grid_fine.step_h,
+                plan.problem.noise_scale, cfg.theta, cfg.delta, name, value,
+                cfg.samples, cfg.seed)
         for name, value in stats
     ]
     return records, [f"{name} = {value!r}" for name, value in stats]

@@ -212,6 +212,14 @@ def test_deviation_validation():
     with pytest.raises(ValueError, match=">= 0"):
         small_noise_deviation(problem, level=4,
                               eps_sweep=[-0.01, 0.01, 0.1], n_paths=8)
+    # At eps 1e-170 the deviation underflows to 0.  The cell used to pass
+    # the decade check and then drop out of the fit, which ran over
+    # 0.01-0.012 alone (slope 1.50 here, against 2).
+    with pytest.raises(ValueError, match="^deviation: deviation_sup_sq is 0 "
+                                         "at eps 1e-170; the eps fit takes "
+                                         "its log$"):
+        small_noise_deviation(problem, level=4,
+                              eps_sweep=[1e-170, 0.01, 0.011, 0.012])
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +314,44 @@ def test_sweeps_refuse_fewer_than_two_distinct_values(experiment, sweep, got,
 
 
 def test_repeated_sweep_values_are_replicates():
-    # Two distinct values suffice; the repeated scale runs as its own cell.
-    result = coupled_moment_rates(builtin_problem("linear_scalar"),
-                                  level_sweep=[3, 3, 4],
-                                  eps_sweep=[0.1, 0.1, 0.2], n_paths=8)
+    # Two distinct values suffice; a repeated scale or level of a coupled
+    # sweep runs as its own cell.  A repeated level used to run on the
+    # seed of its first run, a copy.
+    problem, psi = builtin_problem("linear_scalar"), builtin_payoff("tanh")
+    sweeps = dict(level_sweep=[3, 3, 4], eps_sweep=[0.1, 0.1, 0.2],
+                  n_paths=8)
+    result = coupled_moment_rates(problem, **sweeps)
     assert result.eps_values == (0.1, 0.1, 0.2)
     assert result.eps_sup[0] != result.eps_sup[1]
     assert len(result.h_values) == 3
+    assert result.h_sup[0] != result.h_sup[1]
+    variance = coupled_variance_rates(problem, psi, **sweeps)
+    assert variance.eps_coupled[0] != variance.eps_coupled[1]
+    assert variance.h_coupled[0] != variance.h_coupled[1]
+    # The strong sweep runs every level on one reference path, so there a
+    # repeated level is a copy.
+    strong = strong_error_rate(problem, psi, level_sweep=[3, 3, 4],
+                               n_paths=8)
+    assert strong.errors_sq[0] == strong.errors_sq[1]
+
+
+def test_a_coupled_sweep_builds_one_plan_per_level(monkeypatch):
+    # Each noise cell used to build the finest level's pair plan again.
+    built = []
+    original = LevelPair.for_problem
+
+    def spy(*args, **kwargs):
+        plan = original(*args, **kwargs)
+        built.append(plan.level)
+        return plan
+
+    monkeypatch.setattr(analysis.LevelPair, "for_problem", spy)
+    for sweep in ("rates-moment", "rates-variance"):
+        built.clear()
+        _SWEEPS[sweep](builtin_problem("linear_scalar"),
+                       builtin_payoff("identity"), 8,
+                       eps_sweep=(0.05, 0.1, 0.2, 0.3, 0.4))
+        assert built == [3, 4, 5], sweep
 
 
 @pytest.mark.parametrize("experiment, stat", [
@@ -331,11 +370,12 @@ def test_a_zero_statistic_names_the_experiment_and_the_level(experiment,
 
 
 def test_a_zero_statistic_of_the_noise_sweep_names_its_scale(monkeypatch):
-    def payoff_vars(problem, *args):
-        value = 0.0 if problem.noise_scale == 0.2 else 1.0
-        return {"var_delta_coupled": value, "var_delta_uncoupled": 1.0}
+    def cell_samples(plan, *args, **kwargs):
+        # Payoff differences of variance 0 at eps 0.2 only.
+        spread = 0.0 if plan.problem.noise_scale == 0.2 else 1.0
+        return np.array([0.0, spread]), np.array([0.0, 1.0])
 
-    monkeypatch.setattr(analysis, "_payoff_vars", payoff_vars)
+    monkeypatch.setattr(analysis, "_cell_samples", cell_samples)
     with pytest.raises(ValueError, match="^rates-variance: var_delta_coupled "
                                          "is 0 at eps 0.2; the eps fit "
                                          "takes its log$"):
@@ -402,18 +442,18 @@ def test_uncoupled_baseline_is_the_members_variances(name, theta, delta):
     problem = builtin_problem(name)
     psi = builtin_payoff("tanh")
     level, n, seed = 4, 20000, 11
-    cell = analysis._payoff_vars(problem, psi, level, 2, theta, delta, n,
-                                 seed)
+    # The first cell of level 4 runs on the sweep's seed.
+    result = coupled_variance_rates(
+        problem, psi, theta, delta, level_sweep=[level - 1, level, level],
+        eps_sweep=[0.05, 0.05, 0.1], n_paths=n, seed=seed)
+    cell = (result.h_coupled[1], result.h_uncoupled[1])
     # The cell's numbers are the variances of the pairs' payoffs at its
     # seed: the difference, and the fine plus the coarse member.
     deltas, fines = LevelPair.for_problem(
         problem, level, M=2, theta=theta, delta=delta).payoffs(psi, seed, 0, n)
     coarse = fines - deltas
-    assert cell == {
-        "var_delta_coupled": float(np.var(deltas, ddof=1)),
-        "var_delta_uncoupled": float(np.var(fines, ddof=1)
-                                     + np.var(coarse, ddof=1)),
-    }
+    assert cell == (float(np.var(deltas, ddof=1)),
+                    float(np.var(fines, ddof=1) + np.var(coarse, ddof=1)))
     # Reference: independent runs of the two levels, the coarse one on
     # another seed.  Var psi_f comes from the same paths on both sides (a
     # pair's fine member is the level run at its seed), so the two differ
@@ -427,8 +467,7 @@ def test_uncoupled_baseline_is_the_members_variances(name, theta, delta):
                                        delta, n, seed + 1).var_delta
     kappa = np.mean((coarse - coarse.mean()) ** 4) / np.var(coarse) ** 2
     tol = 4.0 * np.sqrt(2.0) * coarse_ref * np.sqrt((kappa - 1.0) / n)
-    assert cell["var_delta_uncoupled"] == pytest.approx(
-        fine_ref + coarse_ref, rel=0, abs=tol)
+    assert cell[1] == pytest.approx(fine_ref + coarse_ref, rel=0, abs=tol)
 
 
 def test_variance_rates_refuse_a_noise_free_level_sweep(monkeypatch):
@@ -725,33 +764,34 @@ def test_cell_chunks_bound_memory_and_keep_values(monkeypatch):
     # both members (m + 1 = 65 and 17 rows) and 16 rows of one step's
     # temporaries, plus the one draw block the fine member reads.
     pair_chunk = 8 * (1024 * (64 + 65 + 17 + 16) + scheme._BLOCK_DRAWS)
+    pair = LevelPair.for_problem(problem, 4, M=4, theta=0.0)
     cells = [
-        (analysis._payoff_vars,
-         (problem, psi, 4, 4, 0.0, None, 4000, 5),
-         lambda whole_peak: pair_chunk),
-        (analysis._pair_sq_moments,
-         (problem, 4, 4, 0.0, None, 4000, 5),
-         lambda whole_peak: whole_peak / 2.5),
+        ("rates-variance", lambda c: coupling.coupled_payoff_delta(c, psi),
+         False, lambda whole_peak: pair_chunk),
+        ("rates-moment", analysis._pair_sq,
+         True, lambda whole_peak: whole_peak / 2.5),
     ]
 
-    def traced(fn, args):
+    def traced(experiment, read, full_path):
         tracemalloc.start()
         try:
-            value = fn(*args)
+            value = analysis._cell_samples(pair, 5, 4000, experiment, read,
+                                           full_path=full_path)
             return value, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    for fn, args, bound in cells:
-        whole, whole_peak = traced(fn, args)
+    for experiment, read, full_path, bound in cells:
+        whole, whole_peak = traced(experiment, read, full_path)
         seen = _record_chunking(monkeypatch)
         monkeypatch.setattr(analysis, "_CHUNK_DRAWS", 2**18)
-        chunked, chunked_peak = traced(fn, args)
+        chunked, chunked_peak = traced(experiment, read, full_path)
         monkeypatch.undo()
         assert [size for _, _, size in seen] == [1024]
-        assert chunked == whole
+        assert len(chunked) == len(whole)
+        assert all(np.array_equal(c, w) for c, w in zip(chunked, whole))
         assert chunked_peak <= bound(whole_peak), (
-            fn.__name__, chunked_peak, whole_peak)
+            experiment, chunked_peak, whole_peak)
 
 
 def test_multi_chunk_cells_equal_one_batch_at_theta_zero(monkeypatch,

@@ -285,9 +285,12 @@ def test_zero_statistic_exits_two_naming_what_failed(experiment, stat,
      "deviation: eps_sweep needs >= 3 positive values spanning at least "
      "one decade, got 0.1, 0.2, 0.3"),
     (["--problem", "zero_dynamics"],
-     "deviation: fewer than 3 cells of eps_sweep 0.002, 0.005, 0.01, "
-     "0.02, 0.05 produced a positive deviation; no rate to fit"),
-], ids=["narrow-sweep", "zero-dynamics"])
+     "deviation: deviation_sup_sq is 0 at eps 0.002; the eps fit takes its "
+     "log"),
+    (["--eps", "1e-170,0.01,0.011,0.012"],
+     "deviation: deviation_sup_sq is 0 at eps 1e-170; the eps fit takes "
+     "its log"),
+], ids=["narrow-sweep", "zero-dynamics", "zero-deviation"])
 def test_deviation_refusals_name_the_experiment_and_the_sweep(
         args, error, tmp_path, capsys):
     out = tmp_path / "deviation.csv"
