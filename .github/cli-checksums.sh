@@ -2,7 +2,7 @@
 # CLI output checksums, run from the root of the repository:
 #   bash .github/cli-checksums.sh
 #
-# The seven default experiments and twenty-one other configurations at
+# The seven default experiments and twenty-three other configurations at
 # one seed, and the --help text at 80 columns (its line breaks
 # follow COLUMNS): each file must have the sha256 recorded in
 # .github/cli-sha256.txt, so a byte change fails unless the same
@@ -45,7 +45,13 @@
 # 808 paths: the one multi-chunk tamed fold.  It runs again on one thread.
 # The deviation sweep at --eps 0,0.002,0.005,0.01,0.02,0.05 is the one run
 # with an eps = 0 cell, recorded with deviation 0 and kept out of the fit;
-# it runs again on one thread.
+# it runs again on one thread.  The mlmc run over levels 11..13 is the one
+# run whose chunk width the state budget sets rather than CHUNK_SIZE: level
+# 12 folds 4096-path chunks and level 13 chunks of 2048 and 52 paths.  The
+# tamed theta = 0.5 deviation sweep at 9000 samples runs each cell in two
+# chunks, of 8192 and 808 paths: the one theta > 0 sweep cell that the
+# chunk cap splits, where the stage solve iterates per chunk.  It runs
+# again on one thread.
 set -e
 sums="$PWD/.github/cli-sha256.txt"
 out=$(mktemp -d)
@@ -105,6 +111,10 @@ cmp "$out/mlmc-additive.csv" "$out/jobs1/mlmc-additive.csv"
 cli --experiment deviation --eps 0,0.002,0.005,0.01,0.02,0.05 --out "$out/deviation-eps0.csv"
 cli --experiment deviation --eps 0,0.002,0.005,0.01,0.02,0.05 --jobs 1 --out "$out/jobs1/deviation-eps0.csv"
 cmp "$out/deviation-eps0.csv" "$out/jobs1/deviation-eps0.csv"
+cli --experiment mlmc --base-level 11 --max-level 13 --samples 2100 --out "$out/mlmc-deep.csv"
+cli --experiment deviation --problem cubic_onesided --theta 0.5 --delta 0.5 --samples 9000 --out "$out/deviation-tamed-9000.csv"
+cli --experiment deviation --problem cubic_onesided --theta 0.5 --delta 0.5 --samples 9000 --jobs 1 --out "$out/jobs1/deviation-tamed-9000.csv"
+cmp "$out/deviation-tamed-9000.csv" "$out/jobs1/deviation-tamed-9000.csv"
 COLUMNS=80 PYTHONPATH=src python -m mlmc_sdde.cli --help > "$out/help.txt"
 for f in "$out"/*.csv.summary.txt; do
   sed -n '/^\[result\]$/,${/^wall_seconds = /!p}' "$f" > "${f%.csv.summary.txt}.result.txt"

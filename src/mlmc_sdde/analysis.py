@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .coupling import CoupledPair, LevelPair, coupled_payoff_delta
-from .mlmc import _refuse_blown_up, _run_cells, _run_chunks
+from .mlmc import _chunk_width, _refuse_blown_up, _run_cells, _run_chunks
 from .model import Payoff, SddeProblem
 from .scheme import (
     DelayBuffer,
@@ -59,18 +59,18 @@ __all__ = [
 
 _LANE_STRIDE = 1_000_003
 
-# A cell runs in chunks of max(1, _CHUNK_DRAWS // (N * d)) paths of N
-# fine steps and d noise components.  A chunk reads its noise one 256 KiB
-# draw block at a time; what the rule bounds is the states a full-path
-# chunk stores, about 2**24 / d path-steps (128 MiB of float64 when the
-# state has d components too).  Every default cell fits in one chunk.
-# With the counter-based stream a path's draws do not depend on its
-# chunk, so at theta = 0 chunks give the bits of one batch; at theta > 0
-# the implicit solve iterates per chunk.
-_CHUNK_DRAWS = 2**24
-
+# A cell runs in chunks of mlmc._chunk_width paths, the width an MLMC
+# level folds, sized by the states a path of the cell stores: its delay
+# windows, or its whole path with full_path.  A chunk reads its noise one
+# 256 KiB draw block at a time.  With the counter-based stream a path's
+# draws do not depend on its chunk, so at theta = 0 chunks give the bits
+# of one batch; at theta > 0 the implicit solve iterates per chunk.
+#
 # The strong-error reference runs this many levels finer than the finest
-# level of the sweep, and its paths run in chunks of this many.
+# level of the sweep, and its paths run in chunks of this many, not of
+# the cells' width: the default sweep's paths store about 385 states, so
+# that budget would give 8192-path chunks, which raised the default
+# run's peak RSS from 63 MiB to 80 MiB (69 MiB at 4096 paths).
 _REF_OFFSET = 3
 _STRONG_CHUNK_PATHS = 2048
 
@@ -120,20 +120,19 @@ def _cell_samples(plan: LevelPair, seed: int, n_paths: int, experiment: str,
                   read: Callable[..., tuple[np.ndarray, ...]], *,
                   full_path: bool = True) -> tuple[np.ndarray, ...]:
     """``read`` of the run of ``plan`` on the paths ``[0, n_paths)`` of the
-    substreams ``(seed, level, path)``, in chunks sized by
-    ``_CHUNK_DRAWS``, each of its samples joined along the path axis.
+    substreams ``(seed, level, path)``, in chunks of
+    :func:`mlmc._chunk_width` paths, each of its samples joined along the
+    path axis.
 
     ``read`` takes what :meth:`LevelPair.run` returns, with
     ``full_path``, and gives per-path samples, one value per path along
     their last axis; see :func:`mlmc._run_chunks` for the refusals."""
-    size = max(1, _CHUNK_DRAWS // (plan.grid_fine.total_steps_N
-                                   * plan.problem.dim_noise))
     where = (f"{experiment} level {plan.level} "
              f"(eps {plan.problem.noise_scale:g})")
     chunks = _run_chunks(
         lambda a, b: read(plan.run(plan.noise_stream(seed, range(a, b)),
                                    full_path=full_path)),
-        where, 0, n_paths, size)
+        where, 0, n_paths, _chunk_width(plan, full_path=full_path))
     return tuple(parts[0] if len(parts) == 1
                  else np.concatenate(parts, axis=-1) for parts in zip(*chunks))
 

@@ -7,13 +7,13 @@ deterministic: the same configuration and seed produce byte-identical
 CSV regardless of ``--jobs``.  Only the rates-moment, rates-variance and
 deviation sweeps use threads, over cells with per-cell substreams; path,
 coupled, mlmc and rates-strong run on one thread.  Path batches run in
-chunks: MLMC levels fold chunks of 8192 paths, or of 4096 where the delay
-windows would hold more than 2**20 states (from level 9 at tau = 1/4),
-rates-strong sums chunks of 2048 paths, and every other batch (the path
-and coupled runs are one cell each, run by the sweeps' cell runner) runs
-``max(1, 2**24 // (N * d))`` paths of N fine steps and d noise
-components per chunk, which bounds the states a full-path chunk stores;
-the noise is read one 256 KiB draw block at a time.
+chunks, all but rates-strong's sized by one rule (``mlmc._chunk_width``):
+8192 paths, halved while the chunk's paths would store more than 2**23
+states, counting each member's delay window and, in the full-path cells
+of the path, coupled, deviation and rates-moment runs, its whole path.
+At tau = 1/4 an MLMC level folds 8192 paths up to level 11 and half as
+many per level beyond.  rates-strong sums chunks of 2048 paths.  The
+noise is read one 256 KiB draw block at a time.
 
 Configuration is layered: per-experiment defaults (``DEFAULTS``), then a
 ``--config`` file of flat ``key=value`` lines, then command-line flags.

@@ -41,13 +41,14 @@ __all__ = ["LevelStats", "MlmcEstimate", "estimate_level",
 
 # Paths are always processed in fixed chunks and the per-chunk statistics
 # merged in chunk order, so the result is a pure function of (seed, sample
-# count).  A level folds chunks of CHUNK_SIZE paths when its members' delay
-# windows hold at most WINDOW_STATES states (8 MiB of float64) at that
-# width, else chunks of CHUNK_SIZE // 2: with tau = 1/4 and T = 1 at M = 2,
-# 8192 paths up to level 8 and 4096 from level 9.  A wider chunk spreads
-# the fixed cost of each step over more paths.  Read at call time.
+# count).  _chunk_width sizes every chunk, of an MLMC level and of a sweep
+# or CLI cell alike, from these two: a wider chunk spreads the fixed cost
+# of each step over more paths, and the state budget (64 MiB of float64)
+# bounds what a deep level's delay windows hold.  With tau = 1/4 and T = 1
+# at M = 2 that is 8192 paths up to level 11, then half as many per
+# level: 4096 at level 12, 1024 at level 14.  Read at call time.
 CHUNK_SIZE = 8192
-WINDOW_STATES = 2**20
+CHUNK_STATES = 2**23
 
 # The pilot samples per level and the per-level sample cap of a target-SE
 # estimate.  Read at call time.
@@ -240,14 +241,18 @@ def _run_chunks(chunk_fn: Callable[[int, int], tuple[np.ndarray, ...]],
             for a in range(start, stop, chunk_size)]
 
 
-def _chunk_width(plan: LevelPair) -> int:
-    """The paths per chunk of ``plan``'s fold: ``CHUNK_SIZE`` when its
-    members' delay windows hold at most ``WINDOW_STATES`` states at that
-    width, else ``CHUNK_SIZE // 2`` (at least 1)."""
-    rows = sum(grid.steps_per_delay_m + 1 for grid, _, _ in plan.members)
-    if CHUNK_SIZE * rows * plan.problem.dim_state <= WINDOW_STATES:
-        return CHUNK_SIZE
-    return max(1, CHUNK_SIZE // 2)
+def _chunk_width(plan: LevelPair, *, full_path: bool = False) -> int:
+    """The paths per chunk of ``plan``'s runs with ``full_path``:
+    ``CHUNK_SIZE``, halved (down to 1) while that many paths would store
+    more than ``CHUNK_STATES`` states.  A path stores its members' delay
+    windows, ``m + 1`` rows each, and with ``full_path`` their ``N`` steps
+    too, each row of the problem's ``dim_state`` components."""
+    rows = sum(grid.steps_per_delay_m + 1 + full_path * grid.total_steps_N
+               for grid, _, _ in plan.members)
+    width = CHUNK_SIZE
+    while width > 1 and width * rows * plan.problem.dim_state > CHUNK_STATES:
+        width //= 2
+    return width
 
 
 def _fold(plan: LevelPair, psi: Payoff, seed: int, start: int,

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mlmc_sdde import analysis, cli, coupling, scheme
+from mlmc_sdde import analysis, cli, coupling, mlmc, scheme
 from mlmc_sdde.analysis import (
     EnvelopeFit,
     RateFit,
@@ -448,9 +448,14 @@ def test_uncoupled_baseline_is_the_members_variances(name, theta, delta):
         eps_sweep=[0.05, 0.05, 0.1], n_paths=n, seed=seed)
     cell = (result.h_coupled[1], result.h_uncoupled[1])
     # The cell's numbers are the variances of the pairs' payoffs at its
-    # seed: the difference, and the fine plus the coarse member.
-    deltas, fines = LevelPair.for_problem(
-        problem, level, M=2, theta=theta, delta=delta).payoffs(psi, seed, 0, n)
+    # seed, over the cell's chunks (at theta > 0 the solve iterates per
+    # chunk): the difference, and the fine plus the coarse member.
+    plan = LevelPair.for_problem(problem, level, M=2, theta=theta,
+                                 delta=delta)
+    width = mlmc._chunk_width(plan)
+    deltas, fines = (np.concatenate(parts) for parts in zip(*(
+        plan.payoffs(psi, seed, a, min(a + width, n))
+        for a in range(0, n, width))))
     coarse = fines - deltas
     assert cell == (float(np.var(deltas, ddof=1)),
                     float(np.var(fines, ddof=1) + np.var(coarse, ddof=1)))
@@ -755,15 +760,16 @@ def _record_chunking(monkeypatch):
 
 
 def test_cell_chunks_bound_memory_and_keep_values(monkeypatch):
-    # Level 4 at M = 4 has 256 fine steps, so a budget of 2**18 draws runs
-    # the 4000 paths of a cell in chunks of 1024.
+    # The 4000 paths of a level-4 cell at M = 4 run in one chunk, and in
+    # chunks of 1024 under a CHUNK_SIZE of 1024, which the states of its
+    # paths (82 window rows, or 402 full-path rows) fit.
     problem = _strong_noise_problem(eps=0.1)
     psi = builtin_payoff("tanh")
     # A 1024-path chunk of the terminal-only coupled cell holds, in float64
-    # rows of 1024 paths, the 64 coarse increments, the delay windows of
-    # both members (m + 1 = 65 and 17 rows) and 16 rows of one step's
-    # temporaries, plus the one draw block the fine member reads.
-    pair_chunk = 8 * (1024 * (64 + 65 + 17 + 16) + scheme._BLOCK_DRAWS)
+    # rows of 1024 paths, the delay windows of both members (m + 1 = 65 and
+    # 17 rows) and 16 rows of one step's temporaries, plus the one draw
+    # block the fine member reads.
+    pair_chunk = 8 * (1024 * (65 + 17 + 16) + scheme._BLOCK_DRAWS)
     pair = LevelPair.for_problem(problem, 4, M=4, theta=0.0)
     cells = [
         ("rates-variance", lambda c: coupling.coupled_payoff_delta(c, psi),
@@ -784,7 +790,7 @@ def test_cell_chunks_bound_memory_and_keep_values(monkeypatch):
     for experiment, read, full_path, bound in cells:
         whole, whole_peak = traced(experiment, read, full_path)
         seen = _record_chunking(monkeypatch)
-        monkeypatch.setattr(analysis, "_CHUNK_DRAWS", 2**18)
+        monkeypatch.setattr(mlmc, "CHUNK_SIZE", 1024)
         chunked, chunked_peak = traced(experiment, read, full_path)
         monkeypatch.undo()
         assert [size for _, _, size in seen] == [1024]
@@ -818,8 +824,9 @@ def test_multi_chunk_cells_equal_one_batch_at_theta_zero(monkeypatch,
 
     whole = run_all("whole")
     seen = _record_chunking(monkeypatch)
-    # 192 draws: 48 paths per chunk at level 2 down to 6 at level 5.
-    monkeypatch.setattr(analysis, "_CHUNK_DRAWS", 192)
+    # 256 states: 32 paths per chunk for the terminal-only level-3 pair (5
+    # window rows) down to 4 for the full-path level-5 pair (62 rows).
+    monkeypatch.setattr(mlmc, "CHUNK_STATES", 256)
     chunked = run_all("chunked")
     assert chunked == whole
     assert len(seen) == 6 + 6 + 4 + 2

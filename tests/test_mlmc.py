@@ -200,13 +200,15 @@ def fold_widths(monkeypatch):
     return width
 
 
-@pytest.mark.parametrize("level, width", [(7, 8192), (8, 8192),
-                                          (9, 4096), (12, 4096)])
+@pytest.mark.parametrize("level, width", [
+    (7, 8192), (8, 8192), (9, 8192), (12, 4096), (13, 2048), (14, 1024),
+    (16, 256)])
 def test_levels_with_small_delay_windows_fold_wider_chunks(fold_widths,
                                                            level, width):
     # At tau = 1/4 a pair's windows hold (2^(l-2) + 1 + 2^(l-3) + 1) rows:
-    # 8192 paths of them are at most 2^20 states up to level 8.  A base
-    # level of the same level holds fewer, and takes the same width here.
+    # 8192 paths of them are at most 2^23 states up to level 11, and each
+    # level beyond halves the width.  A base level of the same level holds
+    # fewer rows (2^(l-2) + 1), and takes the same width here.
     p = builtin_problem("linear_scalar")
     assert fold_widths(estimate_level, p, TANH, level, n_samples=10) == width
     assert fold_widths(single_level_estimate, p, TANH, level,
@@ -216,16 +218,16 @@ def test_levels_with_small_delay_windows_fold_wider_chunks(fold_widths,
 
 
 def test_a_patched_chunk_size_sets_the_width(monkeypatch, fold_widths):
-    # A patched CHUNK_SIZE is the width wherever the windows fit at that
-    # width (at 256 paths, level 12's 1538 rows do), and half of it where
-    # they do not.
+    # A patched CHUNK_SIZE is the width wherever the windows fit the state
+    # budget at that width (at 256 paths, level 12's 1538 rows do), and it
+    # halves where they do not (level 9's 194 rows at 2^16 paths).
     p = builtin_problem("linear_scalar")
     monkeypatch.setattr(mlmc, "CHUNK_SIZE", 256)
     assert [fold_widths(estimate_level, p, TANH, level, n_samples=10)
             for level in (3, 12)] == [256, 256]
     monkeypatch.setattr(mlmc, "CHUNK_SIZE", 2**16)
-    assert fold_widths(estimate_level, p, TANH, 3, n_samples=10) == 2**16
-    assert fold_widths(estimate_level, p, TANH, 7, n_samples=10) == 2**15
+    assert [fold_widths(estimate_level, p, TANH, level, n_samples=10)
+            for level in (3, 7, 9)] == [2**16, 2**16, 2**15]
     monkeypatch.setattr(mlmc, "CHUNK_SIZE", 1)
     assert fold_widths(estimate_level, p, TANH, 3, n_samples=10) == 1
 
@@ -238,7 +240,7 @@ def test_a_wide_tamed_chunk_holds_its_windows_and_few_rows_more():
     p = builtin_problem("cubic_onesided")
     pair = LevelPair.for_problem(p, 7, **_TAMED)
     paths = 8192
-    assert mlmc._chunk_width(pair) == paths
+    assert mlmc._chunk_width(pair, full_path=False) == paths
     pair.payoffs(TANH, 3, 0, 2)  # imports and caches outside the trace
     tracemalloc.start()
     try:
@@ -250,6 +252,32 @@ def test_a_wide_tamed_chunk_holds_its_windows_and_few_rows_more():
     assert windows == 50
     block_rows = scheme._BLOCK_DRAWS // paths
     bound = (windows + block_rows + 24) * paths * 8
+    assert peak <= bound, (peak, bound)
+
+
+@pytest.mark.parametrize("name, kwargs", [
+    ("linear_scalar", {}), ("cubic_onesided", dict(theta=0.5, delta=0.5))],
+    ids=["linear_scalar", "tamed"])
+def test_a_deep_chunk_stays_inside_the_state_budget(monkeypatch, name,
+                                                    kwargs):
+    # With a budget of 2^18 states, the level-10 pair's 257 + 129 window
+    # rows fit 512 paths and not 1024, so its fold runs 512-path chunks.
+    # A fold of two of them holds at most the budget, one draw block
+    # (_BLOCK_DRAWS / 512 = 64 rows) and 24 rows of a step's temporaries;
+    # one 1024-path chunk would hold 386 window rows of 1024 states.
+    monkeypatch.setattr(mlmc, "CHUNK_STATES", 2**18)
+    p = builtin_problem(name)
+    pair = LevelPair.for_problem(p, 10, **kwargs)
+    assert mlmc._chunk_width(pair) == 512
+    pair.payoffs(TANH, 3, 0, 2)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        estimate_level(p, TANH, 10, n_samples=1024, seed=3, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 8 * (mlmc.CHUNK_STATES
+                 + 512 * (scheme._BLOCK_DRAWS // 512 + 24))
     assert peak <= bound, (peak, bound)
 
 
